@@ -217,13 +217,18 @@ def cmd_check_bott(args) -> dict:
 
 
 def cmd_check_les(args) -> dict:
+    grid = [(d, n) for d in range(1, args.max_d + 1) for n in range(d + 1, args.max_n + 1)]
+    if not grid:
+        raise ValueError(
+            f"--max-d {args.max_d} and --max-n {args.max_n} give no case 1 <= d < n; "
+            "need --max-d >= 1 and --max-n >= 2"
+        )
     rows = []
     ok = True
-    for d in range(1, args.max_d + 1):
-        for n in range(d + 1, args.max_n + 1):
-            report = les_euler_check(d, n)
-            ok = ok and report.passed
-            rows.append([d, n, report.verdict])
+    for d, n in grid:
+        report = les_euler_check(d, n)
+        ok = ok and report.passed
+        rows.append([d, n, report.verdict])
     return {
         "command": "check-les",
         "params": {"max_d": args.max_d, "max_n": args.max_n},
@@ -241,6 +246,8 @@ def cmd_check_minors(args) -> dict:
 
 
 def cmd_check_trace(args) -> dict:
+    if args.max_d < 1:
+        raise ValueError(f"--max-d must be at least 1, got {args.max_d}")
     rows = []
     ok = True
     for d in range(1, args.max_d + 1):

@@ -3,13 +3,14 @@
 Conventions used across the package: a partition is a weakly decreasing
 tuple of positive integers with trailing zeros trimmed; a box (r, c)
 constrains a partition to at most r parts, each at most c; dimension
-counts are exact machine integers.
+counts are exact integers.  Skew tableau counts come from the
+Jacobi-Trudi determinant (Macdonald, Symmetric Functions, I.5), so their
+cost is polynomial in the shape rather than proportional to the count.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import prod
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -95,14 +96,6 @@ class SkewShape(NamedTuple):
     def size(self) -> int:
         return self.outer.size - self.inner.size
 
-    def column_heights(self) -> tuple[int, ...]:
-        ot, it = self.outer.conjugate(), self.inner.conjugate()
-        return tuple(ot.part(j) - it.part(j) for j in range(len(ot)))
-
-    def is_horizontal_strip(self) -> bool:
-        """At most one cell per column."""
-        return all(h <= 1 for h in self.column_heights())
-
 
 def partitions_in_box(
     box: Box | tuple[int, int],
@@ -173,75 +166,50 @@ def schur_dim(eta: Sequence[int], m: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
-def _skew_ssyt_count(outer: tuple[int, ...], inner: tuple[int, ...], m: int) -> int:
-    """Count semistandard fillings of outer/inner with entries in 1..m.
-
-    Rows weakly increase left to right, columns strictly increase top to
-    bottom.  Direct backtracking over cells in row order.
-    """
-    nrows = len(outer)
-    spans = [(inner[r] if r < len(inner) else 0, outer[r]) for r in range(nrows)]
-    cells = [(r, c) for r, (a, b) in enumerate(spans) for c in range(a, b)]
-    if not cells:
-        return 1
-    if m <= 0:
-        return 0
-    # a column taller than m admits no strictly increasing filling
-    heights: dict[int, int] = {}
-    for _, c in cells:
-        heights[c] = heights.get(c, 0) + 1
-    if max(heights.values()) > m:
-        return 0
-
-    ncells = len(cells)
-    grid = [[0] * b for _, b in spans]
-    total = 0
-
-    def fill(k: int) -> None:
-        nonlocal total
-        if k == ncells:
-            total += 1
-            return
-        r, c = cells[k]
-        lo = 1
-        if c > spans[r][0]:
-            lo = grid[r][c - 1]
-        if r > 0 and spans[r - 1][0] <= c < spans[r - 1][1]:
-            above = grid[r - 1][c] + 1
-            if above > lo:
-                lo = above
-        row = grid[r]
-        for v in range(lo, m + 1):
-            row[c] = v
-            fill(k + 1)
-
-    fill(0)
-    return total
+def _det(a: list[list[int]]) -> int:
+    """Determinant of a nonempty square integer matrix by fraction-free
+    (Bareiss) elimination; every division is exact.  Consumes `a`."""
+    size = len(a)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1]
 
 
 def skew_schur_dim(shape: SkewShape, m: int) -> int:
     """Number of semistandard tableaux of the skew shape with entries
-    in 1..m (= dim of the skew Schur functor applied to an m-dim space)."""
-    return _skew_ssyt_count(tuple(shape.outer), tuple(shape.inner), m)
+    in 1..m (= dim of the skew Schur functor applied to an m-dim space).
 
-
-def cauchy_terms(p: int, dim_e: int, dim_f: int) -> list[tuple[Partition, Partition]]:
-    """Index the degree-p exterior power of a tensor product of spaces of
-    dimensions dim_e and dim_f: pairs (lam, lam^T) with |lam| = p, at most
-    dim_e rows and dim_f columns.  Deterministic graded order."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    return [
-        (lam, lam.conjugate())
-        for lam in partitions_in_box(Box(dim_e, dim_f), size=p)
-    ]
-
-
-def tilde_shift(lam: Partition, s: int) -> Partition:
-    """Strip the first column of a partition with exactly s nonzero parts:
-    (a_1, ..., a_s) becomes (a_1 - 1, ..., a_s - 1)."""
-    lam = Partition(lam)
-    if s < 1 or lam.length != s:
-        raise ValueError(f"expected exactly {s} positive parts, got {lam!r}")
-    return Partition(a - 1 for a in lam)
+    Jacobi-Trudi: s_{lam/mu}(1^m) = det[h_{lam_i - mu_j - i + j}(1^m)] with
+    h_k(1^m) = C(m-1+k, k), or the dual form det[e_{lam'_i - mu'_j - i + j}]
+    on the conjugates with e_k(1^m) = C(m, k); the smaller matrix is used.
+    h_k = e_k = 0 for k < 0, and h_0 = e_0 = 1.
+    """
+    if shape.size == 0:
+        return 1
+    if m <= 0:
+        return 0
+    outer, inner = shape.outer, shape.inner
+    dual = len(outer) > outer[0]
+    if dual:
+        outer, inner = outer.conjugate(), inner.conjugate()
+    rows = len(outer)
+    inner = inner.padded(rows)
+    coeff = [comb(m, k) if dual else comb(m - 1 + k, k) for k in range(outer[0] + rows)]
+    return _det(
+        [
+            [coeff[k] if k >= 0 else 0 for k in (outer[i] - inner[j] - i + j for j in range(rows))]
+            for i in range(rows)
+        ]
+    )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .bott import BundleTerm, bundle_cohomology
 from .partitions import Box, Partition, SkewShape, partitions_in_box, skew_schur_dim
@@ -125,6 +125,35 @@ class BettiTable:
         }
 
 
+def _normalization_terms(params: KalmanParams, max_lam_length: int) -> Iterator[BettiTerm]:
+    """The nonzero terms of the level-s normalization whose lam has at
+    most `max_lam_length` parts, in lam-major order (see
+    resolution_normalization)."""
+    s, d = params.s, params.d
+    mus = [(mu, mu.conjugate()) for mu in partitions_in_box(Box(s, d - s))]
+    for lam in partitions_in_box(Box(max_lam_length, params.n - s)):
+        lam_t = lam.conjugate()
+        for mu, mu_t in mus:
+            if not lam.contains(mu):
+                continue
+            out, gl_mult = bundle_cohomology(BundleTerm(lam, mu_t, s=s, d=d))
+            if out.vanishes:
+                continue
+            shape = SkewShape.of(lam_t, mu_t)
+            mult = gl_mult * skew_schur_dim(shape, params.w_dim)
+            if mult == 0:
+                continue
+            yield BettiTerm(
+                hom_degree=lam.size - out.degree,
+                twist=lam.size,
+                eta=out.eta,
+                w_shape=shape,
+                multiplicity=mult,
+                part=None,
+                source=(lam, mu),
+            )
+
+
 def resolution_normalization(params: KalmanParams) -> BettiTable:
     """Term-level resolution of normalization(s) over A.
 
@@ -134,32 +163,7 @@ def resolution_normalization(params: KalmanParams) -> BettiTable:
     with the skew Schur functor lam^T / mu^T of the complement.  Terms
     with zero multiplicity are dropped.
     """
-    s, d = params.s, params.d
-    terms: list[BettiTerm] = []
-    for lam in partitions_in_box(Box(s, params.n - s)):
-        for mu in partitions_in_box(Box(s, d - s)):
-            if not lam.contains(mu):
-                continue
-            out, gl_mult = bundle_cohomology(BundleTerm(lam, mu.conjugate(), s=s, d=d))
-            if out.vanishes:
-                continue
-            shape = SkewShape.of(lam.conjugate(), mu.conjugate())
-            mult = gl_mult * skew_schur_dim(shape, params.w_dim)
-            if mult == 0:
-                continue
-            hom = lam.size - out.degree
-            terms.append(
-                BettiTerm(
-                    hom_degree=hom,
-                    twist=lam.size,
-                    eta=out.eta,
-                    w_shape=shape,
-                    multiplicity=mult,
-                    part=None,
-                    source=(lam, mu),
-                )
-            )
-    return BettiTable("normalization", params, terms)
+    return BettiTable("normalization", params, list(_normalization_terms(params, params.s)))
 
 
 def classify_part(lam: Partition, mu: Partition, s: int) -> str:
@@ -206,6 +210,18 @@ def _closed_form_generator_terms(k: int, d: int, n: int) -> list[BettiTerm]:
     return out
 
 
+def _stratum_key(t: BettiTerm, twist_offset: int = 0) -> tuple:
+    """What the closed forms pin down about a term: twist, L-weight, skew
+    shape and multiplicity."""
+    return (
+        t.twist + twist_offset,
+        t.eta,
+        tuple(t.w_shape.outer),
+        tuple(t.w_shape.inner),
+        t.multiplicity,
+    )
+
+
 @dataclass
 class PartIIIProfile:
     """Part III terms of a normalization table plus the structural check:
@@ -231,15 +247,8 @@ def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
                 "mu": list(t.source[1]),
             }
         )
-    got = sorted(
-        (t.twist, t.eta, tuple(t.w_shape.outer), tuple(t.w_shape.inner), t.multiplicity)
-        for t in iii
-        if t.hom_degree == s
-    )
-    want = sorted(
-        (t.twist, t.eta, tuple(t.w_shape.outer), tuple(t.w_shape.inner), t.multiplicity)
-        for t in _closed_form_generator_terms(s, d, n)
-    )
+    got = sorted(_stratum_key(t) for t in iii if t.hom_degree == s)
+    want = sorted(_stratum_key(t) for t in _closed_form_generator_terms(s, d, n))
     if got != want:
         details.append(
             {
@@ -265,34 +274,13 @@ def _expected_low_strata(params: KalmanParams) -> dict[int, list[tuple]]:
     by (s+k-1)(k-s)/2."""
     s, d, n = params.s, params.d, params.n
     buckets: dict[int, list[tuple]] = {i: [] for i in range(s + 1)}
-    for lam in partitions_in_box(Box(s - 1, n - s)):
-        for mu in partitions_in_box(Box(s - 1, d - s)):
-            if not lam.contains(mu):
-                continue
-            out, gl_mult = bundle_cohomology(BundleTerm(lam, mu.conjugate(), s=s, d=d))
-            if out.vanishes:
-                continue
-            shape = SkewShape.of(lam.conjugate(), mu.conjugate())
-            mult = gl_mult * skew_schur_dim(shape, n - d)
-            if mult == 0:
-                continue
-            hom = lam.size - out.degree
-            if hom <= s:
-                buckets[hom].append(
-                    (lam.size, out.eta, tuple(shape.outer), tuple(shape.inner), mult)
-                )
+    for t in _normalization_terms(params, s - 1):
+        if t.hom_degree <= s:
+            buckets[t.hom_degree].append(_stratum_key(t))
     for k in range(s, d + 1):
         offset = (s + k - 1) * (k - s) // 2
         for t in _closed_form_generator_terms(k, d, n):
-            buckets[s].append(
-                (
-                    t.twist + offset,
-                    t.eta,
-                    tuple(t.w_shape.outer),
-                    tuple(t.w_shape.inner),
-                    t.multiplicity,
-                )
-            )
+            buckets[s].append(_stratum_key(t, offset))
     return {i: sorted(v) for i, v in buckets.items()}
 
 
@@ -305,11 +293,7 @@ def chain_closed_form_check(table: BettiTable) -> CheckReport:
     expected = _expected_low_strata(params)
     details: list[dict] = []
     for i in range(s + 1):
-        got = sorted(
-            (t.twist, t.eta, tuple(t.w_shape.outer), tuple(t.w_shape.inner), t.multiplicity)
-            for t in table.terms
-            if t.hom_degree == i
-        )
+        got = sorted(_stratum_key(t) for t in table.terms if t.hom_degree == i)
         if got != expected[i]:
             details.append(
                 {
@@ -328,7 +312,7 @@ def chain_closed_form_check(table: BettiTable) -> CheckReport:
 
 
 def chain_resolution(s: int, d: int, n: int, check: bool = True) -> BettiTable:
-    """Term-level resolution of chain(s) by downward recursion.
+    """Term-level resolution of chain(s) by downward induction on s.
 
     Base case s = d: the level-d normalization table (a Koszul complex).
     For s < d: keep the level-s normalization terms outside part I, and
@@ -341,23 +325,34 @@ def chain_resolution(s: int, d: int, n: int, check: bool = True) -> BettiTable:
     With check=True (default) the result is compared against the closed
     forms for homological degrees <= s; a mismatch raises CheckFailure.
     """
+    return _chain_from_normalizations(_normalization_levels(s, d, n), check)
+
+
+def _normalization_levels(s: int, d: int, n: int) -> list[BettiTable]:
+    """The normalization tables of levels s, s+1, ..., d."""
     params = KalmanParams(s, d, n)
-    base = split_parts(resolution_normalization(params))
-    terms = [t for t in base.terms if t.part != "I"]
-    if s < d:
-        deeper = chain_resolution(s + 1, d, n, check=check)
-        for t in deeper.terms:
-            if t.part == "II":
-                continue
-            terms.append(
+    return [resolution_normalization(replace(params, s=k)) for k in range(s, d + 1)]
+
+
+def _chain_from_normalizations(levels: list[BettiTable], check: bool) -> BettiTable:
+    """chain(s) from the normalization tables of levels s..d, built from
+    level d down as chain_resolution describes, checking every level."""
+    chain = None
+    for table in reversed(levels):
+        s = table.params.s
+        terms = [t for t in split_parts(table).terms if t.part != "I"]
+        if chain is not None:
+            terms += [
                 replace(t, hom_degree=t.hom_degree - 1, twist=t.twist + s, part="carried")
-            )
-    table = BettiTable("chain", params, terms)
-    if check:
-        report = chain_closed_form_check(table)
-        if not report.passed:
-            raise CheckFailure(report)
-    return table
+                for t in chain.terms
+                if t.part != "II"
+            ]
+        chain = BettiTable("chain", table.params, terms)
+        if check:
+            report = chain_closed_form_check(chain)
+            if not report.passed:
+                raise CheckFailure(report)
+    return chain
 
 
 @dataclass(frozen=True)
@@ -514,11 +509,13 @@ def les_euler_check(d: int, n: int) -> CheckReport:
     """Alternating sum of the twisted normalization numerators must equal
     the chain(1) numerator: the Euler characteristic of the long exact
     sequence relating the modules."""
+    levels = _normalization_levels(1, d, n)
     total = HilbertSeries.of({}, n * n)
-    for s in range(1, d + 1):
-        term = twisted_normalization_numerator(KalmanParams(s, d, n))
+    for table in levels:
+        s = table.params.s
+        term = hilbert_numerator(table).shifted(s * (s - 1) // 2)
         total = total.plus(term) if s % 2 == 1 else total.minus(term)
-    chain1 = hilbert_numerator(chain_resolution(1, d, n))
+    chain1 = hilbert_numerator(_chain_from_normalizations(levels, check=True))
     passed = total == chain1
     details = []
     if not passed:

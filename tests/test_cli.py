@@ -97,6 +97,22 @@ class TestChecks:
         payload = json.loads(out)
         assert all(r[2] == "pass" for r in payload["rows"])
 
+    @pytest.mark.parametrize(
+        "bounds", [("--max-d", "0"), ("--max-d", "3", "--max-n", "1"), ("--max-d", "-2")]
+    )
+    def test_les_with_no_case_exits_2(self, capsys, bounds):
+        assert cli.main(["check-les", *bounds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "--max-d" in captured.err and "--max-n" in captured.err
+
+    def test_trace_with_no_case_exits_2(self, capsys):
+        assert cli.main(["check-trace", "--max-d", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-d must be at least 1, got 0\n"
+
     def test_minors(self, capsys):
         code, _ = run(capsys, "check-minors", "--d", "2", "--n", "3", "--trials", "10")
         assert code == 0

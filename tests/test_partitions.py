@@ -9,12 +9,10 @@ from kalvar.partitions import (
     Box,
     Partition,
     SkewShape,
-    cauchy_terms,
     conjugate,
     partitions_in_box,
     schur_dim,
     skew_schur_dim,
-    tilde_shift,
 )
 
 
@@ -41,6 +39,17 @@ def brute_skew_ssyt(outer, inner, m):
     return count
 
 
+def is_horizontal_strip(outer, inner):
+    """At most one cell of outer/inner in each column."""
+    outer_t, inner_t = Partition(outer).conjugate(), Partition(inner).conjugate()
+    return all(outer_t[j] - inner_t.part(j) <= 1 for j in range(len(outer_t)))
+
+
+def strip_first_column(lam):
+    """(a_1, ..., a_s) -> (a_1 - 1, ..., a_s - 1): the first column removed."""
+    return Partition(a - 1 for a in lam)
+
+
 @st.composite
 def partitions(draw, max_len=5, max_part=6):
     n = draw(st.integers(0, max_len))
@@ -50,6 +59,30 @@ def partitions(draw, max_len=5, max_part=6):
         )
     )
     return Partition(parts)
+
+
+# Largest skew size per m at which the assignment oracle (m ** size
+# candidate fillings) stays cheap enough for a property test.
+ORACLE_CELLS = {0: 25, 1: 25, 2: 11, 3: 7, 4: 5, 5: 5}
+
+
+@st.composite
+def skew_shapes(draw, rows=5, cols=5):
+    """(outer, inner, m): inner drawn in the rows x cols box, outer grown
+    from it one addable cell at a time inside the box, m in 0..5, with
+    the skew size capped by ORACLE_CELLS[m]."""
+    m = draw(st.integers(0, 5))
+    inner = list(draw(partitions(max_len=rows, max_part=cols)))
+    outer = inner + [0] * (rows - len(inner))
+    for _ in range(draw(st.integers(0, ORACLE_CELLS[m]))):
+        addable = [
+            r for r in range(rows)
+            if outer[r] < cols and (r == 0 or outer[r - 1] > outer[r])
+        ]
+        if not addable:
+            break
+        outer[draw(st.sampled_from(addable))] += 1
+    return Partition(outer), Partition(inner), m
 
 
 class TestPartition:
@@ -165,7 +198,7 @@ class TestSchurDim:
             schur_dim((0, -1), 3)
 
     def test_matches_tableau_count_in_box(self):
-        # independent route: product formula vs direct tableau backtracking
+        # independent routes: Weyl product formula vs Jacobi-Trudi determinant
         for lam in partitions_in_box(Box(4, 4)):
             for m in range(1, 5):
                 counted = skew_schur_dim(SkewShape.of(lam), m)
@@ -204,9 +237,34 @@ class TestSkewSchurDim:
             for mu in partitions_in_box(Box(4, 4)):
                 if not lam.contains(mu):
                     continue
-                shape = SkewShape.of(lam, mu)
-                want = 1 if shape.is_horizontal_strip() else 0
-                assert skew_schur_dim(shape, 1) == want
+                want = 1 if is_horizontal_strip(lam, mu) else 0
+                assert skew_schur_dim(SkewShape.of(lam, mu), 1) == want
+
+    @given(skew_shapes())
+    @settings(max_examples=200, deadline=None)
+    def test_jacobi_trudi_matches_assignment_oracle(self, case):
+        outer, inner, m = case
+        assert skew_schur_dim(SkewShape.of(outer, inner), m) == brute_skew_ssyt(outer, inner, m)
+
+    @pytest.mark.parametrize(
+        "outer, inner, m, want",
+        [
+            ((), (), 0, 1),  # empty shape
+            ((), (), 3, 1),
+            ((3, 2, 2), (3, 2, 2), 0, 1),  # inner == outer
+            ((3, 2, 2), (3, 2, 2), 4, 1),
+            ((1,), (), 0, 0),  # m = 0
+            ((2, 1), (1,), 0, 0),
+            ((1, 1, 1), (), 2, 0),  # a column taller than m
+            ((2, 2, 2, 2), (1,), 3, 0),
+            ((2, 2, 2, 1), (1,), 3, 1),  # columns exactly m tall
+            ((3, 3, 1), (2,), 3, 21),
+            ((2, 2), (), 2, 1),  # det^2 of GL(2)
+        ],
+    )
+    def test_edge_cases(self, outer, inner, m, want):
+        assert skew_schur_dim(SkewShape.of(outer, inner), m) == want
+        assert brute_skew_ssyt(outer, inner, m) == want
 
     def test_rejects_non_contained(self):
         with pytest.raises(ValueError):
@@ -214,20 +272,27 @@ class TestSkewSchurDim:
 
 
 class TestCauchyTerms:
+    """The index set of the dual Cauchy decomposition of the p-th exterior
+    power of E (x) F: pairs (lam, lam^T) with |lam| = p in the
+    dim E x dim F box."""
+
+    @staticmethod
+    def pairs(p, dim_e, dim_f):
+        return [(lam, lam.conjugate()) for lam in partitions_in_box(Box(dim_e, dim_f), size=p)]
+
     def test_degree_zero(self):
-        assert cauchy_terms(0, 3, 3) == [(Partition(()), Partition(()))]
+        assert self.pairs(0, 3, 3) == [(Partition(()), Partition(()))]
 
     def test_degree_two_two_by_two(self):
-        got = cauchy_terms(2, 2, 2)
-        assert got == [
+        assert self.pairs(2, 2, 2) == [
             (Partition((2,)), Partition((1, 1))),
             (Partition((1, 1)), Partition((2,))),
         ]
 
     def test_box_constraints(self):
-        for lam, lam_t in cauchy_terms(5, 2, 4):
+        for lam, lam_t in self.pairs(5, 2, 4):
             assert lam.fits(Box(2, 4))
-            assert lam_t == lam.conjugate()
+            assert lam_t.fits(Box(4, 2))
 
     def test_dimension_identity(self):
         # sum of products of paired Schur dimensions = binomial(ef, p)
@@ -236,31 +301,19 @@ class TestCauchyTerms:
                 for p in range(e * f + 1):
                     total = sum(
                         schur_dim(lam, e) * schur_dim(lam_t, f)
-                        for lam, lam_t in cauchy_terms(p, e, f)
+                        for lam, lam_t in self.pairs(p, e, f)
                     )
                     assert total == comb(e * f, p)
 
 
 class TestTildeShift:
-    def test_examples(self):
-        assert tilde_shift(Partition((3, 1, 1)), 3) == Partition((2,))
-        assert tilde_shift(Partition((1,)), 1) == Partition(())
-
-    def test_size_drops_by_length(self):
-        for lam in partitions_in_box(Box(3, 3), length=3):
-            assert tilde_shift(lam, 3).size == lam.size - 3
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            tilde_shift(Partition((2, 1)), 3)
-        with pytest.raises(ValueError):
-            tilde_shift(Partition(()), 1)
+    """Removing the shared first column of two partitions of length s."""
 
     def test_containment_preserved(self):
         for lam in partitions_in_box(Box(3, 3), length=3):
             for mu in partitions_in_box(Box(3, 3), length=3):
                 if lam.contains(mu):
-                    assert tilde_shift(lam, 3).contains(tilde_shift(mu, 3))
+                    assert strip_first_column(lam).contains(strip_first_column(mu))
 
     def test_transposed_skew_shape_unchanged(self):
         # stripping the shared first column does not change the skew
@@ -270,7 +323,7 @@ class TestTildeShift:
                 if not lam.contains(mu):
                     continue
                 before = SkewShape.of(lam.conjugate(), mu.conjugate())
-                lam2, mu2 = tilde_shift(lam, 3), tilde_shift(mu, 3)
+                lam2, mu2 = strip_first_column(lam), strip_first_column(mu)
                 after = SkewShape.of(lam2.conjugate(), mu2.conjugate())
                 for m in range(1, 4):
                     assert skew_schur_dim(before, m) == skew_schur_dim(after, m)

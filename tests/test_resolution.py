@@ -326,3 +326,55 @@ class TestSerialization:
         doc = table.to_dict()
         keys = [(e["i"], e["twist"], tuple(e["lambda"]), tuple(e["mu"])) for e in doc["entries"]]
         assert keys == sorted(keys)
+
+
+# Values recorded from the tableau-backtracking implementation before the
+# Jacobi-Trudi count replaced it; any change to them is a regression.
+SEED_CHAIN_1_5_10 = {
+    (0, 0): 1, (1, 5): 1, (1, 6): 24, (1, 7): 99, (1, 8): 225, (1, 9): 400,
+    (1, 10): 502, (1, 11): 600, (1, 12): 525, (1, 13): 399, (1, 14): 224,
+    (1, 15): 126, (2, 7): 25, (2, 8): 250, (2, 9): 850, (2, 10): 2225,
+    (2, 11): 3975, (2, 12): 5900, (2, 13): 6650, (2, 14): 5775, (2, 15): 3500,
+    (2, 16): 2100, (3, 9): 150, (3, 10): 975, (3, 11): 3976, (3, 12): 14000,
+    (3, 13): 28800, (3, 14): 41125, (3, 15): 38100, (3, 16): 25500, (3, 17): 16500,
+    (4, 11): 350, (4, 12): 2924, (4, 13): 24977, (4, 14): 75801, (4, 15): 133726,
+    (4, 16): 156250, (4, 17): 114775, (4, 18): 81225, (5, 13): 1001, (5, 14): 23599,
+    (5, 15): 112373, (5, 16): 257127, (5, 17): 435477, (5, 18): 357351,
+    (5, 19): 280825, (6, 14): 224, (6, 15): 11251, (6, 16): 94426, (6, 17): 316751,
+    (6, 18): 840623, (6, 19): 815972, (6, 20): 724504, (7, 16): 2100,
+    (7, 17): 42050, (7, 18): 259301, (7, 19): 1127700, (7, 20): 1410275,
+    (7, 21): 1446600, (8, 18): 7700, (8, 19): 142224, (8, 20): 1045650,
+    (8, 21): 1872675, (8, 22): 2288300, (9, 20): 51627, (9, 21): 658022,
+    (9, 22): 1917224, (9, 23): 2912000, (10, 21): 11524, (10, 22): 269527,
+    (10, 23): 1505927, (10, 24): 3010800, (11, 22): 1176, (11, 23): 65224,
+    (11, 24): 896472, (11, 25): 2544256, (12, 24): 7100, (12, 25): 396250,
+    (12, 26): 1762150, (13, 26): 125926, (13, 27): 1000350, (14, 27): 27274,
+    (14, 28): 464200, (15, 28): 3626, (15, 29): 175000, (16, 29): 224,
+    (16, 30): 53004, (17, 31): 12650, (18, 32): 2300, (19, 33): 300, (20, 34): 25,
+    (21, 35): 1,
+}
+SEED_LES_NUMERATORS = {
+    (3, 7): (
+        "1 - 4*t^3 - 17*t^4 + 25*t^5 + 61*t^6 - 79*t^7 - 196*t^8 + 575*t^9 - "
+        "681*t^10 + 480*t^11 - 220*t^12 + 66*t^13 - 12*t^14 + t^15"
+    ),
+    (4, 9): (
+        "1 - 5*t^4 - 41*t^5 + t^6 + 196*t^7 + 245*t^8 - 546*t^9 - 2941*t^10 + "
+        "8145*t^11 - 4626*t^12 - 6684*t^13 + 2577*t^14 + 34267*t^15 - "
+        "85853*t^16 + 115335*t^17 - 106131*t^18 + 72464*t^19 - 37976*t^20 + "
+        "15448*t^21 - 4845*t^22 + 1140*t^23 - 190*t^24 + 20*t^25 - t^26"
+    ),
+}
+
+
+class TestSeedValues:
+    def test_chain_1_5_10_betti_numbers(self):
+        assert chain_resolution(1, 5, 10).betti_numbers() == SEED_CHAIN_1_5_10
+
+    @pytest.mark.parametrize("d, n", sorted(SEED_LES_NUMERATORS))
+    def test_les_euler_data(self, d, n):
+        numerator = SEED_LES_NUMERATORS[d, n]
+        assert les_euler_check(d, n).data == {
+            "alternating_sum": numerator,
+            "chain_numerator": numerator,
+        }
