@@ -28,16 +28,6 @@ def rho(d: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class DottedActionTrace:
-    """Intermediate data of one dotted-action computation."""
-
-    rho: tuple[int, ...]
-    shifted: tuple[int, ...]
-    inversions: int
-    sorted_shifted: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class BottOutcome:
     """Either all cohomology vanishes, or it sits in a single degree with
     a single dominant weight."""
@@ -45,7 +35,6 @@ class BottOutcome:
     vanishes: bool
     degree: int | None
     eta: tuple[int, ...] | None
-    trace: DottedActionTrace
 
     def __post_init__(self) -> None:
         if self.vanishes != (self.degree is None) or self.vanishes != (self.eta is None):
@@ -65,8 +54,7 @@ def dotted_bott(nu: Sequence[int]) -> BottOutcome:
     shifted = tuple(a + b for a, b in zip(nu, r))
     srt = tuple(sorted(shifted, reverse=True))
     if any(a == b for a, b in zip(srt, srt[1:])):
-        trace = DottedActionTrace(r, shifted, 0, srt)
-        return BottOutcome(True, None, None, trace)
+        return BottOutcome(True, None, None)
     inv = sum(
         1
         for i in range(d)
@@ -74,8 +62,7 @@ def dotted_bott(nu: Sequence[int]) -> BottOutcome:
         if shifted[i] < shifted[j]
     )
     eta = tuple(a - b for a, b in zip(srt, r))
-    trace = DottedActionTrace(r, shifted, inv, srt)
-    return BottOutcome(False, inv, eta, trace)
+    return BottOutcome(False, inv, eta)
 
 
 @dataclass(frozen=True)

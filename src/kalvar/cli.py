@@ -188,26 +188,25 @@ def cmd_generators(args) -> dict:
 
 
 def cmd_hilbert(args) -> dict:
+    if args.max_degree < 0:
+        raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
     table = chain_resolution(args.s, args.d, args.n)
     series = hilbert_numerator(table)
     order = series.vanishing_order_at_one()
-    expected = args.s * (args.n - args.d) if args.s == 1 else None
-    passed = True if expected is None else order == expected
+    expected = args.s * (args.n - args.d)
     coeffs = series.expand(args.max_degree)
-    summary = {
-        "numerator": series.numerator_string(),
-        "denominator_power": series.denom_power,
-        "codimension": order,
-    }
-    if expected is not None:
-        summary["expected_codimension"] = expected
     return {
         "command": "hilbert",
         "params": {"s": args.s, "d": args.d, "n": args.n, "max_degree": args.max_degree},
-        "summary": summary,
+        "summary": {
+            "numerator": series.numerator_string(),
+            "denominator_power": series.denom_power,
+            "codimension": order,
+            "expected_codimension": expected,
+        },
         "columns": ["degree", "dimension"],
         "rows": [[e, c] for e, c in enumerate(coeffs)],
-        "passed": passed,
+        "passed": order == expected,
     }
 
 
@@ -240,6 +239,8 @@ def cmd_check_les(args) -> dict:
 
 
 def cmd_check_minors(args) -> dict:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     cfg = PrimeFieldConfig(modulus=args.modulus, seed=args.seed)
     report = minors_vanishing_check(args.d, args.n, args.trials, cfg)
     return _report_payload("check-minors", report)
@@ -266,6 +267,8 @@ def cmd_check_trace(args) -> dict:
 
 
 def cmd_check_minimality(args) -> dict:
+    if args.max_degree < 1:
+        raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
     cfg = PrimeFieldConfig(modulus=args.modulus, seed=args.seed)
     report = minimality_report(args.d, args.n, args.max_degree, cfg)
     return _report_payload(
@@ -345,20 +348,6 @@ def cmd_check_all(args) -> dict:
     }
 
 
-def parse_threads(raw: str | None) -> int:
-    """KALVAR_THREADS is validated for forward compatibility; execution
-    is sequential."""
-    if raw is None or raw == "":
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"KALVAR_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"KALVAR_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kalvar",
@@ -432,7 +421,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        parse_threads(os.environ.get("KALVAR_THREADS"))
         payload = args.handler(args)
     except (ValueError, MonomialCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

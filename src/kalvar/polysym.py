@@ -1,6 +1,10 @@
-"""Sparse multivariate polynomial arithmetic over exact coefficient
-domains, the structured matrix attached to a Kalman variety, its minors,
-and the trace-minor identity.
+"""Sparse multivariate polynomial arithmetic over the integers (ZZ) or a
+prime field GF(p), the structured matrix attached to a Kalman variety,
+its minors, and the trace-minor identity.
+
+Every polynomial built here has integer coefficients and nothing
+divides, so ZZ is the exact domain; the finite-field checks build the
+same matrix directly over GF(p).
 
 Monomials are exponent tuples over a fixed ring; term order is graded
 reverse lexicographic throughout, which fixes serialization and the
@@ -10,9 +14,9 @@ column order of the finite-field linear algebra downstream.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterable, Sequence
 
 from .report import CheckReport
@@ -31,22 +35,19 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class Rationals:
-    """Exact rational coefficients (Fraction under the hood)."""
+class Integers:
+    """Integer coefficients, stored as Python ints.  Coercion accepts only
+    integral values; anything else raises TypeError rather than being
+    truncated."""
 
-    name = "QQ"
+    zero = 0
+    one = 1
 
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, x) -> Fraction:
-        return Fraction(x)
+    def coerce(self, x) -> int:
+        return operator.index(x)
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -54,13 +55,8 @@ class Rationals:
     def neg(self, a):
         return -a
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
-
     def power(self, a, e: int):
-        return Fraction(a) ** e
+        return a ** e
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -76,24 +72,14 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.name = f"GF({p})"
         self.zero = 0
         self.one = 1 % p
 
     def coerce(self, x) -> int:
-        if isinstance(x, Fraction):
-            num = x.numerator % self.p
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return num * pow(den, self.p - 2, self.p) % self.p
-        return int(x) % self.p
+        return operator.index(x) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p
@@ -122,7 +108,7 @@ class PrimeField:
         return str(a % self.p)
 
 
-QQ = Rationals()
+ZZ = Integers()
 
 
 def grevlex_key(exp: tuple[int, ...]) -> tuple:
@@ -134,7 +120,7 @@ def grevlex_key(exp: tuple[int, ...]) -> tuple:
 class PolyRing:
     """A polynomial ring: variable count, coefficient domain, names."""
 
-    def __init__(self, nvars: int, domain=QQ, names: Callable[[int], str] | Sequence[str] | None = None):
+    def __init__(self, nvars: int, domain=ZZ, names: Callable[[int], str] | Sequence[str] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
@@ -207,11 +193,13 @@ class SparsePoly:
         return len(degs) <= 1
 
     def _check_ring(self, other: "SparsePoly") -> None:
+        if not isinstance(other, SparsePoly):
+            raise TypeError(f"cannot combine a polynomial with {type(other).__name__}")
         if not self.ring.compatible(other.ring):
             raise ValueError("mixed rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self.ring.const(other)
         self._check_ring(other)
         dom = self.ring.domain
@@ -229,12 +217,12 @@ class SparsePoly:
         return SparsePoly(self.ring, {e: dom.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self.ring.const(other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             c = self.ring.domain.coerce(other)
             dom = self.ring.domain
             if dom.is_zero(c):
@@ -264,7 +252,7 @@ class SparsePoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self.ring.const(other)
         return (
             isinstance(other, SparsePoly)
@@ -352,7 +340,7 @@ class BlockLayout:
         i, j = divmod(k, self.n)
         return f"x[{i + 1}][{j + 1}]"
 
-    def ring(self, domain=QQ) -> PolyRing:
+    def ring(self, domain=ZZ) -> PolyRing:
         return PolyRing(self.n * self.n, domain, self.var_name)
 
     def alpha(self, ring: PolyRing) -> "PolyMatrix":
@@ -417,12 +405,6 @@ class PolyMatrix:
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix([[self.entries[r][c] for c in cols] for r in rows])
 
-    def degrees(self) -> list[list[int]]:
-        return [[e.degree() for e in row] for row in self.entries]
-
-    def evaluate(self, point: Sequence) -> list[list]:
-        return [[e.evaluate(point) for e in row] for row in self.entries]
-
     def replace_rows(self, rows: Iterable[int], source: "PolyMatrix") -> "PolyMatrix":
         if source.nrows != self.nrows or source.ncols != self.ncols:
             raise ValueError("shape mismatch")
@@ -481,7 +463,7 @@ def minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> SparsePoly
     return determinant(m.submatrix(rows, cols))
 
 
-def reduced_kalman_matrix(d: int, n: int, domain=QQ) -> PolyMatrix:
+def reduced_kalman_matrix(d: int, n: int, domain=ZZ) -> PolyMatrix:
     """The stacked d(n-d) x d matrix whose block r is gamma * alpha^r,
     rows of block r homogeneous of degree r + 1."""
     layout = BlockLayout(d, n)
@@ -528,18 +510,11 @@ def enumerate_minors(
     for pick in itertools.product(*per_block):
         rows = tuple(itertools.chain.from_iterable(pick))
         out.append((rows, minor(matrix, rows, cols)))
-    assert len(out) == prod_comb(d, n, composition)
+    assert len(out) == prod(comb(n - d, a) for a in composition)
     return out
 
 
-def prod_comb(d: int, n: int, composition: Sequence[int]) -> int:
-    out = 1
-    for a in composition:
-        out *= comb(n - d, a)
-    return out
-
-
-def all_top_minors(d: int, n: int, domain=QQ) -> list[tuple[tuple[int, ...], SparsePoly]]:
+def all_top_minors(d: int, n: int, domain=ZZ) -> list[tuple[tuple[int, ...], SparsePoly]]:
     """Every d x d minor of the reduced matrix, grouped by composition,
     in deterministic order."""
     matrix = reduced_kalman_matrix(d, n, domain)
@@ -566,7 +541,9 @@ def trace_identity_check(d: int, i: int) -> CheckReport:
     """Verify, on fully generic symbolic matrices, that the trace of the
     i-th exterior power of one matrix times the determinant of another
     equals the sum over size-i row sets of the determinant after
-    replacing those rows with the corresponding rows of the product."""
+    replacing those rows with the corresponding rows of the product.
+    Both sides have integer coefficients, so checking over ZZ is as
+    strong as checking over the rationals."""
     if not 1 <= i <= d:
         raise ValueError(f"need 1 <= i <= d, got i={i}, d={d}")
 
@@ -575,7 +552,7 @@ def trace_identity_check(d: int, i: int) -> CheckReport:
         r, c = divmod(rest, d)
         return f"{'ab'[block]}[{r + 1}][{c + 1}]"
 
-    ring = PolyRing(2 * d * d, QQ, namer)
+    ring = PolyRing(2 * d * d, ZZ, namer)
     a_mat = PolyMatrix([[ring.var(r * d + c) for c in range(d)] for r in range(d)])
     alpha = PolyMatrix([[ring.var(d * d + r * d + c) for c in range(d)] for r in range(d)])
     lhs = wedge_trace(alpha, i) * determinant(a_mat)
@@ -593,7 +570,3 @@ def trace_identity_check(d: int, i: int) -> CheckReport:
         details=details,
         data={"lhs_terms": len(lhs.terms), "rhs_terms": len(rhs.terms)},
     )
-
-
-def evaluate(p: SparsePoly, point: Sequence):
-    return p.evaluate(point)

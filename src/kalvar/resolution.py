@@ -498,13 +498,6 @@ def hilbert_numerator(table: BettiTable) -> HilbertSeries:
     return HilbertSeries.of(coeffs, table.params.n ** 2)
 
 
-def twisted_normalization_numerator(params: KalmanParams) -> HilbertSeries:
-    """Numerator of the level-s normalization twisted by -s(s-1)/2, the
-    form entering the Euler-characteristic identity."""
-    s = params.s
-    return hilbert_numerator(resolution_normalization(params)).shifted(s * (s - 1) // 2)
-
-
 def les_euler_check(d: int, n: int) -> CheckReport:
     """Alternating sum of the twisted normalization numerators must equal
     the chain(1) numerator: the Euler characteristic of the long exact

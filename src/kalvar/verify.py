@@ -16,7 +16,6 @@ from math import comb
 from typing import Sequence
 
 from .polysym import (
-    BlockLayout,
     PolyRing,
     PrimeField,
     SparsePoly,
@@ -325,7 +324,7 @@ def minimality_report(
     params = KalmanParams(1, d, n)
     gf = cfg.field()
     if generators is None:
-        gens = [p.map_domain(BlockLayout(d, n).ring(gf)) for _, p in all_top_minors(d, n)]
+        gens = [p for _, p in all_top_minors(d, n, gf)]
     else:
         gens = _to_field(generators, gf)
     gens = [g for g in gens if not g.is_zero()]
@@ -387,7 +386,7 @@ def truncated_hilbert_check(
     """Measure the quotient's graded dimensions by rank computations and
     compare against the expansion of the rational series obtained from
     the resolution."""
-    gens = [p for _, p in all_top_minors(d, n)]
+    gens = [p for _, p in all_top_minors(d, n, cfg.field())]
     measured = truncated_hilbert(gens, d, n, max_degree, cfg)
     expected = hilbert_numerator(chain_resolution(1, d, n)).expand(max_degree)
     mismatches = [

@@ -63,13 +63,6 @@ class TestDottedBott:
         assert out.degree == 2
         assert out.eta == (1, 1, 1)
 
-    def test_trace_fields(self):
-        out = dotted_bott((0, 0, 3))
-        assert out.trace.rho == (2, 1, 0)
-        assert out.trace.shifted == (2, 1, 3)
-        assert out.trace.inversions == 2
-        assert out.trace.sorted_shifted == (3, 2, 1)
-
     def test_eta_weakly_decreasing(self):
         for nu in itertools.product(range(-3, 4), repeat=4):
             out = dotted_bott(nu)

@@ -4,11 +4,17 @@ deterministic output."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from kalvar import cli
 from kalvar.report import CheckReport
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -84,6 +90,16 @@ class TestHilbert:
         code, _ = run(capsys, "hilbert", "--d", "3", "--n", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("s,d,n", [(2, 2, 4), (2, 3, 5), (3, 3, 6)])
+    def test_codimension_checked_for_every_s(self, capsys, s, d, n):
+        code, out = run(
+            capsys, "--format", "json", "hilbert",
+            "--s", str(s), "--d", str(d), "--n", str(n), "--max-degree", "2",
+        )
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["codimension"] == summary["expected_codimension"] == s * (n - d)
+
 
 class TestChecks:
     def test_bott(self, capsys):
@@ -112,6 +128,23 @@ class TestChecks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --max-d must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (("check-minors", "--d", "2", "--n", "3", "--trials", "0"),
+             "--trials must be at least 1, got 0"),
+            (("check-minimality", "--d", "2", "--n", "4", "--max-degree", "0"),
+             "--max-degree must be at least 1, got 0"),
+            (("hilbert", "--d", "2", "--n", "3", "--max-degree", "-3"),
+             "--max-degree must be at least 0, got -3"),
+        ],
+    )
+    def test_no_work_exits_2(self, capsys, argv, error):
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
     def test_minors(self, capsys):
         code, _ = run(capsys, "check-minors", "--d", "2", "--n", "3", "--trials", "10")
@@ -183,6 +216,27 @@ class TestFormatsAndOutput:
         cli.main(["--format", "csv", "--output", str(target), "hilbert", "--d", "2", "--n", "3"])
         assert target.read_text() == out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("resolution", "--d", "3", "--n", "6"),
+            ("check-minimality", "--d", "2", "--n", "4"),
+            ("check-trace", "--max-d", "2"),
+        ],
+    )
+    def test_output_independent_of_hash_seed(self, argv):
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "kalvar.cli", *argv],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].endswith(b"result: pass\n")
+
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -193,19 +247,3 @@ class TestFormatsAndOutput:
             cli.main(["resolution", "--d", "2"])
         assert exc.value.code == 2
 
-
-class TestThreadsVariable:
-    def test_valid_value_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("KALVAR_THREADS", "4")
-        code, _ = run(capsys, "hilbert", "--d", "2", "--n", "3")
-        assert code == 0
-
-    def test_invalid_value_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("KALVAR_THREADS", "many")
-        code = cli.main(["hilbert", "--d", "2", "--n", "3"])
-        assert code == 2
-        assert "KALVAR_THREADS" in capsys.readouterr().err
-
-    def test_zero_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("KALVAR_THREADS", "0")
-        assert cli.main(["hilbert", "--d", "2", "--n", "3"]) == 2

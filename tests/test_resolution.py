@@ -20,7 +20,6 @@ from kalvar.resolution import (
     pd_and_reg,
     resolution_normalization,
     split_parts,
-    twisted_normalization_numerator,
 )
 from test_partitions import brute_skew_ssyt
 
@@ -260,11 +259,6 @@ class TestHilbert:
     def test_chain_cubic_numerator(self):
         series = hilbert_numerator(chain_resolution(1, 2, 3))
         assert series.coeff_dict() == {0: 1, 3: -1}
-
-    def test_twisted_normalization_shift(self):
-        plain = hilbert_numerator(resolution_normalization(KalmanParams(2, 2, 3)))
-        twisted = twisted_normalization_numerator(KalmanParams(2, 2, 3))
-        assert twisted == plain.shifted(1)
 
     def test_expand_cubic(self):
         series = hilbert_numerator(chain_resolution(1, 2, 3))
