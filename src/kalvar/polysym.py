@@ -359,10 +359,6 @@ class BlockLayout:
             for i in range(d + 1, n + 1)
         ])
 
-    def block_of_row(self, row: int) -> int:
-        """Which stacked block a global row of the reduced matrix is in."""
-        return row // (self.n - self.d)
-
 
 class PolyMatrix:
     """Dense matrix of SparsePoly entries."""
@@ -413,13 +409,6 @@ class PolyMatrix:
             (source.entries[i] if i in rows else self.entries[i])
             for i in range(self.nrows)
         ])
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.nrows,
-            "cols": self.ncols,
-            "entries": [[str(e) for e in row] for row in self.entries],
-        }
 
 
 def _det(entries: list[list[SparsePoly]], ring: PolyRing) -> SparsePoly:

@@ -541,12 +541,6 @@ def pd_and_reg(table: BettiTable) -> tuple[int, int]:
     return pd, reg
 
 
-def codim_from_hilbert(series: HilbertSeries) -> int:
-    """Codimension of the support: order of vanishing of the numerator
-    at t = 1."""
-    return series.vanishing_order_at_one()
-
-
 def f0_check(params: KalmanParams) -> CheckReport:
     """The generator column (hom degree 0) of a normalization table must
     be exactly one rank per mu in the s x (d-s) box, in twist |mu|,

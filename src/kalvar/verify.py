@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Sequence
 
 from .polysym import (
@@ -21,7 +22,6 @@ from .polysym import (
     SparsePoly,
     all_top_minors,
     determinant,
-    grevlex_key,
     is_prime,
     reduced_kalman_matrix,
 )
@@ -44,13 +44,10 @@ class PrimeFieldConfig:
 
     modulus: int = DEFAULT_MODULUS
     seed: int = 2026
-    monomial_cap: int = DEFAULT_MONOMIAL_CAP
 
     def __post_init__(self) -> None:
         if not is_prime(self.modulus):
             raise ValueError(f"modulus {self.modulus} is not prime")
-        if self.monomial_cap < 1:
-            raise ValueError("monomial cap must be positive")
 
     def field(self) -> PrimeField:
         return PrimeField(self.modulus)
@@ -138,6 +135,10 @@ def vanishing_test(
 ) -> CheckReport:
     """Evaluate every generator at random points of the rank-drop locus;
     all values must be zero."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not generators:
+        raise ValueError("no generators to test")
     gf = cfg.field()
     rng = cfg.rng()
     gens = _to_field(generators, gf)
@@ -168,10 +169,7 @@ def vanishing_test(
 
 class MonomialCapExceeded(Exception):
     def __init__(self, required: int, cap: int):
-        super().__init__(
-            f"degree piece needs {required} monomials, cap is {cap}; "
-            "raise the cap to proceed"
-        )
+        super().__init__(f"degree piece needs {required} monomials, more than the limit of {cap}")
         self.required = required
         self.cap = cap
 
@@ -181,8 +179,9 @@ def monomial_count(nvars: int, degree: int) -> int:
 
 
 def monomials_of_degree(nvars: int, degree: int, cap: int = DEFAULT_MONOMIAL_CAP) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given total degree, listed in the
-    canonical descending term order."""
+    """All exponent tuples of the given total degree, in lexicographically
+    descending order.  Callers use them as multipliers, and a rank does
+    not depend on their order; serialization sorts by grevlex itself."""
     count = monomial_count(nvars, degree)
     if count > cap:
         raise MonomialCapExceeded(count, cap)
@@ -201,7 +200,6 @@ def monomials_of_degree(nvars: int, degree: int, cap: int = DEFAULT_MONOMIAL_CAP
         exp[pos] = 0
 
     fill(0, degree)
-    out.sort(key=grevlex_key)
     assert len(out) == count
     return out
 
@@ -241,31 +239,58 @@ class SpanEliminator:
         return False
 
 
-def _generator_rows(
-    gens: Sequence[SparsePoly],
-    degree: int,
-    col_index: dict[tuple[int, ...], int],
-    nvars: int,
-    min_multiplier_degree: int,
-    cap: int,
-):
-    """Yield sparse rows for monomial multiples m*g with deg(m*g) equal
-    to the target degree and deg(m) at least the given minimum."""
+def _by_degree(gens: Sequence[SparsePoly]) -> dict[int, list[SparsePoly]]:
+    """The nonzero generators grouped by degree; each must be homogeneous."""
+    out: dict[int, list[SparsePoly]] = {}
     for g in gens:
         if g.is_zero():
             continue
         if not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
-        q = g.degree()
-        mdeg = degree - q
-        if mdeg < min_multiplier_degree:
-            continue
+        out.setdefault(g.degree(), []).append(g)
+    return out
+
+
+def _generator_rows(
+    gens: Sequence[SparsePoly],
+    multiplier_degree: int,
+    nvars: int,
+    col_index: dict[tuple[int, ...], int],
+):
+    """Yield one sparse row per product m*g, with m running over the
+    monomials of the given degree.  A monomial that no earlier row used
+    gets the next free column."""
+    multipliers = monomials_of_degree(nvars, multiplier_degree)
+    for g in gens:
         terms = list(g.terms.items())
-        for mono in monomials_of_degree(nvars, mdeg, cap):
+        for mono in multipliers:
             yield {
-                col_index[tuple(a + b for a, b in zip(exp, mono))]: c
+                col_index.setdefault(tuple(map(add, exp, mono)), len(col_index)): c
                 for exp, c in terms
             }
+
+
+def _graded_ranks(by_degree: dict[int, list[SparsePoly]], degree: int, nvars: int, p: int) -> tuple[int, int]:
+    """Ranks over GF(p) of the degree piece spanned by the proper
+    multiples m*g (deg m >= 1) of the generators, and of the piece
+    spanned by all their multiples."""
+    required = monomial_count(nvars, degree)
+    if required > DEFAULT_MONOMIAL_CAP:
+        raise MonomialCapExceeded(required, DEFAULT_MONOMIAL_CAP)
+    col_index: dict[tuple[int, ...], int] = {}
+    elim = SpanEliminator(p)
+
+    def absorb(q: int) -> None:
+        for row in _generator_rows(by_degree[q], degree - q, nvars, col_index):
+            elim.absorb(row)
+
+    for q in by_degree:
+        if q < degree:
+            absorb(q)
+    from_lower = elim.rank
+    if degree in by_degree:
+        absorb(degree)
+    return from_lower, elim.rank
 
 
 def graded_ideal_dimension(
@@ -279,13 +304,7 @@ def graded_ideal_dimension(
     gens = _to_field(generators, gf)
     if not gens:
         return 0
-    nvars = gens[0].ring.nvars
-    cols = monomials_of_degree(nvars, degree, cfg.monomial_cap)
-    col_index = {m: i for i, m in enumerate(cols)}
-    elim = SpanEliminator(gf.p)
-    for row in _generator_rows(gens, degree, col_index, nvars, 0, cfg.monomial_cap):
-        elim.absorb(row)
-    return elim.rank
+    return _graded_ranks(_by_degree(gens), degree, gens[0].ring.nvars, gf.p)[1]
 
 
 def truncated_hilbert(
@@ -297,12 +316,13 @@ def truncated_hilbert(
 ) -> list[int]:
     """Dimensions of the graded pieces of the quotient by the generator
     ideal, degrees 0 through max_degree."""
+    gf = cfg.field()
+    by_degree = _by_degree(_to_field(generators, gf))
     nvars = n * n
-    out = []
-    for e in range(max_degree + 1):
-        rank = graded_ideal_dimension(generators, e, cfg)
-        out.append(monomial_count(nvars, e) - rank)
-    return out
+    return [
+        monomial_count(nvars, e) - _graded_ranks(by_degree, e, nvars, gf.p)[1]
+        for e in range(max_degree + 1)
+    ]
 
 
 def minimality_report(
@@ -321,6 +341,8 @@ def minimality_report(
     exact degree are absorbed on top, and the rank jump is the number of
     new generators the ideal needs there.
     """
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     params = KalmanParams(1, d, n)
     gf = cfg.field()
     if generators is None:
@@ -328,7 +350,7 @@ def minimality_report(
     else:
         gens = _to_field(generators, gf)
     gens = [g for g in gens if not g.is_zero()]
-    nvars = n * n
+    by_degree = _by_degree(gens)
 
     predicted: dict[int, int] = {}
     for rec in minimal_generators(d, n):
@@ -338,17 +360,7 @@ def minimality_report(
     per_degree = []
     failures = []
     for e in range(1, max_degree + 1):
-        cols = monomials_of_degree(nvars, e, cfg.monomial_cap)
-        col_index = {m: i for i, m in enumerate(cols)}
-        elim = SpanEliminator(gf.p)
-        for row in _generator_rows(gens, e, col_index, nvars, 1, cfg.monomial_cap):
-            elim.absorb(row)
-        from_lower = elim.rank
-        for row in _generator_rows(
-            [g for g in gens if g.degree() == e], e, col_index, nvars, 0, cfg.monomial_cap
-        ):
-            elim.absorb(row)
-        ideal_dim = elim.rank
+        from_lower, ideal_dim = _graded_ranks(by_degree, e, n * n, gf.p)
         new_gens = ideal_dim - from_lower
         want = predicted.get(e, 0)
         entry = {
@@ -386,6 +398,8 @@ def truncated_hilbert_check(
     """Measure the quotient's graded dimensions by rank computations and
     compare against the expansion of the rational series obtained from
     the resolution."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     gens = [p for _, p in all_top_minors(d, n, cfg.field())]
     measured = truncated_hilbert(gens, d, n, max_degree, cfg)
     expected = hilbert_numerator(chain_resolution(1, d, n)).expand(max_degree)

@@ -146,6 +146,15 @@ class TestChecks:
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
 
+    def test_minimality_over_monomial_limit_exits_2(self, capsys):
+        # degree 6 in 36 variables has C(41, 6) = 4,496,388 monomials
+        argv = ["check-minimality", "--d", "3", "--n", "6", "--max-degree", "6"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "4496388" in captured.err and "1000000" in captured.err
+
     def test_minors(self, capsys):
         code, _ = run(capsys, "check-minors", "--d", "2", "--n", "3", "--trials", "10")
         assert code == 0

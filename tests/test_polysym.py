@@ -183,10 +183,6 @@ class TestBlockLayout:
         assert str(a[0, 0]) == "1*x[1][1]^1"
         assert str(g[1, 0]) == "1*x[4][1]^1"
 
-    def test_block_of_row(self):
-        layout = BlockLayout(2, 4)
-        assert [layout.block_of_row(r) for r in range(4)] == [0, 0, 1, 1]
-
 
 class TestReducedMatrix:
     def test_shape(self):
@@ -369,9 +365,3 @@ class TestPolyMatrix:
         mixed = a.replace_rows([1], b)
         assert mixed[0, 0] == a[0, 0]
         assert mixed[1, 0] == b[1, 0]
-
-    def test_to_dict_deterministic(self):
-        m = reduced_kalman_matrix(2, 3)
-        d1, d2 = m.to_dict(), reduced_kalman_matrix(2, 3).to_dict()
-        assert d1 == d2
-        assert d1["rows"] == 2 and d1["cols"] == 2

@@ -10,7 +10,6 @@ from kalvar.resolution import (
     KalmanParams,
     chain_closed_form_check,
     chain_resolution,
-    codim_from_hilbert,
     f0_check,
     hilbert_numerator,
     HilbertSeries,
@@ -285,13 +284,13 @@ class TestHilbert:
                     series = hilbert_numerator(
                         resolution_normalization(KalmanParams(s, d, n))
                     )
-                    assert codim_from_hilbert(series) == s * (n - d)
+                    assert series.vanishing_order_at_one() == s * (n - d)
 
     def test_codim_chain(self):
         for d in range(1, 4):
             for n in range(d + 1, 6):
                 series = hilbert_numerator(chain_resolution(1, d, n))
-                assert codim_from_hilbert(series) == n - d
+                assert series.vanishing_order_at_one() == n - d
 
 
 class TestPdReg:

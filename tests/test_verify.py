@@ -1,7 +1,9 @@
 """Tests for the finite-field verification layer: random points,
 graded rank computations, minimality and Hilbert checks."""
 
+import dataclasses
 import random
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -11,6 +13,7 @@ from kalvar.polysym import (
     BlockLayout,
     PrimeField,
     all_top_minors,
+    grevlex_key,
     minor,
     reduced_kalman_matrix,
 )
@@ -22,7 +25,8 @@ from kalvar.verify import (
     MonomialCapExceeded,
     PrimeFieldConfig,
     SpanEliminator,
-    _generator_rows,
+    _by_degree,
+    _graded_ranks,
     graded_ideal_dimension,
     hypersurface_check,
     minimality_report,
@@ -36,43 +40,59 @@ from kalvar.verify import (
 )
 
 
-def dense_rank_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> int:
+def dense_rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
     """Plain dense Gaussian elimination, used as an oracle for the
-    sparse eliminator."""
+    sparse eliminator.  Columns that no row touches are left out of the
+    dense matrix, since they cannot change its rank; the others keep
+    their relative order."""
     if not rows:
         return 0
-    m = np.zeros((len(rows), ncols), dtype=np.int64)
+    used = sorted(set().union(*rows))
+    pos = {c: i for i, c in enumerate(used)}
+    m = np.zeros((len(rows), len(used)), dtype=np.int64)
     for i, r in enumerate(rows):
         for c, v in r.items():
-            m[i, c] = v % p
+            m[i, pos[c]] = v % p
     rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if m[i, col] % p:
-                piv = i
-                break
-        if piv is None:
+    for col in range(len(used)):
+        nonzero = np.flatnonzero(m[rank:, col])
+        if nonzero.size == 0:
             continue
+        piv = rank + nonzero[0]
         m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p)
-        m[rank] = m[rank] * inv % p
-        for i in range(len(rows)):
-            if i != rank and m[i, col]:
-                m[i] = (m[i] - m[i, col] * m[rank]) % p
+        m[rank, col:] = m[rank, col:] * pow(int(m[rank, col]), p - 2, p) % p
+        below = rank + 1 + np.flatnonzero(m[rank + 1:, col])
+        if below.size:
+            m[below, col:] = (m[below, col:] - np.outer(m[below, col], m[rank, col:])) % p
         rank += 1
         if rank == len(rows):
             break
     return rank
 
 
+@lru_cache(maxsize=None)
+def grevlex_index(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
+    """Every monomial of the degree, numbered in grevlex order."""
+    cols = sorted(monomials_of_degree(nvars, degree), key=grevlex_key)
+    return {m: i for i, m in enumerate(cols)}
+
+
 def minor_rows_at_degree(d: int, n: int, degree: int, p: int, min_mult: int = 0):
-    gf = PrimeField(p)
-    gens = [poly.map_domain(BlockLayout(d, n).ring(gf)) for _, poly in all_top_minors(d, n)]
-    cols = monomials_of_degree(n * n, degree)
-    col_index = {m: i for i, m in enumerate(cols)}
-    rows = list(_generator_rows(gens, degree, col_index, n * n, min_mult, 10**6))
-    return rows, len(cols)
+    """Rows of the multiples m*g of the nonzero maximal minors with
+    deg(m*g) equal to the degree and deg(m) at least min_mult, over the
+    full grevlex column index of that degree."""
+    col_index = grevlex_index(n * n, degree)
+    rows = []
+    for _, g in all_top_minors(d, n, PrimeField(p)):
+        if g.is_zero() or degree - g.degree() < min_mult:
+            continue
+        mdeg = degree - g.degree()
+        for mono in monomials_of_degree(n * n, mdeg):
+            rows.append({
+                col_index[tuple(a + b for a, b in zip(exp, mono))]: c
+                for exp, c in g.terms.items()
+            })
+    return rows
 
 
 class TestRandomPoint:
@@ -115,6 +135,9 @@ class TestRandomPoint:
         with pytest.raises(ValueError):
             PrimeFieldConfig(modulus=32001)
 
+    def test_config_fields(self):
+        assert [f.name for f in dataclasses.fields(PrimeFieldConfig)] == ["modulus", "seed"]
+
 
 class TestVanishing:
     def test_minors_vanish_small_grid(self):
@@ -141,6 +164,14 @@ class TestVanishing:
         report = vanishing_test([bad], 2, 4, trials=20)
         assert not report.passed
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            vanishing_test([p for _, p in all_top_minors(2, 3)], 2, 3, trials=0)
+
+    def test_no_generators_rejected(self):
+        with pytest.raises(ValueError, match="no generators"):
+            vanishing_test([], 2, 3, trials=5)
+
     def test_hypersurface_check_degrees(self):
         for d in (2, 3):
             report = hypersurface_check(d, trials=30)
@@ -155,6 +186,7 @@ class TestMonomials:
         assert ms[0] == (2, 0, 0)
         assert ms[-1] == (0, 0, 2)
         assert len(set(ms)) == len(ms)
+        assert ms == sorted(ms, reverse=True)
 
     def test_degree_zero(self):
         assert monomials_of_degree(4, 0) == [(0, 0, 0, 0)]
@@ -166,16 +198,39 @@ class TestMonomials:
         assert exc.value.cap == 1000
 
 
+class TestGradedRanks:
+    @pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, ALTERNATE_MODULUS])
+    @pytest.mark.parametrize("d,n,degree", [(2, 4, 3), (2, 4, 4), (2, 5, 4), (3, 4, 6)])
+    def test_first_touch_columns_match_grevlex_oracle(self, d, n, degree, modulus):
+        gens = [g for _, g in all_top_minors(d, n, PrimeField(modulus))]
+        got = _graded_ranks(_by_degree(gens), degree, n * n, modulus)
+        want = (
+            dense_rank_mod_p(minor_rows_at_degree(d, n, degree, modulus, 1), modulus),
+            dense_rank_mod_p(minor_rows_at_degree(d, n, degree, modulus, 0), modulus),
+        )
+        assert got == want
+
+    def test_cap_checks_the_target_degree_piece(self):
+        # one variable of 36, at degree 6: the target piece has
+        # C(41, 6) monomials even though the rows touch only one column
+        ring = BlockLayout(3, 6).ring(PrimeField(DEFAULT_MODULUS))
+        with pytest.raises(MonomialCapExceeded) as exc:
+            graded_ideal_dimension([ring.var(0)], 6)
+        assert exc.value.required == comb(41, 6) == 4_496_388
+        assert exc.value.cap == 10**6
+        assert "4496388" in str(exc.value) and "1000000" in str(exc.value)
+
+
 class TestEliminator:
     def test_rank_matches_dense_oracle(self):
-        rows, ncols = minor_rows_at_degree(2, 4, 3, DEFAULT_MODULUS)
+        rows = minor_rows_at_degree(2, 4, 3, DEFAULT_MODULUS)
         elim = SpanEliminator(DEFAULT_MODULUS)
         for r in rows:
             elim.absorb(r)
-        assert elim.rank == dense_rank_mod_p(rows, ncols, DEFAULT_MODULUS)
+        assert elim.rank == dense_rank_mod_p(rows, DEFAULT_MODULUS)
 
     def test_rank_invariant_under_row_order(self):
-        rows, _ = minor_rows_at_degree(2, 4, 3, DEFAULT_MODULUS)
+        rows = minor_rows_at_degree(2, 4, 3, DEFAULT_MODULUS)
         base = SpanEliminator(DEFAULT_MODULUS)
         for r in rows:
             base.absorb(r)
@@ -245,6 +300,10 @@ class TestTruncatedHilbert:
         expected = hilbert_numerator(chain_resolution(1, 2, 4)).expand(4)
         assert report.data["expected"] == expected
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="max_degree must be at least 0, got -1"):
+            truncated_hilbert_check(2, 3, -1)
+
     def test_detects_wrong_generators(self):
         # quadric alone does not cut out the variety, so its quotient
         # dimensions must exceed the predicted ones somewhere
@@ -286,6 +345,10 @@ class TestMinimality:
         for e in range(1, 6):
             assert by_degree[e]["new_generators"] == 0
         assert by_degree[6]["new_generators"] == 1
+
+    def test_zero_degree_rejected(self):
+        with pytest.raises(ValueError, match="max_degree must be at least 1, got 0"):
+            minimality_report(2, 4, 0)
 
     def test_second_prime_agrees(self):
         a = minimality_report(2, 4, 3, PrimeFieldConfig(modulus=DEFAULT_MODULUS))
