@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .partitions import Partition, schur_dim
 from .report import CheckReport
 
@@ -106,76 +104,78 @@ def bundle_cohomology(term: BundleTerm) -> tuple[BottOutcome, int]:
     return outcome, schur_dim(outcome.eta, term.d)
 
 
-def _perm_inversions(perm: tuple[int, ...]) -> int:
-    return sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
+def _inverse_dotted_map(
+    d: int, lo: int, hi: int
+) -> tuple[dict[tuple[int, ...], tuple[int, tuple[int, ...]]], int]:
+    """Run the dotted action backwards over the window [lo, hi]^d.
+
+    Every strictly decreasing srt with entries in [lo, hi+d-1] and every
+    permutation w give the preimage nu[w[i]] = srt[i] - rho[w[i]]: w
+    sorts nu + rho into srt, so by definition the degree is inv(w) and
+    eta = srt - rho.  Returns the map nu -> (inv(w), eta) over the
+    preimages inside the window and the number of weights hit more than
+    once.
+    """
+    r = rho(d)
+    # Walk w through its inverse u, so that nu[j] = srt[u[j]] - rho[j];
+    # inv(u) == inv(w).
+    perms = [
+        (u, sum(1 for i in range(d) for j in range(i + 1, d) if u[i] > u[j]))
+        for u in itertools.permutations(range(d))
+    ]
+    ref: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    repeated: set[tuple[int, ...]] = set()
+    for srt in itertools.combinations(range(hi + d - 1, lo - 1, -1), d):
+        eta = tuple(a - b for a, b in zip(srt, r))
+        for u, inv in perms:
+            nu = tuple(srt[k] - b for k, b in zip(u, r))
+            if lo <= min(nu) and max(nu) <= hi:
+                if nu in ref:
+                    repeated.add(nu)
+                ref[nu] = (inv, eta)
+    return ref, len(repeated)
 
 
 def exhaustive_dotted_check(max_d: int = 5, lo: int = -4, hi: int = 6) -> CheckReport:
-    """Check dotted_bott against the all-permutations definition on every
+    """Check dotted_bott against the definition run backwards on every
     weight with entries in [lo, hi] for each length up to max_d.
 
-    The reference scans all d! permutations of nu + rho: vanishing means
-    no permutation sorts it strictly, otherwise exactly one does and its
-    inversion count is the degree.  Vectorized over the weight grid.
+    The reference, `_inverse_dotted_map`, neither sorts nor calls
+    dotted_bott: no weight may be reached twice, a weight it reaches must
+    survive with the degree and eta it records, and every weight it
+    never reaches must vanish.
     """
     if max_d < 1 or lo > hi:
         raise ValueError("need max_d >= 1 and lo <= hi")
     details: list[dict] = []
     per_d = []
     for d in range(1, max_d + 1):
-        axes = [np.arange(lo, hi + 1)] * d
-        grid = np.meshgrid(*axes, indexing="ij")
-        weights = np.stack(grid, axis=-1).reshape(-1, d)
-        r = np.array(rho(d), dtype=np.int64)
-        shifted = weights + r
-        n = shifted.shape[0]
-        sorter_count = np.zeros(n, dtype=np.int64)
-        ref_degree = np.full(n, -1, dtype=np.int64)
-        ref_eta = np.zeros((n, d), dtype=np.int64)
-        for perm in itertools.permutations(range(d)):
-            ps = shifted[:, perm]
-            if d > 1:
-                strict = np.all(ps[:, :-1] > ps[:, 1:], axis=1)
-            else:
-                strict = np.ones(n, dtype=bool)
-            sorter_count += strict
-            ref_degree[strict] = _perm_inversions(perm)
-            ref_eta[strict] = ps[strict] - r
-        bad_multiplicity = int(np.count_nonzero(sorter_count > 1))
+        ref, bad_multiplicity = _inverse_dotted_map(d, lo, hi)
         if bad_multiplicity:
             details.append({"d": d, "weights_with_multiple_sorters": bad_multiplicity})
         vanishing = 0
-        for k, nu in enumerate(itertools.product(range(lo, hi + 1), repeat=d)):
+        for nu in itertools.product(range(lo, hi + 1), repeat=d):
             out = dotted_bott(nu)
             if out.vanishes:
                 vanishing += 1
-            ref_vanishes = sorter_count[k] == 0
-            ok = out.vanishes == ref_vanishes and (
-                out.vanishes
-                or (
-                    out.degree == int(ref_degree[k])
-                    and out.eta == tuple(int(a) for a in ref_eta[k])
-                )
-            )
-            if not ok and len(details) < 20:
+            hit = ref.get(nu)
+            if out.vanishes == (hit is None) and (out.vanishes or (out.degree, out.eta) == hit):
+                continue
+            if len(details) < 20:
+                ref_degree, ref_eta = hit if hit else (-1, (0,) * d)
                 details.append(
                     {
                         "d": d,
                         "nu": list(nu),
                         "got": {"vanishes": out.vanishes, "degree": out.degree, "eta": out.eta},
                         "reference": {
-                            "vanishes": bool(ref_vanishes),
-                            "degree": int(ref_degree[k]),
-                            "eta": [int(a) for a in ref_eta[k]],
+                            "vanishes": hit is None,
+                            "degree": ref_degree,
+                            "eta": list(ref_eta),
                         },
                     }
                 )
-        per_d.append({"d": d, "weights": n, "vanishing": vanishing})
+        per_d.append({"d": d, "weights": (hi - lo + 1) ** d, "vanishing": vanishing})
     return CheckReport(
         check="bott-exhaustive",
         params={"max_d": max_d, "lo": lo, "hi": hi},

@@ -178,13 +178,13 @@ def monomial_count(nvars: int, degree: int) -> int:
     return comb(nvars - 1 + degree, degree)
 
 
-def monomials_of_degree(nvars: int, degree: int, cap: int = DEFAULT_MONOMIAL_CAP) -> list[tuple[int, ...]]:
+def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, in lexicographically
     descending order.  Callers use them as multipliers, and a rank does
     not depend on their order; serialization sorts by grevlex itself."""
     count = monomial_count(nvars, degree)
-    if count > cap:
-        raise MonomialCapExceeded(count, cap)
+    if count > DEFAULT_MONOMIAL_CAP:
+        raise MonomialCapExceeded(count, DEFAULT_MONOMIAL_CAP)
     out: list[tuple[int, ...]] = []
     exp = [0] * nvars
 
@@ -309,7 +309,6 @@ def graded_ideal_dimension(
 
 def truncated_hilbert(
     generators: Sequence[SparsePoly],
-    d: int,
     n: int,
     max_degree: int,
     cfg: PrimeFieldConfig = PrimeFieldConfig(),
@@ -401,7 +400,7 @@ def truncated_hilbert_check(
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     gens = [p for _, p in all_top_minors(d, n, cfg.field())]
-    measured = truncated_hilbert(gens, d, n, max_degree, cfg)
+    measured = truncated_hilbert(gens, n, max_degree, cfg)
     expected = hilbert_numerator(chain_resolution(1, d, n)).expand(max_degree)
     mismatches = [
         {"degree": e, "measured": m, "expected": x}

@@ -1,11 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kalvar.bott
 from kalvar.bott import (
+    BottOutcome,
     BundleTerm,
+    _inverse_dotted_map,
     bundle_cohomology,
     bundle_weight,
     dotted_bott,
@@ -35,6 +39,37 @@ def brute_dotted(nu):
             hits.append((inv, eta))
     assert len(hits) <= 1
     return hits[0] if hits else None
+
+
+def forward_scan(d, lo, hi):
+    """Oracle: apply every permutation to nu + rho for every weight nu in
+    [lo, hi]^d at once, vectorized over the weight grid.  Returns the map
+    nu -> (degree, eta) of the weights some permutation sorts strictly,
+    and the set of weights none does."""
+    axes = [np.arange(lo, hi + 1)] * d
+    weights = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    r = np.array(rho(d), dtype=np.int64)
+    shifted = weights + r
+    n = shifted.shape[0]
+    sorter_count = np.zeros(n, dtype=np.int64)
+    degree = np.full(n, -1, dtype=np.int64)
+    eta = np.zeros((n, d), dtype=np.int64)
+    for perm in itertools.permutations(range(d)):
+        ps = shifted[:, perm]
+        strict = np.all(ps[:, :-1] > ps[:, 1:], axis=1)
+        sorter_count += strict
+        degree[strict] = sum(
+            1 for i in range(d) for j in range(i + 1, d) if perm[i] > perm[j]
+        )
+        eta[strict] = ps[strict] - r
+    assert sorter_count.max() <= 1
+    hits, vanishing = {}, set()
+    for k, nu in enumerate(map(tuple, weights.tolist())):
+        if sorter_count[k]:
+            hits[nu] = (int(degree[k]), tuple(eta[k].tolist()))
+        else:
+            vanishing.add(nu)
+    return hits, vanishing
 
 
 class TestRho:
@@ -82,6 +117,35 @@ class TestDottedBott:
     def test_exhaustive_small(self):
         report = exhaustive_dotted_check(max_d=3, lo=-2, hi=3)
         assert report.passed, report.details
+
+
+class TestInverseDottedMap:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_forward_scan(self, d):
+        lo, hi = -3, 4
+        hits, repeated = _inverse_dotted_map(d, lo, hi)
+        assert repeated == 0
+        window = set(itertools.product(range(lo, hi + 1), repeat=d))
+        scan_hits, scan_vanishing = forward_scan(d, lo, hi)
+        assert hits == scan_hits
+        assert window - hits.keys() == scan_vanishing
+
+    @pytest.mark.parametrize(
+        "nu, wrong",
+        [
+            ((0, 0, 3), BottOutcome(False, 1, (1, 1, 1))),
+            ((1, -2, 3), BottOutcome(False, 0, (3, -2, 1))),
+        ],
+        ids=["wrong-degree", "vanishing-survives"],
+    )
+    def test_check_catches_one_wrong_weight(self, monkeypatch, nu, wrong):
+        real = kalvar.bott.dotted_bott
+        monkeypatch.setattr(
+            kalvar.bott, "dotted_bott", lambda w: wrong if tuple(w) == nu else real(w)
+        )
+        report = exhaustive_dotted_check(3, -2, 3)
+        assert not report.passed
+        assert [x["nu"] for x in report.details] == [list(nu)]
 
 
 class TestBundleWeight:

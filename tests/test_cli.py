@@ -17,6 +17,12 @@ from kalvar.report import CheckReport
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def src_env(**overrides) -> dict[str, str]:
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def run(capsys, *argv) -> tuple[int, str]:
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -231,20 +237,33 @@ class TestFormatsAndOutput:
             ("resolution", "--d", "3", "--n", "6"),
             ("check-minimality", "--d", "2", "--n", "4"),
             ("check-trace", "--max-d", "2"),
+            ("check-bott", "--max-d", "3", "--lo", "-2", "--hi", "3"),
         ],
     )
     def test_output_independent_of_hash_seed(self, argv):
         outputs = []
         for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
             proc = subprocess.run(
                 [sys.executable, "-m", "kalvar.cli", *argv],
-                env=env, capture_output=True, check=True,
+                env=src_env(PYTHONHASHSEED=seed), capture_output=True, check=True,
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].endswith(b"result: pass\n")
+
+    def test_runs_without_numpy(self):
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from kalvar.cli import main\n"
+            "codes = [main(['check-bott', '--max-d', '3', '--lo', '-2', '--hi', '3']),"
+            " main(['check-all'])]\n"
+            "sys.exit(max(codes))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
