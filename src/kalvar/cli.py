@@ -429,7 +429,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
         return 1
     text = RENDERERS[args.format](payload)
-    write_output(text, args.output)
+    try:
+        write_output(text, args.output)
+    except OSError as exc:
+        target = args.output or "stdout"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0 if payload["passed"] else 1
 
 

@@ -6,9 +6,10 @@ Every polynomial built here has integer coefficients and nothing
 divides, so ZZ is the exact domain; the finite-field checks build the
 same matrix directly over GF(p).
 
-Monomials are exponent tuples over a fixed ring; term order is graded
-reverse lexicographic throughout, which fixes serialization and the
-column order of the finite-field linear algebra downstream.
+Monomials are exponent tuples over a fixed ring; graded reverse
+lexicographic order fixes how a polynomial is serialized.  The
+finite-field ranks downstream number their columns on first touch and
+do not depend on it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from math import comb, prod
 from typing import Callable, Iterable, Sequence
 
 from .report import CheckReport
@@ -260,13 +260,6 @@ class SparsePoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((
-            self.ring.nvars,
-            id(self.ring.domain),
-            tuple(sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]))),
-        ))
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]))
 
@@ -398,9 +391,6 @@ class PolyMatrix:
             raise ValueError("shape mismatch")
         return PolyMatrix(self.entries + other.entries)
 
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[r][c] for c in cols] for r in rows])
-
     def replace_rows(self, rows: Iterable[int], source: "PolyMatrix") -> "PolyMatrix":
         if source.nrows != self.nrows or source.ncols != self.ncols:
             raise ValueError("shape mismatch")
@@ -411,45 +401,74 @@ class PolyMatrix:
         ])
 
 
-def _det(entries: list[list[SparsePoly]], ring: PolyRing) -> SparsePoly:
-    k = len(entries)
-    if k == 1:
-        return entries[0][0]
-    # expand along the row with fewest nonzero entries
-    r = min(range(k), key=lambda i: sum(0 if e.is_zero() else 1 for e in entries[i]))
-    total = ring.zero()
-    cols = list(range(k))
-    for pos, c in enumerate(cols):
-        e = entries[r][c]
-        if e.is_zero():
-            continue
-        sub = [
-            [entries[i][j] for j in cols if j != c]
-            for i in range(k)
-            if i != r
-        ]
-        cof = e * _det(sub, ring)
-        total = total + cof if (r + pos) % 2 == 0 else total - cof
-    return total
+def _minors(
+    entries: Sequence[Sequence[SparsePoly]],
+    ring: PolyRing,
+    picks: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> list[SparsePoly]:
+    """The minor on each (rows, cols) pick, in the order given, by
+    Laplace expansion along the first row of `rows`.
+
+    A sub-minor is keyed by its remaining rows and columns, built once,
+    shared by every minor that expands into it, and dropped after its
+    last use.  Picks are computed highest rows first: the heaviest
+    minors sit on the highest-degree rows, so their transients peak
+    before the lighter results pile up.
+    """
+    picks = [(tuple(rows), tuple(cols)) for rows, cols in picks]
+    uses: dict[tuple, int] = {}
+    memo: dict[tuple, SparsePoly] = {}
+
+    def expansion(key):
+        rows, cols = key
+        for pos, c in enumerate(cols):
+            e = entries[rows[0]][c]
+            if not e.is_zero():
+                yield pos, e, (rows[1:], cols[:pos] + cols[pos + 1:])
+
+    def count(key):
+        uses[key] = uses.get(key, 0) + 1
+        if uses[key] == 1:
+            for _, _, sub in expansion(key):
+                count(sub)
+
+    def take(key):
+        value = memo.get(key)
+        if value is None:
+            value = ring.zero() if key[0] else ring.one()
+            for pos, e, sub in expansion(key):
+                cof = e * take(sub)
+                value = value + cof if pos % 2 == 0 else value - cof
+            memo[key] = value
+        uses[key] -= 1
+        if not uses[key]:
+            del memo[key]
+        return value
+
+    for pick in picks:
+        count(pick)
+    order = sorted(range(len(picks)), key=lambda i: sorted(picks[i][0], reverse=True), reverse=True)
+    values = {i: take(picks[i]) for i in order}
+    return [values[i] for i in range(len(picks))]
 
 
 def determinant(m: PolyMatrix) -> SparsePoly:
     if m.nrows != m.ncols:
         raise ValueError("determinant of non-square matrix")
-    return _det(m.entries, m.ring)
+    every = range(m.nrows)
+    return _minors(m.entries, m.ring, [(every, every)])[0]
 
 
 def minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> SparsePoly:
     """Determinant of the square submatrix on the given rows and columns
-    (0-based), by cofactor expansion along the sparsest row."""
+    (0-based), taken in the order given, so swapping two rows flips the
+    sign.  No rows and no columns give one."""
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("repeated row or column index")
-    if not rows:
-        return m.ring.one()
-    return determinant(m.submatrix(rows, cols))
+    return _minors(m.entries, m.ring, [(rows, cols)])[0]
 
 
 def reduced_kalman_matrix(d: int, n: int, domain=ZZ) -> PolyMatrix:
@@ -467,50 +486,14 @@ def reduced_kalman_matrix(d: int, n: int, domain=ZZ) -> PolyMatrix:
     return stacked
 
 
-def row_compositions(d: int, n: int) -> list[tuple[int, ...]]:
-    """All ways to pick d rows from the stacked blocks: compositions
-    (a_0, ..., a_{d-1}) with sum d and 0 <= a_r <= n - d."""
-    out = []
-    for comp in itertools.product(range(min(d, n - d) + 1), repeat=d):
-        if sum(comp) == d:
-            out.append(comp)
-    return out
-
-
-def enumerate_minors(
-    d: int, n: int, composition: Sequence[int], matrix: PolyMatrix | None = None
-) -> list[tuple[tuple[int, ...], SparsePoly]]:
-    """All maximal minors of the reduced matrix taking composition[r]
-    rows from block r, with their global row index sets.  The count is
-    the product of binomial(n-d, composition[r])."""
-    composition = tuple(composition)
-    if len(composition) != d or sum(composition) != d:
-        raise ValueError(f"composition must have {d} entries summing to {d}")
-    if any(a < 0 or a > n - d for a in composition):
-        raise ValueError(f"composition entries must lie in [0, {n - d}]")
-    if matrix is None:
-        matrix = reduced_kalman_matrix(d, n)
-    per_block = [
-        itertools.combinations(range(r * (n - d), (r + 1) * (n - d)), a)
-        for r, a in enumerate(composition)
-    ]
-    cols = tuple(range(d))
-    out = []
-    for pick in itertools.product(*per_block):
-        rows = tuple(itertools.chain.from_iterable(pick))
-        out.append((rows, minor(matrix, rows, cols)))
-    assert len(out) == prod(comb(n - d, a) for a in composition)
-    return out
-
-
 def all_top_minors(d: int, n: int, domain=ZZ) -> list[tuple[tuple[int, ...], SparsePoly]]:
-    """Every d x d minor of the reduced matrix, grouped by composition,
-    in deterministic order."""
+    """Every d x d minor of the reduced matrix with its row set, row sets
+    in lexicographic order."""
     matrix = reduced_kalman_matrix(d, n, domain)
-    out = []
-    for comp in row_compositions(d, n):
-        out.extend(enumerate_minors(d, n, comp, matrix))
-    return out
+    picks = list(itertools.combinations(range(matrix.nrows), d))
+    cols = range(d)
+    polys = _minors(matrix.entries, matrix.ring, [(rows, cols) for rows in picks])
+    return list(zip(picks, polys))
 
 
 def wedge_trace(m: PolyMatrix, i: int) -> SparsePoly:
@@ -520,10 +503,8 @@ def wedge_trace(m: PolyMatrix, i: int) -> SparsePoly:
         raise ValueError("wedge trace needs a square matrix")
     if not 0 <= i <= m.nrows:
         raise ValueError(f"need 0 <= i <= {m.nrows}")
-    total = m.ring.zero()
-    for rows in itertools.combinations(range(m.nrows), i):
-        total = total + minor(m, rows, rows)
-    return total
+    principal = [(rows, rows) for rows in itertools.combinations(range(m.nrows), i)]
+    return sum(_minors(m.entries, m.ring, principal), m.ring.zero())
 
 
 def trace_identity_check(d: int, i: int) -> CheckReport:

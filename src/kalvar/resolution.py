@@ -185,29 +185,36 @@ def split_parts(table: BettiTable) -> BettiTable:
     return BettiTable(table.module_id, table.params, tagged)
 
 
-def _closed_form_generator_terms(k: int, d: int, n: int) -> list[BettiTerm]:
-    """The bottom stratum of part III at level k: one term per mu in the
-    (k-1) x (d-k) box, with lam = (d-k+1, mu_1+1, ..., mu_{k-1}+1), full
-    antisymmetrizer weight on L, and the skew functor lam^T / mu^T."""
-    out: list[BettiTerm] = []
+def _bottom_stratum(
+    k: int, d: int, n: int
+) -> Iterator[tuple[Partition, Partition, SkewShape, int]]:
+    """(mu, lam, shape, mult) for each mu in the (k-1) x (d-k) box, with
+    lam = (d-k+1, mu_1+1, ..., mu_{k-1}+1), shape = lam^T / mu^T and mult
+    the dimension of its skew Schur functor on W; zero multiplicities
+    included."""
     for mu in partitions_in_box(Box(k - 1, d - k)):
         lam = Partition((d - k + 1,) + tuple(a + 1 for a in mu.padded(k - 1)))
         shape = SkewShape.of(lam.conjugate(), mu.conjugate())
-        mult = skew_schur_dim(shape, n - d)
-        if mult == 0:
-            continue
-        out.append(
-            BettiTerm(
-                hom_degree=k,
-                twist=lam.size,
-                eta=(1,) * d,
-                w_shape=shape,
-                multiplicity=mult,
-                part="III",
-                source=(lam, mu),
-            )
+        yield mu, lam, shape, skew_schur_dim(shape, n - d)
+
+
+def _closed_form_generator_terms(k: int, d: int, n: int) -> list[BettiTerm]:
+    """The bottom stratum of part III at level k: one term per nonzero
+    multiplicity, with full antisymmetrizer weight on L and the skew
+    functor lam^T / mu^T."""
+    return [
+        BettiTerm(
+            hom_degree=k,
+            twist=lam.size,
+            eta=(1,) * d,
+            w_shape=shape,
+            multiplicity=mult,
+            part="III",
+            source=(lam, mu),
         )
-    return out
+        for mu, lam, shape, mult in _bottom_stratum(k, d, n)
+        if mult
+    ]
 
 
 def _stratum_key(t: BettiTerm, twist_offset: int = 0) -> tuple:
@@ -380,10 +387,7 @@ def minimal_generators(d: int, n: int) -> list[GeneratorRecord]:
         raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
     out: list[GeneratorRecord] = []
     for s in range(1, d + 1):
-        for mu in partitions_in_box(Box(s - 1, d - s)):
-            lam = Partition((d - s + 1,) + tuple(a + 1 for a in mu.padded(s - 1)))
-            shape = SkewShape.of(lam.conjugate(), mu.conjugate())
-            mult = skew_schur_dim(shape, n - d)
+        for mu, lam, _, mult in _bottom_stratum(s, d, n):
             comp = tuple(
                 lam.part(r) - mu.part(r) if r < s else 0 for r in range(d)
             )

@@ -122,7 +122,7 @@ def _to_field(generators: Sequence[SparsePoly], gf: PrimeField) -> list[SparsePo
                 raise ValueError("generator modulus does not match configuration")
             out.append(g)
         else:
-            out.append(g.map_domain(PolyRing(g.ring.nvars, gf, g.ring._name)))
+            out.append(g.map_domain(PolyRing(g.ring.nvars, gf, g.ring.var_name)))
     return out
 
 

@@ -224,6 +224,18 @@ class TestFormatsAndOutput:
         assert target.read_bytes() == first
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".kalvar-tmp-")]
 
+    @pytest.mark.parametrize("target", ["missing/x.txt", "existing-dir"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, target):
+        (tmp_path / "existing-dir").mkdir()
+        path = tmp_path / target
+        code = cli.main(["--output", str(path), "check-trace", "--max-d", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert not [p for p in tmp_path.rglob(".kalvar-tmp-*")]
+        assert not (tmp_path / "missing").exists()
+
     def test_stdout_matches_file(self, capsys, tmp_path):
         code, out = run(capsys, "--format", "csv", "hilbert", "--d", "2", "--n", "3")
         assert code == 0

@@ -4,7 +4,7 @@ minors, and the trace identity."""
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +19,10 @@ from kalvar.polysym import (
     SparsePoly,
     all_top_minors,
     determinant,
-    enumerate_minors,
     grevlex_key,
     is_prime,
     minor,
     reduced_kalman_matrix,
-    row_compositions,
     trace_identity_check,
     wedge_trace,
 )
@@ -254,29 +252,70 @@ class TestMinors:
         m = reduced_kalman_matrix(2, 4)
         assert minor(m, (), ()) == m.ring.one()
 
+    @staticmethod
+    def _by_composition(d, n):
+        # group all_top_minors by how many rows each block contributes
+        groups = {}
+        for rows, p in all_top_minors(d, n):
+            comp = tuple(sum(1 for r in rows if r // (n - d) == b) for b in range(d))
+            groups.setdefault(comp, []).append((rows, p))
+        return groups
+
     def test_enumerate_minors_counts(self):
-        for comp in [(2, 0), (1, 1), (0, 2)]:
-            got = enumerate_minors(2, 4, comp)
-            assert len(got) == comb(2, comp[0]) * comb(2, comp[1])
-            for rows, p in got:
-                assert [r // 2 for r in rows].count(0) == comp[0]
-                assert p.degree() == sum((r // 2 + 1) for r in rows) or p.is_zero()
+        # the minors taking a[r] rows from block r number prod C(n-d, a[r]),
+        # and each has degree sum over its rows of (block index + 1)
+        for d, n in [(2, 4), (2, 5), (3, 5), (3, 6)]:
+            for comp, got in self._by_composition(d, n).items():
+                assert len(got) == prod(comb(n - d, a) for a in comp)
+                for rows, p in got:
+                    assert p.is_zero() or p.degree() == sum(r // (n - d) + 1 for r in rows)
+
+    def test_row_compositions(self):
+        # every composition (a_0, ..., a_{d-1}) with sum d and
+        # 0 <= a_r <= n - d occurs, and their minors add up to C(d(n-d), d)
+        assert set(self._by_composition(2, 4)) == {(2, 0), (1, 1), (0, 2)}
+        for d, n in [(2, 4), (2, 5), (3, 5), (3, 6)]:
+            groups = self._by_composition(d, n)
+            assert set(groups) == {
+                comp
+                for comp in itertools.product(range(min(d, n - d) + 1), repeat=d)
+                if sum(comp) == d
+            }
+            assert sum(len(got) for got in groups.values()) == comb(d * (n - d), d)
 
     def test_all_top_minors_count(self):
+        # C(d(n-d), d) row sets, in lexicographic order
         assert len(all_top_minors(2, 3)) == 1
-        assert len(all_top_minors(2, 4)) == comb(4, 2)
-        assert len(all_top_minors(2, 5)) == comb(6, 2)
+        for d, n in [(2, 4), (2, 5), (3, 5), (3, 6)]:
+            row_sets = [rows for rows, _ in all_top_minors(d, n)]
+            assert len(row_sets) == comb(d * (n - d), d)
+            assert row_sets == sorted(row_sets)
 
     def test_minor_degree_from_blocks(self):
         # degree of a minor = sum over chosen rows of (block index + 1)
-        for rows, p in all_top_minors(2, 4):
-            if not p.is_zero():
-                assert p.degree() == sum(r // 2 + 1 for r in rows)
+        for d, n in [(2, 4), (2, 5), (3, 5), (3, 6)]:
+            for rows, p in all_top_minors(d, n):
+                if not p.is_zero():
+                    assert p.degree() == sum(r // (n - d) + 1 for r in rows)
 
-    def test_row_compositions(self):
-        comps = row_compositions(2, 4)
-        assert set(comps) == {(2, 0), (1, 1), (0, 2)}
-        assert sum(comb(2, a) * comb(2, b) for a, b in comps) == comb(4, 2)
+    @pytest.mark.parametrize("domain", [ZZ, PrimeField(32003)], ids=["ZZ", "GF32003"])
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 5)])
+    def test_all_top_minors_match_leibniz(self, d, n, domain):
+        m = reduced_kalman_matrix(d, n, domain)
+        for rows, p in all_top_minors(d, n, domain):
+            sub = PolyMatrix([[m[r, c] for c in range(d)] for r in rows])
+            assert p == brute_determinant(sub), rows
+
+    def test_unsorted_rows_and_columns_match_leibniz(self):
+        m = reduced_kalman_matrix(3, 5)
+        for rows, cols in [((3, 0, 5), (2, 0, 1)), ((4, 1, 2), (1, 2, 0)), ((5, 3, 1), (0, 2, 1))]:
+            sub = PolyMatrix([[m[r, c] for c in cols] for r in rows])
+            assert minor(m, rows, cols) == brute_determinant(sub)
+
+    @pytest.mark.parametrize("domain", [ZZ, PrimeField(32003)], ids=["ZZ", "GF32003"])
+    def test_term_counts(self, domain):
+        assert len(determinant(reduced_kalman_matrix(4, 5, domain)).terms) == 11912
+        assert sum(len(p.terms) for _, p in all_top_minors(3, 6, domain)) == 8346
 
 
 class TestWedgeTrace:
@@ -293,6 +332,15 @@ class TestWedgeTrace:
         m = self._generic(3)
         expected = m[0, 0] + m[1, 1] + m[2, 2]
         assert wedge_trace(m, 1) == expected
+
+    def test_generic_4x4_matches_leibniz(self):
+        m = self._generic(4)
+        for i in range(1, 5):
+            expected = m.ring.zero()
+            for rows in itertools.combinations(range(4), i):
+                sub = PolyMatrix([[m[r, c] for c in rows] for r in rows])
+                expected = expected + brute_determinant(sub)
+            assert wedge_trace(m, i) == expected
 
     def test_char_poly_coefficients(self):
         # det(I*t + M) = sum_i wedge_trace(M, i) * t^(d-i), checked at
