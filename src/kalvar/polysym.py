@@ -9,7 +9,9 @@ same matrix directly over GF(p).
 Monomials are exponent tuples over a fixed ring; graded reverse
 lexicographic order fixes how a polynomial is serialized.  The
 finite-field ranks downstream number their columns on first touch and
-do not depend on it.
+do not depend on it.  Two routines work on other forms inside and
+convert at their boundary: the minors pack each exponent tuple into one
+int, and evaluation walks the monomials as a trie of variables.
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ class Integers:
     def neg(self, a):
         return -a
 
-    def power(self, a, e: int):
-        return a ** e
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -91,9 +90,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def power(self, a, e: int):
-        return pow(a, e, self.p)
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -264,22 +260,22 @@ class SparsePoly:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]))
 
     def evaluate(self, point: Sequence):
-        """Value at a point given as one domain element per variable."""
+        """Value at a point given as one domain element per variable.
+
+        The monomials are compiled once into a trie (`_monomial_trie`);
+        a point then costs one multiplication per trie node, one per
+        term for its coefficient, and one reduction at the end."""
         if len(point) != self.ring.nvars:
             raise ValueError("point has wrong length")
-        dom = self.ring.domain
         if self._compiled is None:
-            self._compiled = [
-                (c, tuple((k, e) for k, e in enumerate(exp) if e))
-                for exp, c in self.sorted_terms()
-            ]
-        total = dom.zero
-        for c, powers in self._compiled:
-            acc = c
-            for k, e in powers:
-                acc = dom.mul(acc, dom.power(point[k], e))
-            total = dom.add(total, acc)
-        return total
+            self._compiled = _monomial_trie(self.terms)
+        coeffs, levels, leaves = self._compiled
+        at = point.__getitem__
+        values = [1]
+        for parents, variables in levels:
+            values += list(map(operator.mul, map(values.__getitem__, parents), map(at, variables)))
+        total = sum(map(operator.mul, coeffs, map(values.__getitem__, leaves)))
+        return self.ring.domain.coerce(total)
 
     def map_domain(self, ring: PolyRing) -> "SparsePoly":
         """Recoerce coefficients into another ring with the same nvars."""
@@ -308,6 +304,47 @@ class SparsePoly:
 
     def __repr__(self) -> str:
         return f"SparsePoly({self})"
+
+
+def _monomial_trie(terms: dict) -> tuple:
+    """`terms` compiled for evaluation: (coefficients, levels, leaves).
+
+    Each monomial is read as a word in its variables, highest index
+    first, and the words share their prefixes on a trie.  Node 0 is the
+    empty word; level t lists, for each prefix of length t + 1, its
+    parent node and last variable, and nodes are numbered level by
+    level, so evaluating one level is one pass over two lists.  Leaf i
+    is the node of the i-th monomial.  Highest index first because the
+    gamma block holds the highest indices and every term of a Kalman
+    minor has one gamma factor per row: the (4, 5) determinant needs
+    37,395 nodes this way, 67,059 lowest first, against 119,120 factors
+    taken term by term.
+    """
+    children: dict = {}
+    levels: list[tuple[list[int], list[int]]] = []
+    ends = []
+    for exp in terms:
+        node = (0, 0)  # (depth, index within its level)
+        for k in reversed(range(len(exp))):
+            for _ in range(exp[k]):
+                child = children.get((node, k))
+                if child is None:
+                    depth, index = node
+                    if depth == len(levels):
+                        levels.append(([], []))
+                    parents, variables = levels[depth]
+                    child = children[node, k] = (depth + 1, len(parents))
+                    parents.append(index)
+                    variables.append(k)
+                node = child
+        ends.append(node)
+    first = list(itertools.accumulate([1] + [len(parents) for parents, _ in levels], initial=0))
+    return (
+        tuple(terms.values()),
+        [([first[t] + i for i in parents], variables)
+         for t, (parents, variables) in enumerate(levels)],
+        [first[depth] + i for depth, i in ends],
+    )
 
 
 @dataclass(frozen=True)
@@ -414,16 +451,36 @@ def _minors(
     last use.  Picks are computed highest rows first: the heaviest
     minors sit on the highest-degree rows, so their transients peak
     before the lighter results pile up.
+
+    Inside the expansion a monomial is its exponent vector packed into
+    one int, one byte per variable, so a monomial product is one int
+    add; each pick is unpacked as soon as it is done.  The exponents of
+    a pick are bounded by the sum of its rows' largest entry degrees,
+    and a bound over 255 raises ValueError rather than carrying into
+    the next variable.
     """
+    nvars = ring.nvars
+    coerce = ring.domain.coerce
     picks = [(tuple(rows), tuple(cols)) for rows, cols in picks]
+    packed: dict[tuple[int, int], dict[int, object]] = {}
     uses: dict[tuple, int] = {}
-    memo: dict[tuple, SparsePoly] = {}
+    memo: dict[tuple, dict[int, object]] = {}
+
+    def entry(r, c):
+        e = packed.get((r, c))
+        if e is None:
+            terms = entries[r][c].terms
+            e = packed[r, c] = {int.from_bytes(bytes(exp), "little"): v for exp, v in terms.items()}
+        return e
+
+    def unpack(terms):
+        return SparsePoly(ring, {tuple(m.to_bytes(nvars, "little")): c for m, c in terms.items()})
 
     def expansion(key):
         rows, cols = key
         for pos, c in enumerate(cols):
-            e = entries[rows[0]][c]
-            if not e.is_zero():
+            e = entry(rows[0], c)
+            if e:
                 yield pos, e, (rows[1:], cols[:pos] + cols[pos + 1:])
 
     def count(key):
@@ -435,20 +492,35 @@ def _minors(
     def take(key):
         value = memo.get(key)
         if value is None:
-            value = ring.zero() if key[0] else ring.one()
-            for pos, e, sub in expansion(key):
-                cof = e * take(sub)
-                value = value + cof if pos % 2 == 0 else value - cof
+            if not key[0]:
+                value = {0: ring.domain.one}
+            else:
+                acc: dict[int, object] = {}
+                get = acc.get
+                for pos, e, sub in expansion(key):
+                    below = take(sub).items()
+                    for ea, ca in e.items():
+                        if pos % 2:
+                            ca = -ca
+                        for eb, cb in below:
+                            m = ea + eb
+                            acc[m] = get(m, 0) + ca * cb
+                value = {m: v for m, c in acc.items() if (v := coerce(c))}
             memo[key] = value
         uses[key] -= 1
         if not uses[key]:
             del memo[key]
         return value
 
-    for pick in picks:
-        count(pick)
+    for rows, cols in picks:
+        bound = sum(max(0, *(entries[r][c].degree() for c in cols)) for r in rows)
+        if bound > 255:
+            raise ValueError(
+                f"minor exponents may reach {bound}; packed monomials hold at most 255 per variable"
+            )
+        count((rows, cols))
     order = sorted(range(len(picks)), key=lambda i: sorted(picks[i][0], reverse=True), reverse=True)
-    values = {i: take(picks[i]) for i in order}
+    values = {i: unpack(take(picks[i])) for i in order}
     return [values[i] for i in range(len(picks))]
 
 
@@ -461,13 +533,16 @@ def determinant(m: PolyMatrix) -> SparsePoly:
 
 def minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> SparsePoly:
     """Determinant of the square submatrix on the given rows and columns
-    (0-based), taken in the order given, so swapping two rows flips the
-    sign.  No rows and no columns give one."""
+    (0-based, each in range and none repeated), taken in the order
+    given, so swapping two rows flips the sign.  No rows and no columns
+    give one."""
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("repeated row or column index")
+    if not all(0 <= r < m.nrows for r in rows) or not all(0 <= c < m.ncols for c in cols):
+        raise ValueError(f"row or column index out of range for a {m.nrows} x {m.ncols} matrix")
     return _minors(m.entries, m.ring, [(rows, cols)])[0]
 
 

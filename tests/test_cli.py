@@ -2,6 +2,7 @@
 deterministic output."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from kalvar import cli
 from kalvar.report import CheckReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def src_env(**overrides) -> dict[str, str]:
@@ -244,10 +246,31 @@ class TestFormatsAndOutput:
         assert target.read_text() == out
 
     @pytest.mark.parametrize(
+        "key",
+        [
+            "check-minors --d 4 --n 5 --trials 10 --seed *",
+            "check-minors --d 3 --n 6 --trials 20 --seed *",
+            "check-trace --max-d 4",
+        ],
+    )
+    def test_minors_workload_output_matches_recording(self, capsys, key):
+        # the benchmark's recorded bytes, with the echoed seed masked
+        # as perfbench/run.py masks it
+        seed = "20261018"
+        argv = [seed if a == "*" else a for a in key.split()]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        data = out.replace(f"param seed: {seed}\n", "param seed: *\n").encode()
+        expected = json.loads(EXPECTED.read_text())[key]
+        assert hashlib.sha256(data).hexdigest() == expected["sha256"]
+        assert len(data) == expected["bytes"]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("resolution", "--d", "3", "--n", "6"),
             ("check-minimality", "--d", "2", "--n", "4"),
+            ("check-minors", "--d", "3", "--n", "5", "--trials", "5"),
             ("check-trace", "--max-d", "2"),
             ("check-bott", "--max-d", "3", "--lo", "-2", "--hi", "3"),
         ],

@@ -41,6 +41,20 @@ def brute_determinant(m: PolyMatrix) -> SparsePoly:
     return total
 
 
+def evaluate_oracle(poly: SparsePoly, point) -> object:
+    """Term by term, factor by factor, one power per variable, reduced
+    after every product: the oracle for SparsePoly.evaluate."""
+    dom = poly.ring.domain
+    total = dom.zero
+    for exp, c in poly.terms.items():
+        acc = c
+        for k, e in enumerate(exp):
+            if e:
+                acc = dom.mul(acc, pow(point[k], e))
+        total = dom.add(total, acc)
+    return total
+
+
 @st.composite
 def polys(draw, ring):
     nterms = draw(st.integers(0, 5))
@@ -58,6 +72,21 @@ def polys(draw, ring):
 
 RING_ZZ = PolyRing(3, ZZ)
 RING_GF = PolyRing(3, PrimeField(32003))
+
+
+@st.composite
+def square_matrices(draw, ring):
+    """A k x k matrix, k <= 4, with a row order and a column order.
+    Entries come from a pool of at most three polynomials, their
+    negatives, zero and a constant, so rows repeat and products
+    cancel."""
+    k = draw(st.integers(1, 4))
+    pool = draw(st.lists(polys(ring), min_size=1, max_size=3))
+    pool += [-p for p in pool] + [ring.zero(), ring.const(draw(st.integers(-3, 3)))]
+    entries = [[draw(st.sampled_from(pool)) for _ in range(k)] for _ in range(k)]
+    rows = draw(st.permutations(range(k)))
+    cols = draw(st.permutations(range(k)))
+    return PolyMatrix(entries), tuple(rows), tuple(cols)
 
 
 class TestDomains:
@@ -122,19 +151,20 @@ class TestSparsePoly:
         assert (a + b) * c == a * c + b * c
         assert a * (b * c) == (a * b) * c
 
-    @given(a=polys(RING_GF))
+    @given(a=polys(RING_GF), b=polys(RING_GF))
     @settings(max_examples=40, deadline=None)
-    def test_evaluate_is_ring_map(self, a):
+    def test_evaluate_is_ring_map(self, a, b):
         rng = random.Random(11)
         gf = RING_GF.domain
         pt = [gf.rand(rng) for _ in range(3)]
-        direct = 0
-        for exp, c in a.terms.items():
-            m = c
-            for v, e in zip(pt, exp):
-                m = m * pow(v, e, gf.p) % gf.p
-            direct = (direct + m) % gf.p
-        assert a.evaluate(pt) == direct
+        assert a.evaluate(pt) == evaluate_oracle(a, pt)
+        assert (a * b).evaluate(pt) == gf.mul(a.evaluate(pt), b.evaluate(pt))
+        assert (a + b).evaluate(pt) == gf.add(a.evaluate(pt), b.evaluate(pt))
+
+    @given(a=polys(RING_ZZ), pt=st.lists(st.integers(-7, 7), min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_evaluate_integers_matches_oracle(self, a, pt):
+        assert a.evaluate(pt) == evaluate_oracle(a, pt)
 
     def test_evaluate_rationals(self):
         x, y, _ = (RING_ZZ.var(k) for k in range(3))
@@ -248,6 +278,16 @@ class TestMinors:
         with pytest.raises(ValueError):
             minor(m, (0, 0), (0, 1))
 
+    @pytest.mark.parametrize(
+        "rows,cols", [((-1,), (0,)), ((0,), (-2,)), ((4,), (0,)), ((0, 1), (1, 2))]
+    )
+    def test_out_of_range_index_rejected(self, rows, cols):
+        # reduced_kalman_matrix(2, 4) is 4 x 2; a negative index must not
+        # wrap around like a list index
+        m = reduced_kalman_matrix(2, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            minor(m, rows, cols)
+
     def test_empty_minor_is_one(self):
         m = reduced_kalman_matrix(2, 4)
         assert minor(m, (), ()) == m.ring.one()
@@ -261,7 +301,7 @@ class TestMinors:
             groups.setdefault(comp, []).append((rows, p))
         return groups
 
-    def test_enumerate_minors_counts(self):
+    def test_minor_count_and_degree_per_block_composition(self):
         # the minors taking a[r] rows from block r number prod C(n-d, a[r]),
         # and each has degree sum over its rows of (block index + 1)
         for d, n in [(2, 4), (2, 5), (3, 5), (3, 6)]:
@@ -270,7 +310,7 @@ class TestMinors:
                 for rows, p in got:
                     assert p.is_zero() or p.degree() == sum(r // (n - d) + 1 for r in rows)
 
-    def test_row_compositions(self):
+    def test_block_compositions_cover_all_minors(self):
         # every composition (a_0, ..., a_{d-1}) with sum d and
         # 0 <= a_r <= n - d occurs, and their minors add up to C(d(n-d), d)
         assert set(self._by_composition(2, 4)) == {(2, 0), (1, 1), (0, 2)}
@@ -312,10 +352,63 @@ class TestMinors:
             sub = PolyMatrix([[m[r, c] for c in cols] for r in rows])
             assert minor(m, rows, cols) == brute_determinant(sub)
 
+    @pytest.mark.parametrize("ring", [RING_ZZ, RING_GF], ids=["ZZ", "GF32003"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_matrices_match_leibniz(self, ring, data):
+        m, rows, cols = data.draw(square_matrices(ring))
+        assert determinant(m) == brute_determinant(m)
+        shuffled = PolyMatrix([[m[r, c] for c in cols] for r in rows])
+        assert minor(m, rows, cols) == brute_determinant(shuffled)
+
+    def test_exponent_limit(self):
+        # packed exponents hold 255 per variable: a minor whose rows can
+        # reach 256 is refused instead of carrying into the next variable
+        ring = PolyRing(2, ZZ)
+        x, y = ring.var(0), ring.var(1)
+        at_limit = PolyMatrix([[x**200, y], [y, x**55]])
+        assert determinant(at_limit) == x**255 - y * y
+        assert determinant(at_limit).terms[(255, 0)] == 1
+        over = PolyMatrix([[x**200, y], [y, x**56]])
+        with pytest.raises(ValueError, match="255"):
+            determinant(over)
+        with pytest.raises(ValueError, match="255"):
+            minor(PolyMatrix([[x**256]]), (0,), (0,))
+        # only the rows and columns of the pick count towards the bound
+        assert minor(over, (1,), (0,)) == y
+
     @pytest.mark.parametrize("domain", [ZZ, PrimeField(32003)], ids=["ZZ", "GF32003"])
     def test_term_counts(self, domain):
         assert len(determinant(reduced_kalman_matrix(4, 5, domain)).terms) == 11912
         assert sum(len(p.terms) for _, p in all_top_minors(3, 6, domain)) == 8346
+
+
+class TestEvaluate:
+    @staticmethod
+    def _gens(domain):
+        det = determinant(reduced_kalman_matrix(4, 5, domain))
+        return [det] + [p for _, p in all_top_minors(3, 6, domain)]
+
+    @pytest.mark.parametrize("p", [32003, 46337])
+    def test_minors_match_oracle_over_prime_fields(self, p):
+        gf = PrimeField(p)
+        rng = random.Random(p)
+        gens = self._gens(gf)
+        for _ in range(3):
+            for g in gens:
+                pt = [gf.rand(rng) for _ in range(g.ring.nvars)]
+                pt[rng.randrange(len(pt))] = 0
+                assert g.evaluate(pt) == evaluate_oracle(g, pt)
+
+    def test_minors_match_oracle_over_integers(self):
+        rng = random.Random(3)
+        gens = self._gens(ZZ)
+        for g in gens:
+            pt = [rng.randint(-4, 4) for _ in range(g.ring.nvars)]
+            pt[0], pt[-1] = 0, -3
+            value = g.evaluate(pt)
+            assert value == evaluate_oracle(g, pt)
+            assert isinstance(value, int)
 
 
 class TestWedgeTrace:
