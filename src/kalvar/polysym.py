@@ -4,7 +4,11 @@ its minors, and the trace-minor identity.
 
 Every polynomial built here has integer coefficients and nothing
 divides, so ZZ is the exact domain; the finite-field checks build the
-same matrix directly over GF(p).
+same matrix directly over GF(p).  A coefficient domain is one reduction
+map, `coerce`: ZZ checks that a value is integral, `PrimeField(p)`
+reduces it mod p, and prime fields with the same modulus are the same
+domain.  Arithmetic works on plain ints and reduces each coefficient of
+a result once (`PolyRing.reduce`), dropping zeros.
 
 Monomials are exponent tuples over a fixed ring; graded reverse
 lexicographic order fixes how a polynomial is serialized.  The
@@ -40,68 +44,24 @@ def is_prime(p: int) -> bool:
 class Integers:
     """Integer coefficients, stored as Python ints.  Coercion accepts only
     integral values; anything else raises TypeError rather than being
-    truncated."""
-
-    zero = 0
-    one = 1
+    truncated.  `ZZ` is the one instance."""
 
     def coerce(self, x) -> int:
         return operator.index(x)
 
-    def add(self, a, b):
-        return a + b
 
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def render(self, a) -> str:
-        return str(a)
-
-
+@dataclass(frozen=True)
 class PrimeField:
     """Integers mod a prime p, elements stored as ints in [0, p)."""
 
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
+    p: int
+
+    def __post_init__(self) -> None:
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
 
     def coerce(self, x) -> int:
         return operator.index(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def rand(self, rng):
-        return rng.randrange(self.p)
-
-    def rand_nonzero(self, rng):
-        return rng.randrange(1, self.p)
-
-    def render(self, a) -> str:
-        return str(a % self.p)
 
 
 ZZ = Integers()
@@ -114,37 +74,30 @@ def grevlex_key(exp: tuple[int, ...]) -> tuple:
 
 
 class PolyRing:
-    """A polynomial ring: variable count, coefficient domain, names."""
+    """A polynomial ring: variable count, coefficient domain, and the
+    name of variable k (`x{k}` unless given)."""
 
-    def __init__(self, nvars: int, domain=ZZ, names: Callable[[int], str] | Sequence[str] | None = None):
+    def __init__(self, nvars: int, domain=ZZ, names: Callable[[int], str] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
         self.domain = domain
-        if names is None:
-            self._name = lambda k: f"x{k}"
-        elif callable(names):
-            self._name = names
-        else:
-            names = list(names)
-            if len(names) != nvars:
-                raise ValueError("wrong number of names")
-            self._name = lambda k: names[k]
-
-    def var_name(self, k: int) -> str:
-        return self._name(k)
+        self.var_name = "x{}".format if names is None else names
 
     def compatible(self, other: "PolyRing") -> bool:
-        return self is other or (self.nvars == other.nvars and self.domain is other.domain)
+        return self is other or (self.nvars == other.nvars and self.domain == other.domain)
+
+    def reduce(self, acc: dict) -> "SparsePoly":
+        """The polynomial {exponent tuple: integer} `acc` in this ring:
+        every coefficient coerced into the domain once, zeros dropped."""
+        coerce = self.domain.coerce
+        return SparsePoly(self, {e: v for e, c in acc.items() if (v := coerce(c))})
 
     def zero(self) -> "SparsePoly":
         return SparsePoly(self, {})
 
     def const(self, c) -> "SparsePoly":
-        c = self.domain.coerce(c)
-        if self.domain.is_zero(c):
-            return self.zero()
-        return SparsePoly(self, {(0,) * self.nvars: c})
+        return self.reduce({(0,) * self.nvars: c})
 
     def one(self) -> "SparsePoly":
         return self.const(1)
@@ -152,17 +105,13 @@ class PolyRing:
     def var(self, k: int) -> "SparsePoly":
         if not 0 <= k < self.nvars:
             raise ValueError(f"variable index {k} out of range")
-        exp = tuple(1 if i == k else 0 for i in range(self.nvars))
-        return SparsePoly(self, {exp: self.domain.one})
+        return self.reduce({tuple(1 if i == k else 0 for i in range(self.nvars)): 1})
 
     def monomial(self, exp: Sequence[int], c=1) -> "SparsePoly":
         exp = tuple(int(e) for e in exp)
         if len(exp) != self.nvars or any(e < 0 for e in exp):
             raise ValueError(f"bad exponent vector {exp!r}")
-        c = self.domain.coerce(c)
-        if self.domain.is_zero(c):
-            return self.zero()
-        return SparsePoly(self, {exp: c})
+        return self.reduce({exp: c})
 
 
 class SparsePoly:
@@ -198,19 +147,13 @@ class SparsePoly:
         if isinstance(other, int):
             other = self.ring.const(other)
         self._check_ring(other)
-        dom = self.ring.domain
-        out = dict(self.terms)
+        acc = dict(self.terms)
         for e, c in other.terms.items():
-            acc = dom.add(out.get(e, dom.zero), c)
-            if dom.is_zero(acc):
-                out.pop(e, None)
-            else:
-                out[e] = acc
-        return SparsePoly(self.ring, out)
+            acc[e] = acc.get(e, 0) + c
+        return self.ring.reduce(acc)
 
     def __neg__(self):
-        dom = self.ring.domain
-        return SparsePoly(self.ring, {e: dom.neg(c) for e, c in self.terms.items()})
+        return self.ring.reduce({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -219,23 +162,14 @@ class SparsePoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = self.ring.domain.coerce(other)
-            dom = self.ring.domain
-            if dom.is_zero(c):
-                return self.ring.zero()
-            return SparsePoly(self.ring, {e: dom.mul(v, c) for e, v in self.terms.items()})
+            return self.ring.reduce({e: c * other for e, c in self.terms.items()})
         self._check_ring(other)
-        dom = self.ring.domain
-        out: dict = {}
+        acc: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                acc = dom.add(out.get(e, dom.zero), dom.mul(ca, cb))
-                if dom.is_zero(acc):
-                    out.pop(e, None)
-                else:
-                    out[e] = acc
-        return SparsePoly(self.ring, out)
+                acc[e] = acc.get(e, 0) + ca * cb
+        return self.ring.reduce(acc)
 
     __rmul__ = __mul__
 
@@ -281,21 +215,14 @@ class SparsePoly:
         """Recoerce coefficients into another ring with the same nvars."""
         if ring.nvars != self.ring.nvars:
             raise ValueError("variable count mismatch")
-        dom = ring.domain
-        out: dict = {}
-        for e, c in self.terms.items():
-            v = dom.coerce(c)
-            if not dom.is_zero(v):
-                out[e] = v
-        return SparsePoly(ring, out)
+        return ring.reduce(self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        dom = self.ring.domain
         bits = []
         for exp, c in self.sorted_terms():
-            factors = [dom.render(c)]
+            factors = [str(c)]
             for k, e in enumerate(exp):
                 if e:
                     factors.append(f"{self.ring.var_name(k)}^{e}")
@@ -493,7 +420,7 @@ def _minors(
         value = memo.get(key)
         if value is None:
             if not key[0]:
-                value = {0: ring.domain.one}
+                value = {0: 1}
             else:
                 acc: dict[int, object] = {}
                 get = acc.get

@@ -425,23 +425,6 @@ class HilbertSeries:
     def coeff_dict(self) -> dict[int, int]:
         return dict(self.numerator)
 
-    def shifted(self, k: int) -> "HilbertSeries":
-        return HilbertSeries.of({e + k: c for e, c in self.numerator}, self.denom_power)
-
-    def scaled(self, a: int) -> "HilbertSeries":
-        return HilbertSeries.of({e: a * c for e, c in self.numerator}, self.denom_power)
-
-    def plus(self, other: "HilbertSeries") -> "HilbertSeries":
-        if self.denom_power != other.denom_power:
-            raise ValueError("denominator mismatch")
-        acc = self.coeff_dict()
-        for e, c in other.numerator:
-            acc[e] = acc.get(e, 0) + c
-        return HilbertSeries.of(acc, self.denom_power)
-
-    def minus(self, other: "HilbertSeries") -> "HilbertSeries":
-        return self.plus(other.scaled(-1))
-
     def expand(self, max_degree: int) -> list[int]:
         """Power series coefficients of numerator / (1-t)^denom_power up
         to max_degree inclusive."""
@@ -507,11 +490,15 @@ def les_euler_check(d: int, n: int) -> CheckReport:
     the chain(1) numerator: the Euler characteristic of the long exact
     sequence relating the modules."""
     levels = _normalization_levels(1, d, n)
-    total = HilbertSeries.of({}, n * n)
-    for table in levels:
-        s = table.params.s
-        term = hilbert_numerator(table).shifted(s * (s - 1) // 2)
-        total = total.plus(term) if s % 2 == 1 else total.minus(term)
+    total = HilbertSeries.of(
+        [
+            (e + s * (s - 1) // 2, (-1) ** (s - 1) * c)
+            for table in levels
+            for s in [table.params.s]
+            for e, c in hilbert_numerator(table).numerator
+        ],
+        n * n,
+    )
     chain1 = hilbert_numerator(_chain_from_normalizations(levels, check=True))
     passed = total == chain1
     details = []

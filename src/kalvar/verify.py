@@ -94,15 +94,15 @@ def random_kalman_point(d: int, n: int, gf: PrimeField, rng: random.Random) -> K
     if not 1 <= d < n:
         raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
     p = gf.p
-    v = [gf.rand(rng) for _ in range(d)]
+    v = [rng.randrange(p) for _ in range(d)]
     if all(c == 0 for c in v):
-        v[rng.randrange(d)] = gf.rand_nonzero(rng)
-    t = gf.rand(rng)
+        v[rng.randrange(d)] = rng.randrange(1, p)
+    t = rng.randrange(p)
     support = [j for j in range(d) if v[j] != 0]
     k = support[rng.randrange(len(support))]
-    phi = [[gf.rand(rng) for _ in range(n)] for _ in range(n)]
+    phi = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
     vhat = v + [0] * (n - d)
-    vk_inv = gf.inv(v[k])
+    vk_inv = pow(v[k], p - 2, p)
     for i in range(n):
         partial = sum(phi[i][j] * v[j] for j in range(d) if j != k) % p
         phi[i][k] = (t * vhat[i] - partial) * vk_inv % p

@@ -245,17 +245,10 @@ class TestFormatsAndOutput:
         cli.main(["--format", "csv", "--output", str(target), "hilbert", "--d", "2", "--n", "3"])
         assert target.read_text() == out
 
-    @pytest.mark.parametrize(
-        "key",
-        [
-            "check-minors --d 4 --n 5 --trials 10 --seed *",
-            "check-minors --d 3 --n 6 --trials 20 --seed *",
-            "check-trace --max-d 4",
-        ],
-    )
-    def test_minors_workload_output_matches_recording(self, capsys, key):
-        # the benchmark's recorded bytes, with the echoed seed masked
-        # as perfbench/run.py masks it
+    @pytest.mark.parametrize("key", sorted(json.loads(EXPECTED.read_text())))
+    def test_workload_output_matches_recording(self, capsys, key):
+        # every benchmark operation's recorded bytes, with the echoed
+        # seed masked as perfbench/run.py masks it
         seed = "20261018"
         argv = [seed if a == "*" else a for a in key.split()]
         code, out = run(capsys, *argv)

@@ -41,27 +41,77 @@ def brute_determinant(m: PolyMatrix) -> SparsePoly:
     return total
 
 
-def evaluate_oracle(poly: SparsePoly, point) -> object:
+def evaluate_oracle(poly: SparsePoly, point) -> int:
     """Term by term, factor by factor, one power per variable, reduced
     after every product: the oracle for SparsePoly.evaluate."""
-    dom = poly.ring.domain
-    total = dom.zero
+    coerce = poly.ring.domain.coerce
+    total = 0
     for exp, c in poly.terms.items():
         acc = c
         for k, e in enumerate(exp):
             if e:
-                acc = dom.mul(acc, pow(point[k], e))
-        total = dom.add(total, acc)
+                acc = coerce(acc * pow(point[k], e))
+        total = coerce(total + acc)
     return total
 
 
+# Reference arithmetic that reduces after every single step: the oracle
+# for +, -, * and map_domain, which reduce each result once.
+
+
+def _put(out: dict, e, v) -> None:
+    if v:
+        out[e] = v
+    else:
+        out.pop(e, None)
+
+
+def stepwise_add(a: SparsePoly, b: SparsePoly) -> SparsePoly:
+    coerce = a.ring.domain.coerce
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        _put(out, e, coerce(out.get(e, 0) + c))
+    return SparsePoly(a.ring, out)
+
+
+def stepwise_neg(a: SparsePoly) -> SparsePoly:
+    coerce = a.ring.domain.coerce
+    return SparsePoly(a.ring, {e: coerce(-c) for e, c in a.terms.items()})
+
+
+def stepwise_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
+    coerce = a.ring.domain.coerce
+    out: dict = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            _put(out, e, coerce(out.get(e, 0) + coerce(ca * cb)))
+    return SparsePoly(a.ring, out)
+
+
+def stepwise_scale(a: SparsePoly, k: int) -> SparsePoly:
+    coerce = a.ring.domain.coerce
+    k = coerce(k)
+    out: dict = {}
+    for e, c in a.terms.items():
+        _put(out, e, coerce(c * k))
+    return SparsePoly(a.ring, out)
+
+
+def stepwise_map(a: SparsePoly, ring: PolyRing) -> SparsePoly:
+    out: dict = {}
+    for e, c in a.terms.items():
+        _put(out, e, ring.domain.coerce(c))
+    return SparsePoly(ring, out)
+
+
 @st.composite
-def polys(draw, ring):
+def polys(draw, ring, max_exp=3, max_coeff=9):
     nterms = draw(st.integers(0, 5))
     terms = {}
     for _ in range(nterms):
-        exp = tuple(draw(st.integers(0, 3)) for _ in range(ring.nvars))
-        c = draw(st.integers(-9, 9))
+        exp = tuple(draw(st.integers(0, max_exp)) for _ in range(ring.nvars))
+        c = draw(st.integers(-max_coeff, max_coeff))
         p = ring.monomial(exp, c) if c else ring.zero()
         terms[exp] = p
     out = ring.zero()
@@ -72,6 +122,7 @@ def polys(draw, ring):
 
 RING_ZZ = PolyRing(3, ZZ)
 RING_GF = PolyRing(3, PrimeField(32003))
+RING_GF2 = PolyRing(3, PrimeField(2))
 
 
 @st.composite
@@ -102,10 +153,10 @@ class TestDomains:
         with pytest.raises(ValueError):
             PrimeField(32001)
 
-    def test_prime_field_inverse(self):
-        gf = PrimeField(101)
-        for a in range(1, 101):
-            assert gf.mul(a, gf.inv(a)) == 1
+    def test_prime_fields_equal_by_modulus(self):
+        assert PrimeField(101) == PrimeField(101) != PrimeField(103)
+        assert hash(PrimeField(101)) == hash(PrimeField(101))
+        assert PrimeField(101).coerce(-1) == 100
 
     def test_integers_reject_non_integral(self):
         with pytest.raises(TypeError):
@@ -156,10 +207,10 @@ class TestSparsePoly:
     def test_evaluate_is_ring_map(self, a, b):
         rng = random.Random(11)
         gf = RING_GF.domain
-        pt = [gf.rand(rng) for _ in range(3)]
+        pt = [rng.randrange(gf.p) for _ in range(3)]
         assert a.evaluate(pt) == evaluate_oracle(a, pt)
-        assert (a * b).evaluate(pt) == gf.mul(a.evaluate(pt), b.evaluate(pt))
-        assert (a + b).evaluate(pt) == gf.add(a.evaluate(pt), b.evaluate(pt))
+        assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt) % gf.p
+        assert (a + b).evaluate(pt) == (a.evaluate(pt) + b.evaluate(pt)) % gf.p
 
     @given(a=polys(RING_ZZ), pt=st.lists(st.integers(-7, 7), min_size=3, max_size=3))
     @settings(max_examples=40, deadline=None)
@@ -185,12 +236,40 @@ class TestSparsePoly:
         assert str(ring.zero()) == "0"
         assert str(ring.const(-2)) == "-2"
 
+    @pytest.mark.parametrize("ring", [RING_ZZ, RING_GF, RING_GF2], ids=["ZZ", "GF32003", "GF2"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_matches_stepwise_reference(self, ring, data):
+        # eight monomials and small coefficients, so sums collide and,
+        # over GF(2) most of all, cancel
+        a = data.draw(polys(ring, max_exp=1, max_coeff=2))
+        b = data.draw(polys(ring, max_exp=1, max_coeff=2))
+        k = data.draw(st.integers(-5, 5))
+        assert (a + b).terms == stepwise_add(a, b).terms
+        assert (a - b).terms == stepwise_add(a, stepwise_neg(b)).terms
+        assert (-a).terms == stepwise_neg(a).terms
+        assert (a * b).terms == stepwise_mul(a, b).terms
+        assert (k * a).terms == (a * k).terms == stepwise_scale(a, k).terms
+        assert (a + (-a)).is_zero()
+        if ring is RING_ZZ:
+            for target in (RING_GF, RING_GF2):
+                assert a.map_domain(target).terms == stepwise_map(a, target).terms
+
     def test_map_domain_matches_native(self):
-        gf = PrimeField(32003)
         over_z = minor(reduced_kalman_matrix(2, 3), (0, 1), (0, 1))
-        native = minor(reduced_kalman_matrix(2, 3, gf), (0, 1), (0, 1))
+        native = minor(reduced_kalman_matrix(2, 3, PrimeField(32003)), (0, 1), (0, 1))
         layout = BlockLayout(2, 3)
-        assert over_z.map_domain(layout.ring(gf)).terms == native.terms
+        assert over_z.map_domain(layout.ring(PrimeField(32003))) == native
+
+    def test_equal_prime_fields_are_one_domain(self):
+        # every call builds its own PrimeField(32003); the polynomials
+        # still live in one ring
+        a = all_top_minors(2, 4, PrimeField(32003))[0][1]
+        b = all_top_minors(2, 4, PrimeField(32003))[0][1]
+        assert a == b
+        assert (a - b).is_zero()
+        with pytest.raises(ValueError, match="mixed rings"):
+            PolyRing(3, PrimeField(101)).var(0) + PolyRing(3, PrimeField(103)).var(0)
 
 
 class TestBlockLayout:
@@ -396,7 +475,7 @@ class TestEvaluate:
         gens = self._gens(gf)
         for _ in range(3):
             for g in gens:
-                pt = [gf.rand(rng) for _ in range(g.ring.nvars)]
+                pt = [rng.randrange(gf.p) for _ in range(g.ring.nvars)]
                 pt[rng.randrange(len(pt))] = 0
                 assert g.evaluate(pt) == evaluate_oracle(g, pt)
 
