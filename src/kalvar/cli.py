@@ -269,7 +269,7 @@ def cmd_check_trace(args) -> dict:
 def cmd_check_minimality(args) -> dict:
     if args.max_degree < 1:
         raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
-    cfg = PrimeFieldConfig(modulus=args.modulus, seed=args.seed)
+    cfg = PrimeFieldConfig(modulus=args.modulus)
     report = minimality_report(args.d, args.n, args.max_degree, cfg)
     return _report_payload(
         "check-minimality",
@@ -408,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--modulus", type=int, default=PrimeFieldConfig().modulus)
-    p.add_argument("--seed", type=int, default=PrimeFieldConfig().seed)
     p.set_defaults(handler=cmd_check_minimality)
 
     p = sub.add_parser("check-all", help="full consistency battery at small sizes")

@@ -276,10 +276,10 @@ def _monomial_trie(terms: dict) -> tuple:
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Row-major variable layout for End(V) with the invariant flag
-    blocks: variable x[i][j] (1-based) has index (i-1)*n + (j-1).  The
-    top-left d x d block acts on L, the bottom-left (n-d) x d block maps
-    L into the complement."""
+    """Row-major layout of the first d columns of End(V), the only ones a
+    Kalman minor involves: x[i][j] (1-based, j <= d) has index
+    (i-1)*d + (j-1).  The ring is k[alpha, gamma]: the top d x d block
+    alpha acts on L, the bottom (n-d) x d block gamma maps L out of it."""
 
     d: int
     n: int
@@ -289,16 +289,16 @@ class BlockLayout:
             raise ValueError(f"need 1 <= d < n, got d={self.d}, n={self.n}")
 
     def var_index(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
+        if not (1 <= i <= self.n and 1 <= j <= self.d):
             raise ValueError(f"matrix position ({i},{j}) out of range")
-        return (i - 1) * self.n + (j - 1)
+        return (i - 1) * self.d + (j - 1)
 
     def var_name(self, k: int) -> str:
-        i, j = divmod(k, self.n)
+        i, j = divmod(k, self.d)
         return f"x[{i + 1}][{j + 1}]"
 
     def ring(self, domain=ZZ) -> PolyRing:
-        return PolyRing(self.n * self.n, domain, self.var_name)
+        return PolyRing(self.n * self.d, domain, self.var_name)
 
     def alpha(self, ring: PolyRing) -> "PolyMatrix":
         """Top-left d x d block of generic variables."""

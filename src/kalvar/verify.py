@@ -9,6 +9,7 @@ check is deterministic given its configuration.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -71,8 +72,10 @@ class KalmanPoint:
         return len(self.entries)
 
     def flatten(self) -> tuple[int, ...]:
-        """Row-major coordinates matching the variable layout."""
-        return tuple(itertools.chain.from_iterable(self.entries))
+        """Row-major coordinates of the first d columns, matching the
+        variable layout of `BlockLayout`."""
+        d = len(self.eigenvector)
+        return tuple(itertools.chain.from_iterable(row[:d] for row in self.entries))
 
     def eigen_residual(self) -> tuple[int, ...]:
         """phi . vhat - t . vhat mod p; all zeros for a valid point."""
@@ -114,15 +117,14 @@ def random_kalman_point(d: int, n: int, gf: PrimeField, rng: random.Random) -> K
     )
 
 
-def _to_field(generators: Sequence[SparsePoly], gf: PrimeField) -> list[SparsePoly]:
+def _to_field(generators: Sequence[SparsePoly], gf: PrimeField, nvars: int) -> list[SparsePoly]:
     out = []
     for g in generators:
-        if isinstance(g.ring.domain, PrimeField):
-            if g.ring.domain.p != gf.p:
-                raise ValueError("generator modulus does not match configuration")
-            out.append(g)
-        else:
-            out.append(g.map_domain(PolyRing(g.ring.nvars, gf, g.ring.var_name)))
+        if g.ring.nvars != nvars:
+            raise ValueError(f"generator has {g.ring.nvars} variables, expected {nvars}")
+        if isinstance(g.ring.domain, PrimeField) and g.ring.domain != gf:
+            raise ValueError("generator modulus does not match configuration")
+        out.append(g if g.ring.domain == gf else g.map_domain(PolyRing(nvars, gf, g.ring.var_name)))
     return out
 
 
@@ -141,7 +143,7 @@ def vanishing_test(
         raise ValueError("no generators to test")
     gf = cfg.field()
     rng = cfg.rng()
-    gens = _to_field(generators, gf)
+    gens = _to_field(generators, gf, n * d)
     failures = []
     for trial in range(trials):
         point = random_kalman_point(d, n, gf, rng)
@@ -178,13 +180,19 @@ def monomial_count(nvars: int, degree: int) -> int:
     return comb(nvars - 1 + degree, degree)
 
 
+def _capped_count(nvars: int, degree: int) -> int:
+    """`monomial_count`, raising MonomialCapExceeded over the cap."""
+    count = monomial_count(nvars, degree)
+    if count > DEFAULT_MONOMIAL_CAP:
+        raise MonomialCapExceeded(count, DEFAULT_MONOMIAL_CAP)
+    return count
+
+
 def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, in lexicographically
     descending order.  Callers use them as multipliers, and a rank does
     not depend on their order; serialization sorts by grevlex itself."""
-    count = monomial_count(nvars, degree)
-    if count > DEFAULT_MONOMIAL_CAP:
-        raise MonomialCapExceeded(count, DEFAULT_MONOMIAL_CAP)
+    count = _capped_count(nvars, degree)
     out: list[tuple[int, ...]] = []
     exp = [0] * nvars
 
@@ -274,9 +282,6 @@ def _graded_ranks(by_degree: dict[int, list[SparsePoly]], degree: int, nvars: in
     """Ranks over GF(p) of the degree piece spanned by the proper
     multiples m*g (deg m >= 1) of the generators, and of the piece
     spanned by all their multiples."""
-    required = monomial_count(nvars, degree)
-    if required > DEFAULT_MONOMIAL_CAP:
-        raise MonomialCapExceeded(required, DEFAULT_MONOMIAL_CAP)
     col_index: dict[tuple[int, ...], int] = {}
     elim = SpanEliminator(p)
 
@@ -293,18 +298,12 @@ def _graded_ranks(by_degree: dict[int, list[SparsePoly]], degree: int, nvars: in
     return from_lower, elim.rank
 
 
-def graded_ideal_dimension(
-    generators: Sequence[SparsePoly],
-    degree: int,
-    cfg: PrimeFieldConfig = PrimeFieldConfig(),
-) -> int:
-    """Dimension of the degree piece of the ideal spanned by the
-    generators, as the rank of the matrix of all monomial multiples."""
-    gf = cfg.field()
-    gens = _to_field(generators, gf)
-    if not gens:
-        return 0
-    return _graded_ranks(_by_degree(gens), degree, gens[0].ring.nvars, gf.p)[1]
+def _lift(dims: Sequence[int], n: int, nvars: int) -> list[int]:
+    """Graded dimensions of an ideal or quotient of an nvars-variable
+    ring S', degrees 0 up, carried to S = k[x].  S is S' with m more
+    variables, so dim_S(e) = sum over k of dim_S'(e-k) * C(m-1+k, k)."""
+    m = n * n - nvars
+    return [sum(dims[e - k] * monomial_count(m, k) for k in range(e + 1)) for e in range(len(dims))]
 
 
 def truncated_hilbert(
@@ -313,15 +312,19 @@ def truncated_hilbert(
     max_degree: int,
     cfg: PrimeFieldConfig = PrimeFieldConfig(),
 ) -> list[int]:
-    """Dimensions of the graded pieces of the quotient by the generator
-    ideal, degrees 0 through max_degree."""
+    """Dimensions of the graded pieces of k[x]/(generators), degrees 0
+    through max_degree, from ranks taken in the ring of the generators,
+    k[alpha, gamma] of `BlockLayout`, and lifted to k[x]."""
+    if not generators:
+        raise ValueError("no generators")
+    nvars = generators[0].ring.nvars
     gf = cfg.field()
-    by_degree = _by_degree(_to_field(generators, gf))
-    nvars = n * n
-    return [
+    by_degree = _by_degree(_to_field(generators, gf, nvars))
+    quotient = [
         monomial_count(nvars, e) - _graded_ranks(by_degree, e, nvars, gf.p)[1]
         for e in range(max_degree + 1)
     ]
+    return _lift(quotient, n, nvars)
 
 
 def minimality_report(
@@ -338,16 +341,20 @@ def minimality_report(
     In each degree the rows coming from proper multiples (multiplier
     degree at least one) are absorbed first; the generators of that
     exact degree are absorbed on top, and the rank jump is the number of
-    new generators the ideal needs there.
+    new generators the ideal needs there.  The ranks are taken in
+    k[alpha, gamma]; `ideal_dim` is lifted to k[x], where the rank jump,
+    a count of minimal generators, is the same.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     params = KalmanParams(1, d, n)
+    nvars = n * d
+    _capped_count(nvars, max_degree)
     gf = cfg.field()
     if generators is None:
         gens = [p for _, p in all_top_minors(d, n, gf)]
     else:
-        gens = _to_field(generators, gf)
+        gens = _to_field(generators, gf, nvars)
     gens = [g for g in gens if not g.is_zero()]
     by_degree = _by_degree(gens)
 
@@ -356,16 +363,17 @@ def minimality_report(
         if rec.multiplicity > 0:
             predicted[rec.degree] = predicted.get(rec.degree, 0) + rec.multiplicity
 
+    ranks = [_graded_ranks(by_degree, e, nvars, gf.p) for e in range(max_degree + 1)]
+    ideal_dims = _lift([full for _, full in ranks], n, nvars)
     per_degree = []
     failures = []
     for e in range(1, max_degree + 1):
-        from_lower, ideal_dim = _graded_ranks(by_degree, e, n * n, gf.p)
-        new_gens = ideal_dim - from_lower
+        new_gens = ranks[e][1] - ranks[e][0]
         want = predicted.get(e, 0)
         entry = {
             "degree": e,
-            "ideal_dim": ideal_dim,
-            "from_lower": from_lower,
+            "ideal_dim": ideal_dims[e],
+            "from_lower": ideal_dims[e] - new_gens,
             "new_generators": new_gens,
             "predicted_new": want,
         }
@@ -399,6 +407,7 @@ def truncated_hilbert_check(
     the resolution."""
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
+    _capped_count(n * d, max_degree)
     gens = [p for _, p in all_top_minors(d, n, cfg.field())]
     measured = truncated_hilbert(gens, n, max_degree, cfg)
     expected = hilbert_numerator(chain_resolution(1, d, n)).expand(max_degree)
@@ -460,11 +469,4 @@ def minors_vanishing_check(
     of the locus."""
     gf = cfg.field()
     gens = [p for _, p in all_top_minors(d, n, gf) if not p.is_zero()]
-    inner = vanishing_test(gens, d, n, trials, cfg)
-    return CheckReport(
-        check="minor-vanishing",
-        params=inner.params,
-        passed=inner.passed,
-        details=inner.details,
-        data=inner.data,
-    )
+    return dataclasses.replace(vanishing_test(gens, d, n, trials, cfg), check="minor-vanishing")

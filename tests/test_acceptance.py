@@ -105,8 +105,9 @@ def test_criterion_06_generator_minimality():
         (3, 4): {6: 1},
         (3, 5): {4: 2, 5: 2, 6: 4},
         (2, 6): {2: 6, 3: 10},
+        (3, 6): {3: 1, 4: 8, 5: 8, 6: 10},
     }
-    depth = {(2, 4): 4, (2, 5): 4, (3, 4): 6, (3, 5): 6, (2, 6): 4}
+    depth = {(2, 4): 4, (2, 5): 4, (3, 4): 6, (3, 5): 6, (2, 6): 4, (3, 6): 6}
     for modulus in (DEFAULT_MODULUS, ALTERNATE_MODULUS):
         cfg = PrimeFieldConfig(modulus=modulus)
         for (d, n), want in expected.items():
@@ -135,12 +136,13 @@ def test_criterion_07_euler_identity():
 
 def test_criterion_08_truncated_hilbert():
     t0 = time.monotonic()
-    for d, n in [(2, 3), (2, 4), (2, 5), (3, 5)]:
-        report = truncated_hilbert_check(d, n, 6)
-        assert report.passed, (d, n, report.details)
+    for modulus in (DEFAULT_MODULUS, ALTERNATE_MODULUS):
+        for d, n in [(2, 3), (2, 4), (2, 5), (3, 5), (3, 6)]:
+            report = truncated_hilbert_check(d, n, 6, PrimeFieldConfig(modulus=modulus))
+            assert report.passed, (d, n, modulus, report.details)
     elapsed = time.monotonic() - t0
     assert elapsed < 300, f"budget exceeded: {elapsed:.1f}s"
-    print(f"[criterion 08] truncated Hilbert functions to degree 6: PASS ({elapsed:.1f}s)")
+    print(f"[criterion 08] truncated Hilbert functions to degree 6, two primes: PASS ({elapsed:.1f}s)")
 
 
 def test_criterion_09_pd_and_regularity():

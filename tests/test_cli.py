@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kalvar import cli
+from kalvar import cli, verify
 from kalvar.report import CheckReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -159,14 +159,28 @@ class TestChecks:
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
 
-    def test_minimality_over_monomial_limit_exits_2(self, capsys):
-        # degree 6 in 36 variables has C(41, 6) = 4,496,388 monomials
-        argv = ["check-minimality", "--d", "3", "--n", "6", "--max-degree", "6"]
+    def test_minimality_over_monomial_limit_exits_2(self, capsys, monkeypatch):
+        # degree 9 in the 18 variables of k[alpha, gamma] has
+        # C(26, 9) = 3,124,550 monomials; no minor is built
+        def no_minors(*args):
+            raise AssertionError("minors built before the cap check")
+
+        monkeypatch.setattr(verify, "all_top_minors", no_minors)
+        argv = ["check-minimality", "--d", "3", "--n", "6", "--max-degree", "9"]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
-        assert "4496388" in captured.err and "1000000" in captured.err
+        assert "3124550" in captured.err and "1000000" in captured.err
+
+    def test_minimality_has_no_seed(self, capsys):
+        # the check draws nothing at random, so it takes no seed
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check-minimality", "--d", "2", "--n", "4", "--seed", "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --seed 5" in captured.err
 
     def test_minors(self, capsys):
         code, _ = run(capsys, "check-minors", "--d", "2", "--n", "3", "--trials", "10")

@@ -274,11 +274,16 @@ class TestSparsePoly:
 
 class TestBlockLayout:
     def test_var_indexing_row_major(self):
+        # only the first d columns are variables
         layout = BlockLayout(2, 3)
+        assert layout.ring().nvars == 6
         assert layout.var_index(1, 1) == 0
-        assert layout.var_index(1, 3) == 2
-        assert layout.var_index(3, 2) == 7
-        assert layout.var_name(7) == "x[3][2]"
+        assert layout.var_index(1, 2) == 1
+        assert layout.var_index(2, 1) == 2
+        assert layout.var_index(3, 2) == 5
+        assert layout.var_name(5) == "x[3][2]"
+        with pytest.raises(ValueError, match="out of range"):
+            layout.var_index(1, 3)
 
     def test_blocks(self):
         layout = BlockLayout(2, 4)

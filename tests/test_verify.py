@@ -9,8 +9,10 @@ from math import comb
 import numpy as np
 import pytest
 
+from kalvar import verify
 from kalvar.polysym import (
     BlockLayout,
+    PolyRing,
     PrimeField,
     all_top_minors,
     grevlex_key,
@@ -27,7 +29,7 @@ from kalvar.verify import (
     SpanEliminator,
     _by_degree,
     _graded_ranks,
-    graded_ideal_dimension,
+    _lift,
     hypersurface_check,
     minimality_report,
     minors_vanishing_check,
@@ -80,19 +82,31 @@ def grevlex_index(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
 def minor_rows_at_degree(d: int, n: int, degree: int, p: int, min_mult: int = 0):
     """Rows of the multiples m*g of the nonzero maximal minors with
     deg(m*g) equal to the degree and deg(m) at least min_mult, over the
-    full grevlex column index of that degree."""
-    col_index = grevlex_index(n * n, degree)
+    full grevlex column index of that degree in the minors' ring."""
+    gens = [g for _, g in all_top_minors(d, n, PrimeField(p))]
+    nvars = gens[0].ring.nvars
+    col_index = grevlex_index(nvars, degree)
     rows = []
-    for _, g in all_top_minors(d, n, PrimeField(p)):
+    for g in gens:
         if g.is_zero() or degree - g.degree() < min_mult:
             continue
         mdeg = degree - g.degree()
-        for mono in monomials_of_degree(n * n, mdeg):
+        for mono in monomials_of_degree(nvars, mdeg):
             rows.append({
                 col_index[tuple(a + b for a, b in zip(exp, mono))]: c
                 for exp, c in g.terms.items()
             })
     return rows
+
+
+def in_full_ring(g, d: int, n: int):
+    """A polynomial of k[alpha, gamma] as an element of k[x], all n*n
+    entries of x: zero exponents in columns d+1..n."""
+    pad = (0,) * (n - d)
+    ring = PolyRing(n * n, g.ring.domain)
+    return ring.reduce({
+        sum((exp[i * d:(i + 1) * d] + pad for i in range(n)), ()): c for exp, c in g.terms.items()
+    })
 
 
 class TestRandomPoint:
@@ -121,8 +135,9 @@ class TestRandomPoint:
         pt = random_kalman_point(2, 3, gf, rng)
         flat = pt.flatten()
         layout = BlockLayout(2, 3)
+        assert len(flat) == 6
         for i in range(1, 4):
-            for j in range(1, 4):
+            for j in range(1, 3):
                 assert flat[layout.var_index(i, j)] == pt.entries[i - 1][j - 1]
 
     def test_deterministic_given_seed(self):
@@ -205,7 +220,7 @@ class TestGradedRanks:
     @pytest.mark.parametrize("d,n,degree", [(2, 4, 3), (2, 4, 4), (2, 5, 4), (3, 4, 6)])
     def test_first_touch_columns_match_grevlex_oracle(self, d, n, degree, modulus):
         gens = [g for _, g in all_top_minors(d, n, PrimeField(modulus))]
-        got = _graded_ranks(_by_degree(gens), degree, n * n, modulus)
+        got = _graded_ranks(_by_degree(gens), degree, gens[0].ring.nvars, modulus)
         want = (
             dense_rank_mod_p(minor_rows_at_degree(d, n, degree, modulus, 1), modulus),
             dense_rank_mod_p(minor_rows_at_degree(d, n, degree, modulus, 0), modulus),
@@ -213,14 +228,48 @@ class TestGradedRanks:
         assert got == want
 
     def test_cap_checks_the_target_degree_piece(self):
-        # one variable of 36, at degree 6: the target piece has
-        # C(41, 6) monomials even though the rows touch only one column
+        # a cubic in one of the 18 variables, at degree 9: its
+        # multipliers number C(23, 6) = 100,947, but the target piece
+        # has C(26, 9) monomials
         ring = BlockLayout(3, 6).ring(PrimeField(DEFAULT_MODULUS))
         with pytest.raises(MonomialCapExceeded) as exc:
-            graded_ideal_dimension([ring.var(0)], 6)
-        assert exc.value.required == comb(41, 6) == 4_496_388
+            minimality_report(3, 6, 9, generators=[ring.var(0) ** 3])
+        assert exc.value.required == comb(26, 9) == 3_124_550
         assert exc.value.cap == 10**6
-        assert "4496388" in str(exc.value) and "1000000" in str(exc.value)
+        assert "3124550" in str(exc.value) and "1000000" in str(exc.value)
+
+    def test_hilbert_cap_checked_before_any_minor(self, monkeypatch):
+        # check-minimality has the same test in tests/test_cli.py
+        def no_minors(*args):
+            raise AssertionError("minors built before the cap check")
+
+        monkeypatch.setattr(verify, "all_top_minors", no_minors)
+        with pytest.raises(MonomialCapExceeded) as exc:
+            truncated_hilbert_check(3, 6, 9)
+        assert exc.value.required == 3_124_550
+
+
+class TestLift:
+    """The lift from k[alpha, gamma] to k[x] against the n*n-variable
+    route it replaces: each minor embedded in k[x], ranks taken there."""
+
+    @pytest.mark.parametrize("d,n", [(1, 2), (2, 4), (3, 5)])
+    def test_free_quotient_lifts_to_full_ring(self, d, n):
+        dims = [monomial_count(n * d, e) for e in range(8)]
+        assert _lift(dims, n, n * d) == [monomial_count(n * n, e) for e in range(8)]
+
+    @pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, ALTERNATE_MODULUS])
+    @pytest.mark.parametrize("d,n,max_degree", [(2, 4, 4), (2, 5, 4), (3, 4, 6)])
+    def test_matches_full_ring_ranks(self, d, n, max_degree, modulus):
+        cfg = PrimeFieldConfig(modulus=modulus)
+        gens = [g for _, g in all_top_minors(d, n, cfg.field())]
+        by_degree = _by_degree([in_full_ring(g, d, n) for g in gens])
+        full = [_graded_ranks(by_degree, e, n * n, modulus) for e in range(max_degree + 1)]
+        report = minimality_report(d, n, max_degree, cfg)
+        assert [(e["from_lower"], e["ideal_dim"]) for e in report.data["per_degree"]] == full[1:]
+        assert truncated_hilbert(gens, n, max_degree, cfg) == [
+            monomial_count(n * n, e) - ideal_dim for e, (_, ideal_dim) in enumerate(full)
+        ]
 
 
 class TestEliminator:
@@ -258,29 +307,37 @@ class TestEliminator:
         assert elim.rank == 0
 
 
+def ideal_dims(d, n, max_degree, generators, cfg=PrimeFieldConfig()):
+    report = minimality_report(d, n, max_degree, cfg, generators=generators)
+    return [e["ideal_dim"] for e in report.data["per_degree"]]
+
+
 class TestGradedDimension:
     def test_single_generator_dims(self):
+        # the quadric times the sixteen variables of k[x] in degree 3
         gf = PrimeField(DEFAULT_MODULUS)
         quad = minor(reduced_kalman_matrix(2, 4, gf), (0, 1), (0, 1))
-        q = quad.degree()
-        assert graded_ideal_dimension([quad], q) == 1
-        assert graded_ideal_dimension([quad], q + 1) == 16
-        assert graded_ideal_dimension([quad], q - 1) == 0
+        assert quad.degree() == 2
+        assert ideal_dims(2, 4, 3, [quad]) == [0, 1, 16]
 
     def test_frozen_2_4_degree_3(self):
         # sixteen quadric multiples plus four cubic minors, one linear
         # relation among them
         gens = [p for _, p in all_top_minors(2, 4)]
-        assert graded_ideal_dimension(gens, 3) == 19
+        assert ideal_dims(2, 4, 3, gens)[2] == 19
 
     def test_prime_invariance(self):
         gens = [p for _, p in all_top_minors(2, 4)]
-        a = graded_ideal_dimension(gens, 3, PrimeFieldConfig(modulus=DEFAULT_MODULUS))
-        b = graded_ideal_dimension(gens, 3, PrimeFieldConfig(modulus=ALTERNATE_MODULUS))
-        assert a == b == 19
+        a = ideal_dims(2, 4, 3, gens, PrimeFieldConfig(modulus=DEFAULT_MODULUS))
+        b = ideal_dims(2, 4, 3, gens, PrimeFieldConfig(modulus=ALTERNATE_MODULUS))
+        assert a[2] == b[2] == 19
 
-    def test_empty_generators(self):
-        assert graded_ideal_dimension([], 3) == 0
+    def test_generators_of_another_ring_rejected(self):
+        x = PolyRing(16, PrimeField(DEFAULT_MODULUS)).var(0)
+        with pytest.raises(ValueError, match="generator has 16 variables, expected 8"):
+            minimality_report(2, 4, 3, generators=[x])
+        with pytest.raises(ValueError, match="generator has 16 variables, expected 8"):
+            vanishing_test([x], 2, 4, trials=1)
 
     def test_monotone_quotient(self):
         # quotient dimensions never go negative and start at 1
@@ -305,6 +362,10 @@ class TestTruncatedHilbert:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match="max_degree must be at least 0, got -1"):
             truncated_hilbert_check(2, 3, -1)
+
+    def test_no_generators_rejected(self):
+        with pytest.raises(ValueError, match="no generators"):
+            truncated_hilbert([], 4, 3)
 
     def test_detects_wrong_generators(self):
         # quadric alone does not cut out the variety, so its quotient
