@@ -5,7 +5,8 @@ A weight of length d is shifted by rho = (d-1, ..., 1, 0).  A repeated
 entry in the shifted weight kills all cohomology; otherwise a unique
 permutation sorts it strictly decreasing, the cohomological degree is
 that permutation's inversion count, and the resulting dominant weight is
-the sorted vector minus rho.
+the sorted vector minus rho.  A bundle is given by its pieces
+(lam, mu_t, s, d), checked once where they come in.
 """
 
 from __future__ import annotations
@@ -63,45 +64,38 @@ def dotted_bott(nu: Sequence[int]) -> BottOutcome:
     return BottOutcome(False, inv, eta)
 
 
-@dataclass(frozen=True)
-class BundleTerm:
-    """Homogeneous bundle on the Grassmannian of s-planes in a d-dim
-    space: Schur functor `lam` on the tautological subbundle tensored
-    with Schur functor `mu_t` on the dual of the quotient bundle."""
-
-    lam: Partition
-    mu_t: Partition
-    s: int
-    d: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", Partition(self.lam))
-        object.__setattr__(self, "mu_t", Partition(self.mu_t))
-        if not 0 <= self.s <= self.d:
-            raise ValueError(f"need 0 <= s <= d, got s={self.s}, d={self.d}")
-        if self.lam.length > self.s:
-            raise ValueError(f"lam {self.lam!r} has more than s={self.s} parts")
-        if self.mu_t.length > self.d - self.s:
-            raise ValueError(f"mu_t {self.mu_t!r} has more than d-s={self.d - self.s} parts")
-
-
-def bundle_weight(term: BundleTerm) -> tuple[int, ...]:
-    """Full length-d weight of the bundle: the quotient-bundle block is
-    zeros followed by the negated reverse of mu_t, then lam's parts
-    padded with zeros to length s."""
-    q_len = term.d - term.s
-    q_block = (0,) * (q_len - term.mu_t.length) + tuple(-a for a in reversed(term.mu_t))
-    r_block = term.lam.padded(term.s)
-    return q_block + r_block
+def bundle_weight(
+    lam: Sequence[int], mu_t: Sequence[int], s: int, d: int
+) -> tuple[int, ...]:
+    """Full length-d weight of the bundle on the Grassmannian of s-planes
+    in a d-dim space: Schur functor `lam` on the tautological subbundle
+    tensored with Schur functor `mu_t` on the dual of the quotient
+    bundle.  That is zeros, the negated reverse of mu_t, then lam padded
+    with zeros to length s.  Needs 0 <= s <= d, at most s parts in lam
+    and at most d-s in mu_t; a Partition is used as it is, any other
+    sequence is validated as one."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    mu_t = mu_t if isinstance(mu_t, Partition) else Partition(mu_t)
+    if not 0 <= s <= d:
+        raise ValueError(f"need 0 <= s <= d, got s={s}, d={d}")
+    if len(lam) > s:
+        raise ValueError(f"lam {lam!r} has more than s={s} parts")
+    if len(mu_t) > d - s:
+        raise ValueError(f"mu_t {mu_t!r} has more than d-s={d - s} parts")
+    q_block = (0,) * (d - s - len(mu_t)) + tuple(-a for a in reversed(mu_t))
+    return q_block + lam + (0,) * (s - len(lam))
 
 
-def bundle_cohomology(term: BundleTerm) -> tuple[BottOutcome, int]:
-    """Dotted action applied to the bundle's weight, plus the dimension
-    of the resulting GL(d) representation (0 if cohomology vanishes)."""
-    outcome = dotted_bott(bundle_weight(term))
+def bundle_cohomology(
+    lam: Sequence[int], mu_t: Sequence[int], s: int, d: int
+) -> tuple[BottOutcome, int]:
+    """Dotted action applied to the bundle's weight (see bundle_weight),
+    plus the dimension of the resulting GL(d) representation (0 if
+    cohomology vanishes)."""
+    outcome = dotted_bott(bundle_weight(lam, mu_t, s, d))
     if outcome.vanishes:
         return outcome, 0
-    return outcome, schur_dim(outcome.eta, term.d)
+    return outcome, schur_dim(outcome.eta, d)
 
 
 def _inverse_dotted_map(

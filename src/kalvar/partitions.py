@@ -55,15 +55,12 @@ class Partition(tuple):
     def conjugate(self) -> "Partition":
         """Transpose the Young diagram (columns become rows)."""
         if not self:
-            return Partition()
-        return Partition(sum(1 for a in self if a > j) for j in range(self[0]))
+            return self
+        return _trusted(tuple(sum(1 for a in self if a > j) for j in range(self[0])))
 
     def contains(self, other: "Partition") -> bool:
         """Diagram containment: other fits inside self row by row."""
         return all(self.part(i) >= other.part(i) for i in range(len(other)))
-
-    def fits(self, box: Box) -> bool:
-        return len(self) <= box.rows and (not self or self[0] <= box.cols)
 
     def padded(self, length: int) -> tuple[int, ...]:
         """Parts extended with zeros to exactly `length` entries."""
@@ -75,12 +72,17 @@ class Partition(tuple):
         return f"Partition{tuple(self)!r}"
 
 
-def conjugate(lam: Partition) -> Partition:
-    return Partition(lam).conjugate()
+def _trusted(parts: tuple[int, ...]) -> Partition:
+    """A Partition from parts that are one by construction: weakly
+    decreasing positive ints.  Skips the checks of Partition(...)."""
+    return tuple.__new__(Partition, parts)
 
 
 class SkewShape(NamedTuple):
-    """Skew diagram outer/inner; inner must be contained in outer."""
+    """Skew diagram outer/inner; inner must be contained in outer.
+
+    `SkewShape.of` validates outside input; the plain constructor trusts
+    a caller that holds two Partitions with containment already known."""
 
     outer: Partition
     inner: Partition
@@ -97,13 +99,8 @@ class SkewShape(NamedTuple):
         return self.outer.size - self.inner.size
 
 
-def partitions_in_box(
-    box: Box | tuple[int, int],
-    size: int | None = None,
-    length: int | None = None,
-) -> list[Partition]:
-    """All partitions contained in the box, optionally filtered by exact
-    size or exact number of parts.
+def partitions_in_box(box: Box | tuple[int, int]) -> list[Partition]:
+    """All partitions contained in the box.
 
     Order is deterministic: graded by size, then lexicographically
     descending within a size.
@@ -114,7 +111,7 @@ def partitions_in_box(
     out: list[Partition] = []
 
     def extend(prefix: list[int], bound: int) -> None:
-        out.append(Partition(prefix))
+        out.append(_trusted(tuple(prefix)))
         if len(prefix) == box.rows:
             return
         for a in range(1, bound + 1):
@@ -123,10 +120,6 @@ def partitions_in_box(
             prefix.pop()
 
     extend([], box.cols)
-    if size is not None:
-        out = [p for p in out if p.size == size]
-    if length is not None:
-        out = [p for p in out if p.length == length]
     out.sort(key=lambda p: (p.size, tuple(-a for a in p)))
     return out
 

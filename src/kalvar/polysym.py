@@ -28,16 +28,35 @@ from typing import Callable, Iterable, Sequence
 from .report import CheckReport
 
 
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MILLER_RABIN_LIMIT = 318665857834031151167461  # least strong pseudoprime to all twelve
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin on the prime bases 2..37, exact for p
+    below MILLER_RABIN_LIMIT (Sorenson & Webster, Math. Comp. 86, 2017);
+    a larger p raises ValueError."""
+    if p >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"cannot decide whether {p} is prime: exact only below {MILLER_RABIN_LIMIT}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

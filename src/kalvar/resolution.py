@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from math import comb
 from typing import Iterable, Iterator
 
-from .bott import BundleTerm, bundle_cohomology
+from .bott import bundle_cohomology
 from .partitions import Box, Partition, SkewShape, partitions_in_box, skew_schur_dim
 from .report import CheckFailure, CheckReport
 
@@ -125,45 +125,34 @@ class BettiTable:
         }
 
 
-def _normalization_terms(params: KalmanParams, max_lam_length: int) -> Iterator[BettiTerm]:
-    """The nonzero terms of the level-s normalization whose lam has at
-    most `max_lam_length` parts, in lam-major order (see
-    resolution_normalization)."""
-    s, d = params.s, params.d
-    mus = [(mu, mu.conjugate()) for mu in partitions_in_box(Box(s, d - s))]
-    for lam in partitions_in_box(Box(max_lam_length, params.n - s)):
-        lam_t = lam.conjugate()
-        for mu, mu_t in mus:
-            if not lam.contains(mu):
-                continue
-            out, gl_mult = bundle_cohomology(BundleTerm(lam, mu_t, s=s, d=d))
-            if out.vanishes:
-                continue
-            shape = SkewShape.of(lam_t, mu_t)
-            mult = gl_mult * skew_schur_dim(shape, params.w_dim)
-            if mult == 0:
-                continue
-            yield BettiTerm(
-                hom_degree=lam.size - out.degree,
-                twist=lam.size,
-                eta=out.eta,
-                w_shape=shape,
-                multiplicity=mult,
-                part=None,
-                source=(lam, mu),
-            )
-
-
 def resolution_normalization(params: KalmanParams) -> BettiTable:
     """Term-level resolution of normalization(s) over A.
 
     Enumerates partition pairs mu inside lam with lam in the s x (n-s)
-    box and mu in the s x (d-s) box; each pair contributes through one
-    cohomology computation on the Grassmannian of s-planes in L, tensored
-    with the skew Schur functor lam^T / mu^T of the complement.  Terms
-    with zero multiplicity are dropped.
+    box and mu in the s x (d-s) box, lam-major; each pair contributes
+    through one cohomology computation on the Grassmannian of s-planes
+    in L, tensored with the skew Schur functor lam^T / mu^T of the
+    complement.  Terms with zero multiplicity are dropped.  This is the
+    one loop over the pairs, and it re-validates no Partition.
     """
-    return BettiTable("normalization", params, list(_normalization_terms(params, params.s)))
+    s, d = params.s, params.d
+    mus = [(mu, mu.conjugate()) for mu in partitions_in_box(Box(s, d - s))]
+    terms = []
+    for lam in partitions_in_box(Box(s, params.n - s)):
+        lam_t = lam.conjugate()
+        for mu, mu_t in mus:
+            if not lam.contains(mu):
+                continue
+            out, gl_mult = bundle_cohomology(lam, mu_t, s, d)
+            if out.vanishes:
+                continue
+            shape = SkewShape(lam_t, mu_t)
+            mult = gl_mult * skew_schur_dim(shape, params.w_dim)
+            if mult == 0:
+                continue
+            hom_degree = lam.size - out.degree
+            terms.append(BettiTerm(hom_degree, lam.size, out.eta, shape, mult, None, (lam, mu)))
+    return BettiTable("normalization", params, terms)
 
 
 def classify_part(lam: Partition, mu: Partition, s: int) -> str:
@@ -194,7 +183,7 @@ def _bottom_stratum(
     included."""
     for mu in partitions_in_box(Box(k - 1, d - k)):
         lam = Partition((d - k + 1,) + tuple(a + 1 for a in mu.padded(k - 1)))
-        shape = SkewShape.of(lam.conjugate(), mu.conjugate())
+        shape = SkewShape(lam.conjugate(), mu.conjugate())
         yield mu, lam, shape, skew_schur_dim(shape, n - d)
 
 
@@ -274,15 +263,15 @@ def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
     return PartIIIProfile(iii, report)
 
 
-def _expected_low_strata(params: KalmanParams) -> dict[int, list[tuple]]:
-    """Closed forms for chain(s) in homological degrees <= s: part II
-    terms of the level-s normalization, plus, exactly at degree s, the
-    bottom strata inherited from every level k = s..d with twist raised
-    by (s+k-1)(k-s)/2."""
-    s, d, n = params.s, params.d, params.n
+def _expected_low_strata(level: BettiTable) -> dict[int, list[tuple]]:
+    """Closed forms for chain(s) in homological degrees <= s, read off
+    the level-s normalization table: its part II terms (lam shorter
+    than s), plus, exactly at degree s, the bottom strata inherited from
+    every level k = s..d with twist raised by (s+k-1)(k-s)/2."""
+    s, d, n = level.params.s, level.params.d, level.params.n
     buckets: dict[int, list[tuple]] = {i: [] for i in range(s + 1)}
-    for t in _normalization_terms(params, s - 1):
-        if t.hom_degree <= s:
+    for t in level.terms:
+        if len(t.source[0]) < s and t.hom_degree <= s:
             buckets[t.hom_degree].append(_stratum_key(t))
     for k in range(s, d + 1):
         offset = (s + k - 1) * (k - s) // 2
@@ -291,16 +280,19 @@ def _expected_low_strata(params: KalmanParams) -> dict[int, list[tuple]]:
     return {i: sorted(v) for i, v in buckets.items()}
 
 
-def chain_closed_form_check(table: BettiTable) -> CheckReport:
-    """Compare the low homological degrees of a chain table against the
-    closed forms.  Degrees below s must be pure part II data; degree s
-    adds one inherited bottom stratum per deeper level."""
-    params = table.params
+def chain_closed_form_check(chain: BettiTable, level: BettiTable) -> CheckReport:
+    """Compare the low homological degrees of a chain(s) table against
+    the closed forms read from `level`, the level-s normalization table
+    it was built from.  Degrees below s must be pure part II data;
+    degree s adds one inherited bottom stratum per deeper level."""
+    params = chain.params
+    if level.params != params:
+        raise ValueError(f"level table has {level.params!r}, chain has {params!r}")
     s = params.s
-    expected = _expected_low_strata(params)
+    expected = _expected_low_strata(level)
     details: list[dict] = []
     for i in range(s + 1):
-        got = sorted(_stratum_key(t) for t in table.terms if t.hom_degree == i)
+        got = sorted(_stratum_key(t) for t in chain.terms if t.hom_degree == i)
         if got != expected[i]:
             details.append(
                 {
@@ -318,7 +310,7 @@ def chain_closed_form_check(table: BettiTable) -> CheckReport:
     )
 
 
-def chain_resolution(s: int, d: int, n: int, check: bool = True) -> BettiTable:
+def chain_resolution(s: int, d: int, n: int) -> BettiTable:
     """Term-level resolution of chain(s) by downward induction on s.
 
     Base case s = d: the level-d normalization table (a Koszul complex).
@@ -329,10 +321,11 @@ def chain_resolution(s: int, d: int, n: int, check: bool = True) -> BettiTable:
     II at level s+1; dropping both implements the connecting map of the
     short exact sequence linking the three modules.
 
-    With check=True (default) the result is compared against the closed
-    forms for homological degrees <= s; a mismatch raises CheckFailure.
+    Every level k = d, ..., s is compared against the closed forms for
+    homological degrees <= k, read from the level-k normalization table
+    it was built from; a mismatch raises CheckFailure.
     """
-    return _chain_from_normalizations(_normalization_levels(s, d, n), check)
+    return _chain_from_normalizations(_normalization_levels(s, d, n))
 
 
 def _normalization_levels(s: int, d: int, n: int) -> list[BettiTable]:
@@ -341,7 +334,7 @@ def _normalization_levels(s: int, d: int, n: int) -> list[BettiTable]:
     return [resolution_normalization(replace(params, s=k)) for k in range(s, d + 1)]
 
 
-def _chain_from_normalizations(levels: list[BettiTable], check: bool) -> BettiTable:
+def _chain_from_normalizations(levels: list[BettiTable]) -> BettiTable:
     """chain(s) from the normalization tables of levels s..d, built from
     level d down as chain_resolution describes, checking every level."""
     chain = None
@@ -355,10 +348,9 @@ def _chain_from_normalizations(levels: list[BettiTable], check: bool) -> BettiTa
                 if t.part != "II"
             ]
         chain = BettiTable("chain", table.params, terms)
-        if check:
-            report = chain_closed_form_check(chain)
-            if not report.passed:
-                raise CheckFailure(report)
+        report = chain_closed_form_check(chain, table)
+        if not report.passed:
+            raise CheckFailure(report)
     return chain
 
 
@@ -499,7 +491,7 @@ def les_euler_check(d: int, n: int) -> CheckReport:
         ],
         n * n,
     )
-    chain1 = hilbert_numerator(_chain_from_normalizations(levels, check=True))
+    chain1 = hilbert_numerator(_chain_from_normalizations(levels))
     passed = total == chain1
     details = []
     if not passed:

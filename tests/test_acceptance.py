@@ -7,7 +7,7 @@ budgets are asserted where the criterion carries one.
 
 import time
 
-from kalvar.bott import BundleTerm, bundle_cohomology, exhaustive_dotted_check
+from kalvar.bott import bundle_cohomology, exhaustive_dotted_check
 from kalvar.partitions import Box, Partition, partitions_in_box
 from kalvar.polysym import trace_identity_check
 from kalvar.resolution import (
@@ -56,9 +56,7 @@ def test_criterion_02_low_degree_vanishing():
                     for mu in partitions_in_box(Box(s, d - s)):
                         if len(mu) >= s or not lam.contains(mu):
                             continue
-                        outcome, mult = bundle_cohomology(
-                            BundleTerm(lam, mu.conjugate(), s, d)
-                        )
+                        outcome, mult = bundle_cohomology(lam, mu.conjugate(), s, d)
                         if mult > 0:
                             assert lam.size - outcome.degree >= s, (s, d, n, lam, mu)
                             checked_pairs += 1

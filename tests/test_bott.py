@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import kalvar.bott
 from kalvar.bott import (
     BottOutcome,
-    BundleTerm,
     _inverse_dotted_map,
     bundle_cohomology,
     bundle_weight,
@@ -150,32 +149,51 @@ class TestInverseDottedMap:
 
 class TestBundleWeight:
     def test_frozen_example(self):
-        term = BundleTerm(Partition((2, 1)), Partition((1,)), s=2, d=4)
-        assert bundle_weight(term) == (0, -1, 2, 1)
+        assert bundle_weight(Partition((2, 1)), Partition((1,)), s=2, d=4) == (0, -1, 2, 1)
 
     def test_full_length(self):
-        term = BundleTerm(Partition((1,)), Partition(()), s=1, d=3)
-        assert bundle_weight(term) == (0, 0, 1)
+        assert bundle_weight(Partition((1,)), Partition(()), s=1, d=3) == (0, 0, 1)
 
     def test_s_equals_d(self):
-        term = BundleTerm(Partition((2, 1)), Partition(()), s=2, d=2)
-        assert bundle_weight(term) == (2, 1)
+        assert bundle_weight(Partition((2, 1)), Partition(()), s=2, d=2) == (2, 1)
 
     def test_rejects_overlong_lam(self):
         with pytest.raises(ValueError):
-            BundleTerm(Partition((1, 1)), Partition(()), s=1, d=3)
+            bundle_weight(Partition((1, 1)), Partition(()), s=1, d=3)
 
     def test_rejects_overlong_mu_t(self):
         with pytest.raises(ValueError):
-            BundleTerm(Partition((1,)), Partition((1, 1)), s=1, d=2)
+            bundle_weight(Partition((1,)), Partition((1, 1)), s=1, d=2)
+
+    @pytest.mark.parametrize("s, d", [(-1, 2), (3, 2)])
+    def test_rejects_s_outside_zero_to_d(self, s, d):
+        with pytest.raises(ValueError):
+            bundle_weight((), (), s=s, d=d)
+
+    def test_plain_sequences_are_validated(self):
+        assert bundle_weight((2, 1, 0), [1], s=2, d=4) == (0, -1, 2, 1)
+        with pytest.raises(ValueError):
+            bundle_weight((1, 2), (), s=2, d=4)
+        with pytest.raises(ValueError):
+            bundle_cohomology((1,), (-1,), s=1, d=3)
+
+    def test_partitions_are_not_rebuilt(self, monkeypatch):
+        lam, mu_t = Partition((2, 1)), Partition((1,))
+        want = bundle_cohomology(lam, mu_t, s=2, d=4)
+
+        def refuse(cls, parts=()):
+            raise AssertionError("a Partition was rebuilt")
+
+        monkeypatch.setattr(Partition, "__new__", refuse)
+        assert bundle_weight(lam, mu_t, s=2, d=4) == (0, -1, 2, 1)
+        assert bundle_cohomology(lam, mu_t, s=2, d=4) == want
 
 
 class TestBundleCohomology:
     def test_top_row_single_wedge(self):
         # lam = (d) on a line: degree d-1, weight (1, ..., 1), one copy
         for d in range(2, 6):
-            term = BundleTerm(Partition((d,)), Partition(()), s=1, d=d)
-            out, mult = bundle_cohomology(term)
+            out, mult = bundle_cohomology(Partition((d,)), Partition(()), s=1, d=d)
             assert not out.vanishes
             assert out.degree == d - 1
             assert out.eta == (1,) * d
@@ -186,16 +204,14 @@ class TestBundleCohomology:
         for lam in partitions_in_box(Box(3, 3)):
             s = max(1, lam.length)
             d = s + lam.part(0) + 1
-            term = BundleTerm(lam, lam.conjugate(), s=s, d=d)
-            out, mult = bundle_cohomology(term)
+            out, mult = bundle_cohomology(lam, lam.conjugate(), s=s, d=d)
             assert not out.vanishes
             assert out.degree == lam.size
             assert out.eta == (0,) * d
             assert mult == 1
 
     def test_vanishing_has_zero_multiplicity(self):
-        term = BundleTerm(Partition((1,)), Partition(()), s=1, d=2)
-        out, mult = bundle_cohomology(term)
+        out, mult = bundle_cohomology(Partition((1,)), Partition(()), s=1, d=2)
         assert out.vanishes and mult == 0
 
     def test_degree_bounded_by_grassmannian_dimension(self):
@@ -206,7 +222,6 @@ class TestBundleCohomology:
                     for mu in partitions_in_box(Box(s, d - s)):
                         if not lam.contains(mu):
                             continue
-                        term = BundleTerm(lam, mu.conjugate(), s=s, d=d)
-                        out, _ = bundle_cohomology(term)
+                        out, _ = bundle_cohomology(lam, mu.conjugate(), s=s, d=d)
                         if not out.vanishes:
                             assert out.degree <= dim_gr

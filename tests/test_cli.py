@@ -8,11 +8,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from kalvar import cli, verify
+from kalvar.polysym import MILLER_RABIN_LIMIT
 from kalvar.report import CheckReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -185,6 +187,23 @@ class TestChecks:
     def test_minors(self, capsys):
         code, _ = run(capsys, "check-minors", "--d", "2", "--n", "3", "--trials", "10")
         assert code == 0
+
+    def test_minors_with_a_17_digit_modulus(self, capsys):
+        t0 = time.monotonic()
+        code, out = run(
+            capsys, "check-minors", "--d", "2", "--n", "3", "--trials", "1",
+            "--modulus", "10000000000000061",
+        )
+        assert code == 0
+        assert "param modulus: 10000000000000061" in out
+        assert time.monotonic() - t0 < 1
+
+    def test_modulus_past_the_primality_limit_exits_2(self, capsys):
+        argv = ["check-minors", "--d", "2", "--n", "3", "--modulus", str(MILLER_RABIN_LIMIT)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(MILLER_RABIN_LIMIT) in captured.err
 
     def test_trace(self, capsys):
         code, out = run(capsys, "--format", "json", "check-trace", "--max-d", "2")

@@ -9,7 +9,6 @@ from kalvar.partitions import (
     Box,
     Partition,
     SkewShape,
-    conjugate,
     partitions_in_box,
     schur_dim,
     skew_schur_dim,
@@ -111,7 +110,7 @@ class TestPartition:
             Partition((2, 1)).padded(1)
 
     def test_conjugate_example(self):
-        assert conjugate(Partition((3, 3, 3, 1, 1))) == Partition((5, 3, 3))
+        assert Partition((3, 3, 3, 1, 1)).conjugate() == Partition((5, 3, 3))
         assert Partition(()).conjugate() == Partition(())
 
     def test_conjugate_involution_exhaustive(self):
@@ -149,19 +148,42 @@ class TestPartitionsInBox:
             for b in range(7):
                 assert len(partitions_in_box(Box(a, b))) == comb(a + b, a)
 
-    def test_size_filter(self):
-        got = partitions_in_box(Box(2, 2), size=2)
-        assert got == [Partition((2,)), Partition((1, 1))]
-
-    def test_length_filter(self):
-        got = partitions_in_box(Box(3, 2), length=3)
-        assert all(p.length == 3 for p in got)
-        assert len(got) == 4  # (1,1,1), (2,1,1), (2,2,1), (2,2,2)
-
     def test_containment_invariant(self):
-        box = Box(3, 4)
-        for p in partitions_in_box(box):
-            assert p.fits(box)
+        for p in partitions_in_box(Box(3, 4)):
+            assert len(p) <= 3 and p.part(0) <= 4
+
+
+def assert_trusted(p):
+    """p, built without validation, is exactly what Partition(...) makes
+    of its parts."""
+    assert type(p) is Partition
+    rebuilt = Partition(tuple(p))
+    assert p == rebuilt and tuple(p) == tuple(rebuilt)
+    assert all(type(a) is int for a in p)
+
+
+class TestTrustedConstruction:
+    """partitions_in_box and conjugate() skip Partition's checks, so
+    every result is compared with its validated rebuild."""
+
+    def test_exhaustive_small_boxes(self):
+        for rows in range(5):
+            for cols in range(5):
+                for p in partitions_in_box(Box(rows, cols)):
+                    assert_trusted(p)
+                    assert_trusted(p.conjugate())
+
+    @given(st.integers(0, 6), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_box_property(self, rows, cols):
+        for p in partitions_in_box(Box(rows, cols)):
+            assert_trusted(p)
+
+    @given(partitions())
+    @settings(max_examples=60, deadline=None)
+    def test_conjugate_property(self, p):
+        assert_trusted(p.conjugate())
+        assert_trusted(p.conjugate().conjugate())
 
 
 class TestSchurDim:
@@ -278,7 +300,11 @@ class TestCauchyTerms:
 
     @staticmethod
     def pairs(p, dim_e, dim_f):
-        return [(lam, lam.conjugate()) for lam in partitions_in_box(Box(dim_e, dim_f), size=p)]
+        return [
+            (lam, lam.conjugate())
+            for lam in partitions_in_box(Box(dim_e, dim_f))
+            if lam.size == p
+        ]
 
     def test_degree_zero(self):
         assert self.pairs(0, 3, 3) == [(Partition(()), Partition(()))]
@@ -291,8 +317,8 @@ class TestCauchyTerms:
 
     def test_box_constraints(self):
         for lam, lam_t in self.pairs(5, 2, 4):
-            assert lam.fits(Box(2, 4))
-            assert lam_t.fits(Box(4, 2))
+            assert len(lam) <= 2 and lam.part(0) <= 4
+            assert len(lam_t) <= 4 and lam_t.part(0) <= 2
 
     def test_dimension_identity(self):
         # sum of products of paired Schur dimensions = binomial(ef, p)
@@ -309,17 +335,19 @@ class TestCauchyTerms:
 class TestTildeShift:
     """Removing the shared first column of two partitions of length s."""
 
+    full = [p for p in partitions_in_box(Box(3, 3)) if len(p) == 3]
+
     def test_containment_preserved(self):
-        for lam in partitions_in_box(Box(3, 3), length=3):
-            for mu in partitions_in_box(Box(3, 3), length=3):
+        for lam in self.full:
+            for mu in self.full:
                 if lam.contains(mu):
                     assert strip_first_column(lam).contains(strip_first_column(mu))
 
     def test_transposed_skew_shape_unchanged(self):
         # stripping the shared first column does not change the skew
         # diagram of the transposes, so the tableau counts agree
-        for lam in partitions_in_box(Box(3, 3), length=3):
-            for mu in partitions_in_box(Box(3, 3), length=3):
+        for lam in self.full:
+            for mu in self.full:
                 if not lam.contains(mu):
                     continue
                 before = SkewShape.of(lam.conjugate(), mu.conjugate())

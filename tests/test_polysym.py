@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kalvar.polysym import (
+    MILLER_RABIN_LIMIT,
     ZZ,
     BlockLayout,
     PolyMatrix,
@@ -26,6 +27,18 @@ from kalvar.polysym import (
     trace_identity_check,
     wedge_trace,
 )
+
+
+def trial_division_is_prime(p: int) -> bool:
+    """Oracle for is_prime: every candidate factor up to sqrt(p)."""
+    if p < 2:
+        return False
+    f = 2
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 1
+    return True
 
 
 def brute_determinant(m: PolyMatrix) -> SparsePoly:
@@ -148,6 +161,37 @@ class TestDomains:
         assert not is_prime(1)
         assert not is_prime(32001)
         assert not is_prime(46339)
+
+    def test_is_prime_matches_trial_division_exhaustively(self):
+        assert [p for p in range(-3, 20000) if is_prime(p)] == [
+            p for p in range(-3, 20000) if trial_division_is_prime(p)
+        ]
+
+    @given(st.integers(-10, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_is_prime_matches_trial_division(self, p):
+        assert is_prime(p) == trial_division_is_prime(p)
+
+    @pytest.mark.parametrize(
+        "p, want",
+        [
+            (10**16 + 61, True),
+            (2**61 - 1, True),
+            (2**64 - 59, True),
+            (561, False),  # Carmichael
+            (3215031751, False),  # strong pseudoprime to 2, 3, 5, 7
+            (3825123056546413051, False),  # strong pseudoprime to 2 .. 23
+            ((2**61 - 1) * 100003, False),  # no factor below 37
+        ],
+    )
+    def test_is_prime_large(self, p, want):
+        assert is_prime(p) is want
+
+    def test_is_prime_refuses_past_its_limit(self):
+        assert not is_prime(MILLER_RABIN_LIMIT - 2)  # even
+        for p in (MILLER_RABIN_LIMIT, MILLER_RABIN_LIMIT + 2, 10**30):
+            with pytest.raises(ValueError, match=str(MILLER_RABIN_LIMIT)):
+                is_prime(p)
 
     def test_prime_field_rejects_composite(self):
         with pytest.raises(ValueError):

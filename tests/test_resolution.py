@@ -1,7 +1,9 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
 
+import kalvar.resolution as resolution_module
 from kalvar.bott import dotted_bott
 from kalvar.partitions import Box, Partition, SkewShape, partitions_in_box, schur_dim
 from kalvar.report import CheckFailure
@@ -173,19 +175,89 @@ class TestChainResolution:
         for s in range(1, 4):
             for d in range(s, 5):
                 for n in range(d + 1, 7):
-                    table = chain_resolution(s, d, n, check=False)
-                    report = chain_closed_form_check(table)
+                    table = chain_resolution(s, d, n)
+                    level = resolution_normalization(KalmanParams(s, d, n))
+                    report = chain_closed_form_check(table, level)
                     assert report.passed, report.details
 
     def test_closed_form_check_catches_corruption(self):
-        table = chain_resolution(1, 2, 4, check=False)
-        table.terms.pop()
-        report = chain_closed_form_check(table)
-        # corrupt tables may or may not break the low strata, but removing
-        # a generator-column term must
+        table = chain_resolution(1, 2, 4)
+        level = resolution_normalization(table.params)
+        # removing the generator column must break the low strata
         bad = BettiTable(table.module_id, table.params, [t for t in table.terms if t.hom_degree != 1])
-        report = chain_closed_form_check(bad)
+        report = chain_closed_form_check(bad, level)
         assert not report.passed
+
+    def test_closed_form_check_needs_the_matching_level(self):
+        table = chain_resolution(1, 2, 4)
+        with pytest.raises(ValueError):
+            chain_closed_form_check(table, resolution_normalization(KalmanParams(2, 2, 4)))
+
+    @staticmethod
+    def corrupted(table, drop=None, add=()):
+        terms = [t for t in table.terms if t is not drop] + list(add)
+        return BettiTable(table.module_id, table.params, terms)
+
+    @pytest.mark.parametrize("s, d, n", [(2, 3, 5), (2, 4, 6), (3, 4, 6)])
+    def test_dropping_a_part_ii_term_fails(self, s, d, n):
+        table = chain_resolution(s, d, n)
+        level = resolution_normalization(table.params)
+        low = [t for t in table.terms if t.part == "II" and t.hom_degree <= s]
+        assert low
+        for t in low:
+            report = chain_closed_form_check(self.corrupted(table, drop=t), level)
+            assert not report.passed, t
+
+    @pytest.mark.parametrize("s, d, n", [(1, 2, 4), (1, 3, 5), (2, 3, 5), (2, 4, 6)])
+    def test_dropping_a_carried_term_fails(self, s, d, n):
+        table = chain_resolution(s, d, n)
+        level = resolution_normalization(table.params)
+        low = [t for t in table.terms if t.part == "carried" and t.hom_degree <= s]
+        assert low
+        for t in low:
+            report = chain_closed_form_check(self.corrupted(table, drop=t), level)
+            assert not report.passed, t
+
+    @pytest.mark.parametrize("s, d, n", [(1, 2, 4), (1, 3, 5), (2, 3, 5), (3, 4, 6)])
+    def test_adding_a_term_below_degree_s_fails(self, s, d, n):
+        table = chain_resolution(s, d, n)
+        level = resolution_normalization(table.params)
+        for t in table.terms:
+            for i in range(s):
+                extra = replace(t, hom_degree=i)
+                report = chain_closed_form_check(self.corrupted(table, add=[extra]), level)
+                assert not report.passed, (t, i)
+
+    def test_one_bundle_cohomology_call_per_pair(self, monkeypatch):
+        calls = []
+        real = resolution_module.bundle_cohomology
+
+        def counting(lam, mu_t, s, d):
+            calls.append((lam, mu_t.conjugate(), s))
+            return real(lam, mu_t, s, d)
+
+        monkeypatch.setattr(resolution_module, "bundle_cohomology", counting)
+        d, n = 5, 10
+        chain_resolution(1, d, n)
+        pairs = [
+            (lam, mu, s)
+            for s in range(1, d + 1)
+            for lam in partitions_in_box(Box(s, n - s))
+            for mu in partitions_in_box(Box(s, d - s))
+            if all(mu.part(i) <= lam.part(i) for i in range(s))
+        ]
+        assert len(pairs) == 2547
+        assert sorted(calls) == sorted(pairs)
+
+    def test_normalization_rebuilds_no_partition(self, monkeypatch):
+        params = KalmanParams(2, 4, 7)
+        want = resolution_normalization(params)
+
+        def refuse(cls, parts=()):
+            raise AssertionError("a Partition was rebuilt")
+
+        monkeypatch.setattr(Partition, "__new__", refuse)
+        assert resolution_normalization(params).terms == want.terms
 
     def test_generators_match_prediction(self):
         for d in range(1, 5):
