@@ -7,18 +7,36 @@ permutation sorts it strictly decreasing, the cohomological degree is
 that permutation's inversion count, and the resulting dominant weight is
 the sorted vector minus rho.  A bundle is given by its pieces
 (lam, mu_t, s, d), checked once where they come in.
+
+`dotted_bott` does its per-weight work in builtins (`map`, `set`,
+`sorted`, `itertools.combinations`), and every vanishing weight gets the
+one shared vanishing outcome.  `exhaustive_dotted_check` is its
+independent oracle: it runs the action backwards, building for each
+permutation only the preimages that lie in the window, and it refuses a
+window whose weights and permutations together exceed
+MAX_EXHAUSTIVE_WORK.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cache
+from operator import add, index, lt, sub
 from typing import Sequence
 
 from .partitions import Partition, schur_dim
 from .report import CheckReport
 
+# Weights plus permutations that one exhaustive_dotted_check may walk.
+# Lengths 1..6 over an 11-value window (1,949,589) fit; --max-d 9 over
+# [-10, 10] (about 8e11) or --max-d 13 over a single value (13! alone is
+# 6e9) would run for hours and are refused before anything is built.
+MAX_EXHAUSTIVE_WORK = 2_000_000
 
+
+@cache
 def rho(d: int) -> tuple[int, ...]:
     """Half sum of positive roots for GL(d), as (d-1, ..., 1, 0)."""
     if d < 0:
@@ -40,28 +58,25 @@ class BottOutcome:
             raise ValueError("degree and eta must be present iff cohomology survives")
 
 
+_VANISHES = BottOutcome(True, None, None)
+
+
 def dotted_bott(nu: Sequence[int]) -> BottOutcome:
     """Resolve the dotted action w.(nu) = w(nu + rho) - rho.
 
     Returns vanishing when nu + rho has a repeated entry; otherwise the
     unique sorted representative, with degree equal to the number of
-    out-of-order pairs in nu + rho.
+    out-of-order pairs in nu + rho.  Entries must be integers
+    (`operator.index`); anything else raises TypeError.
     """
-    nu = tuple(int(a) for a in nu)
+    nu = tuple(map(index, nu))
     d = len(nu)
     r = rho(d)
-    shifted = tuple(a + b for a, b in zip(nu, r))
-    srt = tuple(sorted(shifted, reverse=True))
-    if any(a == b for a, b in zip(srt, srt[1:])):
-        return BottOutcome(True, None, None)
-    inv = sum(
-        1
-        for i in range(d)
-        for j in range(i + 1, d)
-        if shifted[i] < shifted[j]
-    )
-    eta = tuple(a - b for a, b in zip(srt, r))
-    return BottOutcome(False, inv, eta)
+    shifted = tuple(map(add, nu, r))
+    if len(set(shifted)) < d:
+        return _VANISHES
+    inv = sum(itertools.starmap(lt, itertools.combinations(shifted, 2)))
+    return BottOutcome(False, inv, tuple(map(sub, sorted(shifted, reverse=True), r)))
 
 
 def bundle_weight(
@@ -103,27 +118,48 @@ def _inverse_dotted_map(
 ) -> tuple[dict[tuple[int, ...], tuple[int, tuple[int, ...]]], int]:
     """Run the dotted action backwards over the window [lo, hi]^d.
 
-    Every strictly decreasing srt with entries in [lo, hi+d-1] and every
-    permutation w give the preimage nu[w[i]] = srt[i] - rho[w[i]]: w
-    sorts nu + rho into srt, so by definition the degree is inv(w) and
-    eta = srt - rho.  Returns the map nu -> (inv(w), eta) over the
-    preimages inside the window and the number of weights hit more than
-    once.
+    Every strictly decreasing srt and every permutation w give the
+    preimage nu[w[i]] = srt[i] - rho[w[i]]: w sorts nu + rho into srt, so
+    by definition the degree is inv(w) and eta = srt - rho.  srt is
+    strictly decreasing exactly when eta is weakly decreasing, so the
+    enumeration runs over eta.  For each w only the eta whose preimage
+    lies in the window are built, one entry at a time, and each eta is
+    one tuple shared by all its preimages.  Returns the map
+    nu -> (inv(w), eta) over those preimages and the number of weights
+    hit more than once.
     """
     r = rho(d)
-    # Walk w through its inverse u, so that nu[j] = srt[u[j]] - rho[j];
-    # inv(u) == inv(w).
-    perms = [
-        (u, sum(1 for i in range(d) for j in range(i + 1, d) if u[i] > u[j]))
-        for u in itertools.permutations(range(d))
-    ]
     ref: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     repeated: set[tuple[int, ...]] = set()
-    for srt in itertools.combinations(range(hi + d - 1, lo - 1, -1), d):
-        eta = tuple(a - b for a, b in zip(srt, r))
-        for u, inv in perms:
-            nu = tuple(srt[k] - b for k, b in zip(u, r))
-            if lo <= min(nu) and max(nu) <= hi:
+    etas: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # Walk w through its inverse u, so that nu[j] = eta[u[j]] + shift[j]
+    # with shift[j] = rho[u[j]] - rho[j]; inv(u) == inv(w).
+    for u in itertools.permutations(range(d)):
+        inv = sum(1 for i in range(d) for j in range(i + 1, d) if u[i] > u[j])
+        shift = [r[k] - b for k, b in zip(u, r)]
+        # lo <= nu[j] <= hi puts eta[u[j]] in [lo - shift[j], hi - shift[j]].
+        low, high = [0] * d, [0] * d
+        for k, c in zip(u, shift):
+            low[k], high[k] = lo - c, hi - c
+        # Tighten the ranges by the weak decrease, so that every prefix
+        # built below extends to a full eta.
+        for k in range(d - 2, -1, -1):
+            low[k] = max(low[k], low[k + 1])
+        for k in range(1, d):
+            high[k] = min(high[k], high[k - 1])
+        if any(a > b for a, b in zip(low, high)):
+            continue
+        # p[-1:] is empty for the first entry, whose cap is high[0] alone.
+        prefixes = [()]
+        for a, b in zip(low[:-1], high[:-1]):
+            prefixes = [p + (x,) for p in prefixes for x in range(a, min(p[-1:] + (b,)) + 1)]
+        # The last entry is added in the loop, so that a duplicate eta is
+        # freed at once instead of held in a list.
+        for p in prefixes:
+            for x in range(low[-1], min(p[-1:] + (high[-1],)) + 1):
+                eta = p + (x,)
+                eta = etas.setdefault(eta, eta)
+                nu = tuple(map(add, map(eta.__getitem__, u), shift))
                 if nu in ref:
                     repeated.add(nu)
                 ref[nu] = (inv, eta)
@@ -137,10 +173,20 @@ def exhaustive_dotted_check(max_d: int = 5, lo: int = -4, hi: int = 6) -> CheckR
     The reference, `_inverse_dotted_map`, neither sorts nor calls
     dotted_bott: no weight may be reached twice, a weight it reaches must
     survive with the degree and eta it records, and every weight it
-    never reaches must vanish.
+    never reaches must vanish.  A window whose (hi - lo + 1)^d weights
+    and d! permutations, summed over d, exceed MAX_EXHAUSTIVE_WORK raises
+    ValueError before anything is built.
     """
     if max_d < 1 or lo > hi:
         raise ValueError("need max_d >= 1 and lo <= hi")
+    work = 0
+    for d in range(1, max_d + 1):
+        work += (hi - lo + 1) ** d + math.factorial(d)
+        if work > MAX_EXHAUSTIVE_WORK:
+            raise ValueError(
+                f"an exhaustive check up to d={max_d} over [{lo}, {hi}] walks more than "
+                f"the limit of {MAX_EXHAUSTIVE_WORK} weights and permutations"
+            )
     details: list[dict] = []
     per_d = []
     for d in range(1, max_d + 1):

@@ -11,6 +11,7 @@ cost is polynomial in the shape rather than proportional to the count.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -26,11 +27,12 @@ class Partition(tuple):
 
     Trailing zeros are trimmed on construction, so equality and hashing
     agree with the underlying shape.  Raises ValueError on a sequence that
-    is not weakly decreasing or has a negative entry.
+    is not weakly decreasing or has a negative entry, and TypeError on a
+    non-integer entry.
     """
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        parts = tuple(int(a) for a in parts)
+        parts = tuple(map(index, parts))
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for a, b in zip(parts, parts[1:]):
@@ -128,10 +130,11 @@ def schur_dim(eta: Sequence[int], m: int) -> int:
     """Dimension of the irreducible GL(m) representation with highest
     weight eta, by the Weyl dimension product.
 
-    eta must be weakly decreasing; entries may be negative.  A partition
-    with more than m parts has dimension 0.  Exact integer arithmetic.
+    eta must be weakly decreasing integers (TypeError otherwise); entries
+    may be negative.  A partition with more than m parts has dimension 0.
+    Exact integer arithmetic.
     """
-    eta = tuple(int(a) for a in eta)
+    eta = tuple(map(index, eta))
     for a, b in zip(eta, eta[1:]):
         if a < b:
             raise ValueError(f"weight must be weakly decreasing: {eta!r}")

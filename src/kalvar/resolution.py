@@ -169,7 +169,16 @@ def split_parts(table: BettiTable) -> BettiTable:
     """Tag every term of a normalization table with its part."""
     s = table.params.s
     tagged = [
-        replace(t, part=classify_part(t.source[0], t.source[1], s)) for t in table.terms
+        BettiTerm(
+            t.hom_degree,
+            t.twist,
+            t.eta,
+            t.w_shape,
+            t.multiplicity,
+            classify_part(t.source[0], t.source[1], s),
+            t.source,
+        )
+        for t in table.terms
     ]
     return BettiTable(table.module_id, table.params, tagged)
 
@@ -343,7 +352,15 @@ def _chain_from_normalizations(levels: list[BettiTable]) -> BettiTable:
         terms = [t for t in split_parts(table).terms if t.part != "I"]
         if chain is not None:
             terms += [
-                replace(t, hom_degree=t.hom_degree - 1, twist=t.twist + s, part="carried")
+                BettiTerm(
+                    t.hom_degree - 1,
+                    t.twist + s,
+                    t.eta,
+                    t.w_shape,
+                    t.multiplicity,
+                    "carried",
+                    t.source,
+                )
                 for t in chain.terms
                 if t.part != "II"
             ]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import kalvar.bott
 from kalvar.bott import (
+    MAX_EXHAUSTIVE_WORK,
     BottOutcome,
     _inverse_dotted_map,
     bundle_cohomology,
@@ -38,6 +40,50 @@ def brute_dotted(nu):
             hits.append((inv, eta))
     assert len(hits) <= 1
     return hits[0] if hits else None
+
+
+def reference_dotted(nu):
+    """Oracle: sort nu + rho, look for equal neighbours, and count the
+    out-of-order pairs one by one."""
+    nu = tuple(nu)
+    d = len(nu)
+    r = rho(d)
+    shifted = tuple(a + b for a, b in zip(nu, r))
+    srt = tuple(sorted(shifted, reverse=True))
+    if any(a == b for a, b in zip(srt, srt[1:])):
+        return BottOutcome(True, None, None)
+    inv = sum(1 for i in range(d) for j in range(i + 1, d) if shifted[i] < shifted[j])
+    return BottOutcome(False, inv, tuple(a - b for a, b in zip(srt, r)))
+
+
+def reference_inverse_map(d, lo, hi):
+    """Oracle for _inverse_dotted_map: build the preimage of every
+    strictly decreasing srt with entries in [lo, hi + d - 1] under every
+    permutation, and keep those inside the window."""
+    r = rho(d)
+    perms = [
+        (u, sum(1 for i in range(d) for j in range(i + 1, d) if u[i] > u[j]))
+        for u in itertools.permutations(range(d))
+    ]
+    ref, repeated = {}, set()
+    for srt in itertools.combinations(range(hi + d - 1, lo - 1, -1), d):
+        eta = tuple(a - b for a, b in zip(srt, r))
+        for u, inv in perms:
+            nu = tuple(srt[k] - b for k, b in zip(u, r))
+            if lo <= min(nu) and max(nu) <= hi:
+                if nu in ref:
+                    repeated.add(nu)
+                ref[nu] = (inv, eta)
+    return ref, len(repeated)
+
+
+# the check-bott benchmark window: lengths 1..5 over [-4, 6]
+WIDE = (-4, 6)
+
+
+@pytest.fixture(scope="module")
+def wide_reference():
+    return {d: reference_inverse_map(d, *WIDE) for d in range(1, 6)}
 
 
 def forward_scan(d, lo, hi):
@@ -113,9 +159,59 @@ class TestDottedBott:
         else:
             assert (out.degree, out.eta) == ref
 
+    @given(st.lists(st.integers(-8, 8), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_property(self, nu):
+        assert dotted_bott(nu) == reference_dotted(nu)
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_matches_reference_on_a_grid(self, d):
+        for nu in itertools.product(range(-3, 5), repeat=d):
+            assert dotted_bott(nu) == reference_dotted(nu)
+
+    def test_empty_weight(self):
+        assert dotted_bott(()) == reference_dotted(()) == BottOutcome(False, 0, ())
+
+    def test_rejects_non_integer_entries(self):
+        # refused, not truncated to (0, 0), which survives in degree 0
+        with pytest.raises(TypeError):
+            dotted_bott((0.5, 0))
+        assert dotted_bott((np.int64(0), 0)) == dotted_bott((0, 0))
+
     def test_exhaustive_small(self):
         report = exhaustive_dotted_check(max_d=3, lo=-2, hi=3)
         assert report.passed, report.details
+
+    def test_a_pass_calls_dotted_bott_on_every_weight(self, monkeypatch, wide_reference):
+        real = kalvar.bott.dotted_bott
+        calls = 0
+
+        def counted(nu):
+            nonlocal calls
+            calls += 1
+            return real(nu)
+
+        monkeypatch.setattr(kalvar.bott, "dotted_bott", counted)
+        report = exhaustive_dotted_check(5, *WIDE)
+        assert report.passed, report.details
+        assert calls == 177_155 == sum(11**d for d in range(1, 6))
+        survivors = [row["weights"] - row["vanishing"] for row in report.data["per_d"]]
+        assert survivors == [len(wide_reference[d][0]) for d in range(1, 6)]
+
+    def test_work_limit(self, monkeypatch):
+        # lengths 1..3 over [-2, 3]: 6 + 36 + 216 weights and 1 + 2 + 6 permutations
+        monkeypatch.setattr(kalvar.bott, "MAX_EXHAUSTIVE_WORK", 267)
+        assert exhaustive_dotted_check(3, -2, 3).passed
+        monkeypatch.setattr(kalvar.bott, "MAX_EXHAUSTIVE_WORK", 266)
+        with pytest.raises(ValueError, match="limit of 266 "):
+            exhaustive_dotted_check(3, -2, 3)
+
+    def test_work_limit_admits_the_default_checks(self):
+        # check-all runs lengths 1..3 over [-2, 3]; check-bott's benchmark
+        # window is lengths 1..5 over [-4, 6], 177,155 weights
+        for max_d, lo, hi in [(3, -2, 3), (5, *WIDE), (6, *WIDE)]:
+            work = sum((hi - lo + 1) ** d + math.factorial(d) for d in range(1, max_d + 1))
+            assert work <= MAX_EXHAUSTIVE_WORK
 
 
 class TestInverseDottedMap:
@@ -128,6 +224,29 @@ class TestInverseDottedMap:
         scan_hits, scan_vanishing = forward_scan(d, lo, hi)
         assert hits == scan_hits
         assert window - hits.keys() == scan_vanishing
+
+    def test_preimage_counts_pinned(self):
+        counts = [len(_inverse_dotted_map(d, *WIDE)[0]) for d in range(1, 6)]
+        assert counts == [11, 111, 1030, 8826, 70254]
+
+    def test_matches_reference_on_the_benchmark_window(self, wide_reference):
+        for d in range(1, 6):
+            assert _inverse_dotted_map(d, *WIDE) == wide_reference[d]
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-3, 4), (0, 2), (1, 1), (-1, 0), (2, 5), (-5, -2), (-6, -6)],
+        ids=["mixed", "width-3", "width-1", "width-2", "positive", "negative", "one-negative"],
+    )
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_matches_reference(self, d, lo, hi):
+        assert _inverse_dotted_map(d, lo, hi) == reference_inverse_map(d, lo, hi)
+
+    @given(st.integers(1, 5), st.integers(-7, 7), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_property(self, d, lo, extra):
+        hi = lo + extra
+        assert _inverse_dotted_map(d, lo, hi) == reference_inverse_map(d, lo, hi)
 
     @pytest.mark.parametrize(
         "nu, wrong",
@@ -145,6 +264,30 @@ class TestInverseDottedMap:
         report = exhaustive_dotted_check(3, -2, 3)
         assert not report.passed
         assert [x["nu"] for x in report.details] == [list(nu)]
+
+    def test_check_catches_a_weight_reached_twice(self, monkeypatch):
+        # walking the identity permutation twice reaches every dominant
+        # weight of the window twice
+        class Doubled:
+            def __getattr__(self, name):
+                return getattr(itertools, name)
+
+            @staticmethod
+            def permutations(items):
+                perms = list(itertools.permutations(items))
+                return perms + perms[:1]
+
+        monkeypatch.setattr(kalvar.bott, "itertools", Doubled())
+        window = itertools.product(range(-2, 4), repeat=3)
+        dominant = [nu for nu in window if list(nu) == sorted(nu, reverse=True)]
+        assert _inverse_dotted_map(3, -2, 3)[1] == len(dominant) == 56
+        report = exhaustive_dotted_check(3, -2, 3)
+        assert not report.passed
+        assert {"d": 3, "weights_with_multiple_sorters": 56} in report.details
+
+    def test_one_eta_tuple_per_dominant_weight(self):
+        etas = [eta for _, eta in _inverse_dotted_map(5, *WIDE)[0].values()]
+        assert len({id(eta) for eta in etas}) == len(set(etas)) == 3003
 
 
 class TestBundleWeight:

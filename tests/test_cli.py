@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from kalvar import cli, verify
+from kalvar.bott import MAX_EXHAUSTIVE_WORK
 from kalvar.polysym import MILLER_RABIN_LIMIT
 from kalvar.report import CheckReport
 
@@ -174,6 +175,23 @@ class TestChecks:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "3124550" in captured.err and "1000000" in captured.err
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ("--max-d", "9", "--lo", "-10", "--hi", "10"),
+            ("--max-d", "13", "--lo", "0", "--hi", "0"),
+        ],
+        ids=["21^9-weights", "13!-permutations"],
+    )
+    def test_bott_over_work_limit_exits_2(self, capsys, window):
+        t0 = time.monotonic()
+        assert cli.main(["check-bott", *window]) == 2
+        assert time.monotonic() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert str(MAX_EXHAUSTIVE_WORK) in captured.err
 
     def test_minimality_has_no_seed(self, capsys):
         # the check draws nothing at random, so it takes no seed

@@ -1,6 +1,7 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,14 @@ class TestPartition:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Partition((2, -1))
+
+    def test_rejects_non_integer_entries(self):
+        # refused, not truncated to (2, 1)
+        with pytest.raises(TypeError):
+            Partition((2.7, 1.2))
+        with pytest.raises(TypeError):
+            Partition((2.0,))
+        assert Partition((np.int64(2), 1)) == Partition((2, 1))
 
     def test_size_length_part(self):
         p = Partition((4, 2, 1))
@@ -218,6 +227,11 @@ class TestSchurDim:
     def test_rejects_bad_padding(self):
         with pytest.raises(ValueError):
             schur_dim((0, -1), 3)
+
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(TypeError):
+            schur_dim((1.5, 0), 2)
+        assert schur_dim((np.int64(1), 0), 2) == 2
 
     def test_matches_tableau_count_in_box(self):
         # independent routes: Weyl product formula vs Jacobi-Trudi determinant

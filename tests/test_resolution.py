@@ -6,9 +6,10 @@ import pytest
 import kalvar.resolution as resolution_module
 from kalvar.bott import dotted_bott
 from kalvar.partitions import Box, Partition, SkewShape, partitions_in_box, schur_dim
-from kalvar.report import CheckFailure
+from kalvar.report import CheckFailure, CheckReport
 from kalvar.resolution import (
     BettiTable,
+    BettiTerm,
     KalmanParams,
     chain_closed_form_check,
     chain_resolution,
@@ -227,6 +228,22 @@ class TestChainResolution:
                 extra = replace(t, hom_degree=i)
                 report = chain_closed_form_check(self.corrupted(table, add=[extra]), level)
                 assert not report.passed, (t, i)
+
+    def test_carried_term_below_degree_zero_raises(self, monkeypatch):
+        # a part III term in degree 0 at level 2 would be carried to
+        # degree -1 at level 1; the carried copy is a checked BettiTerm
+        levels = resolution_module._normalization_levels(1, 2, 4)
+        top = levels[-1]
+        lam, mu = Partition((1, 1)), Partition(())
+        stray = BettiTerm(0, lam.size, (0, 0), SkewShape(lam.conjugate(), mu), 1, None, (lam, mu))
+        levels[-1] = BettiTable(top.module_id, top.params, top.terms + [stray])
+        monkeypatch.setattr(
+            resolution_module,
+            "chain_closed_form_check",
+            lambda chain, level: CheckReport("stub", {}, True),
+        )
+        with pytest.raises(ValueError, match="negative homological degree"):
+            resolution_module._chain_from_normalizations(levels)
 
     def test_one_bundle_cohomology_call_per_pair(self, monkeypatch):
         calls = []
