@@ -15,7 +15,9 @@ lexicographic order fixes how a polynomial is serialized.  The
 finite-field ranks downstream number their columns on first touch and
 do not depend on it.  Two routines work on other forms inside and
 convert at their boundary: the minors pack each exponent tuple into one
-int, and evaluation walks the monomials as a trie of variables.
+int, and evaluation (`evaluate_many`) compiles the monomials of all the
+polynomials it is given into one trie of variables, shared by all of
+them, and walks it once per point.
 """
 
 from __future__ import annotations
@@ -136,12 +138,11 @@ class PolyRing:
 class SparsePoly:
     """Immutable-by-convention sparse polynomial: {exponent tuple: coeff}."""
 
-    __slots__ = ("ring", "terms", "_compiled")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
-        self._compiled = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -213,22 +214,9 @@ class SparsePoly:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]))
 
     def evaluate(self, point: Sequence):
-        """Value at a point given as one domain element per variable.
-
-        The monomials are compiled once into a trie (`_monomial_trie`);
-        a point then costs one multiplication per trie node, one per
-        term for its coefficient, and one reduction at the end."""
-        if len(point) != self.ring.nvars:
-            raise ValueError("point has wrong length")
-        if self._compiled is None:
-            self._compiled = _monomial_trie(self.terms)
-        coeffs, levels, leaves = self._compiled
-        at = point.__getitem__
-        values = [1]
-        for parents, variables in levels:
-            values += list(map(operator.mul, map(values.__getitem__, parents), map(at, variables)))
-        total = sum(map(operator.mul, coeffs, map(values.__getitem__, leaves)))
-        return self.ring.domain.coerce(total)
+        """Value at a point given as one domain element per variable: the
+        one-polynomial, one-point case of `evaluate_many`."""
+        return evaluate_many([self], [point])[0][0]
 
     def map_domain(self, ring: PolyRing) -> "SparsePoly":
         """Recoerce coefficients into another ring with the same nvars."""
@@ -252,45 +240,92 @@ class SparsePoly:
         return f"SparsePoly({self})"
 
 
-def _monomial_trie(terms: dict) -> tuple:
-    """`terms` compiled for evaluation: (coefficients, levels, leaves).
+def _shared_trie(polys: Sequence[SparsePoly]) -> tuple:
+    """The monomials of every polynomial compiled into one trie:
+    (levels, leaves).
 
     Each monomial is read as a word in its variables, highest index
-    first, and the words share their prefixes on a trie.  Node 0 is the
-    empty word; level t lists, for each prefix of length t + 1, its
-    parent node and last variable, and nodes are numbered level by
-    level, so evaluating one level is one pass over two lists.  Leaf i
-    is the node of the i-th monomial.  Highest index first because the
-    gamma block holds the highest indices and every term of a Kalman
-    minor has one gamma factor per row: the (4, 5) determinant needs
-    37,395 nodes this way, 67,059 lowest first, against 119,120 factors
-    taken term by term.
+    first, and the words of all polynomials share their prefixes.  A
+    node is a prefix monomial, so its parent drops one factor of the
+    node's lowest-index variable.  The trie is built layer by layer,
+    deepest first, from monomials packed into ints wide enough for the
+    largest exponent: the lowest set bit names the variable, and one
+    subtraction gives the parent.
+
+    Node 0 is the empty word.  Level t lists, for each node of degree
+    t + 1, its parent node and last variable, and nodes are numbered
+    level by level, in increasing packed order within a level, so
+    evaluating one level is one pass over two lists.
+    `leaves[i]` is the node of each term of polys[i], in term order.
+    Highest index first because the gamma block holds the highest
+    indices and every term of a Kalman minor has one gamma factor per
+    row: the (4, 5) determinant needs 37,395 nodes this way, 67,059
+    lowest first, against 119,120 factors taken term by term, and the
+    84 minors of (3, 6) need 11,043 nodes in one trie, 26,499 in one
+    trie each.
     """
-    children: dict = {}
-    levels: list[tuple[list[int], list[int]]] = []
-    ends = []
-    for exp in terms:
-        node = (0, 0)  # (depth, index within its level)
-        for k in reversed(range(len(exp))):
-            for _ in range(exp[k]):
-                child = children.get((node, k))
-                if child is None:
-                    depth, index = node
-                    if depth == len(levels):
-                        levels.append(([], []))
-                    parents, variables = levels[depth]
-                    child = children[node, k] = (depth + 1, len(parents))
-                    parents.append(index)
-                    variables.append(k)
-                node = child
-        ends.append(node)
-    first = list(itertools.accumulate([1] + [len(parents) for parents, _ in levels], initial=0))
-    return (
-        tuple(terms.values()),
-        [([first[t] + i for i in parents], variables)
-         for t, (parents, variables) in enumerate(levels)],
-        [first[depth] + i for depth, i in ends],
-    )
+    top = max((max(exp, default=0) for p in polys for exp in p.terms), default=0)
+    width = max(1, (top.bit_length() + 7) // 8)
+    step = 8 * width
+
+    def pack(exp):
+        if width == 1:
+            return int.from_bytes(bytes(exp), "little")
+        return int.from_bytes(b"".join(e.to_bytes(width, "little") for e in exp), "little")
+
+    layers: list[set[int]] = [{0}]
+    words = []
+    for p in polys:
+        word = []
+        for exp in p.terms:
+            m, degree = pack(exp), sum(exp)
+            while len(layers) <= degree:
+                layers.append(set())
+            layers[degree].add(m)
+            word.append(m)
+        words.append(word)
+    nodes, links = [], []  # deepest layer first
+    for t in reversed(range(1, len(layers))):
+        layer = sorted(layers[t])
+        variables = [((m & -m).bit_length() - 1) // step for m in layer]
+        parents = [m - (1 << k * step) for m, k in zip(layer, variables)]
+        layers[t - 1].update(parents)
+        nodes.append(layer)
+        links.append((parents, variables))
+    nodes.append([0])
+    index = {m: i for i, m in enumerate(itertools.chain.from_iterable(reversed(nodes)))}
+    levels = [([index[m] for m in parents], variables) for parents, variables in reversed(links)]
+    return levels, [[index[m] for m in word] for word in words]
+
+
+def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence]) -> list[list]:
+    """For each point, the value of every polynomial, each coerced into
+    that polynomial's domain.
+
+    All polynomials have the same number of variables, and every point
+    gives one element per variable (ValueError otherwise).  Their
+    monomials are compiled once into one shared trie
+    (`_shared_trie`); a point then costs one multiplication per trie
+    node, one per term for its coefficient, and one reduction per
+    polynomial.
+    """
+    polys = list(polys)
+    nvars = {p.ring.nvars for p in polys}
+    if len(nvars) > 1:
+        raise ValueError(f"polynomials in different numbers of variables: {sorted(nvars)}")
+    levels, leaves = _shared_trie(polys)
+    dots = [(p.ring.domain.coerce, tuple(p.terms.values()), leaf) for p, leaf in zip(polys, leaves)]
+    out = []
+    for point in points:
+        if nvars and {len(point)} != nvars:
+            raise ValueError("point has wrong length")
+        at = point.__getitem__
+        values = [1]
+        for parents, variables in levels:
+            values += list(map(operator.mul, map(values.__getitem__, parents), map(at, variables)))
+        node = values.__getitem__
+        out.append([coerce(sum(map(operator.mul, coeffs, map(node, leaf)))) for coerce, coeffs, leaf in dots])
+    return out
 
 
 @dataclass(frozen=True)
@@ -400,10 +435,12 @@ def _minors(
 
     Inside the expansion a monomial is its exponent vector packed into
     one int, one byte per variable, so a monomial product is one int
-    add; each pick is unpacked as soon as it is done.  The exponents of
-    a pick are bounded by the sum of its rows' largest entry degrees,
-    and a bound over 255 raises ValueError rather than carrying into
-    the next variable.
+    add; each pick is unpacked as soon as it is done, and a monomial
+    that several picks share gets one exponent tuple (the 70 minors of
+    (4, 6) hold 1,874,352 terms but 1,104,308 monomials).  The
+    exponents of a pick are bounded by the sum of its rows' largest
+    entry degrees, and a bound over 255 raises ValueError rather than
+    carrying into the next variable.
     """
     nvars = ring.nvars
     coerce = ring.domain.coerce
@@ -419,8 +456,10 @@ def _minors(
             e = packed[r, c] = {int.from_bytes(bytes(exp), "little"): v for exp, v in terms.items()}
         return e
 
+    share = {}.setdefault  # one exponent tuple per distinct monomial, shared across picks
+
     def unpack(terms):
-        return SparsePoly(ring, {tuple(m.to_bytes(nvars, "little")): c for m, c in terms.items()})
+        return SparsePoly(ring, {share(e := tuple(m.to_bytes(nvars, "little")), e): c for m, c in terms.items()})
 
     def expansion(key):
         rows, cols = key

@@ -23,6 +23,7 @@ from .polysym import (
     SparsePoly,
     all_top_minors,
     determinant,
+    evaluate_many,
     is_prime,
     reduced_kalman_matrix,
 )
@@ -136,7 +137,13 @@ def vanishing_test(
     cfg: PrimeFieldConfig = PrimeFieldConfig(),
 ) -> CheckReport:
     """Evaluate every generator at random points of the rank-drop locus;
-    all values must be zero."""
+    all values must be zero.
+
+    The points are drawn first, one per trial; a point that fails its
+    eigenvector check is reported as `bad_point`.  The good points are
+    then evaluated together on one trie shared by all generators
+    (`evaluate_many`), and failures are listed by trial, then by
+    generator."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not generators:
@@ -144,15 +151,17 @@ def vanishing_test(
     gf = cfg.field()
     rng = cfg.rng()
     gens = _to_field(generators, gf, n * d)
-    failures = []
-    for trial in range(trials):
+    points = []
+    for _ in range(trials):
         point = random_kalman_point(d, n, gf, rng)
-        if any(point.eigen_residual()):
+        points.append(None if any(point.eigen_residual()) else point.flatten())
+    values = iter(evaluate_many(gens, [coords for coords in points if coords is not None]))
+    failures = []
+    for trial, coords in enumerate(points):
+        if coords is None:
             failures.append({"kind": "bad_point", "trial": trial})
             continue
-        coords = point.flatten()
-        for gi, g in enumerate(gens):
-            value = g.evaluate(coords)
+        for gi, value in enumerate(next(values)):
             if value % gf.p != 0:
                 failures.append({
                     "kind": "nonvanishing",

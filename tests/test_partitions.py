@@ -1,11 +1,13 @@
 import itertools
-from math import comb
+from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kalvar.partitions import _weyl_product
 from kalvar.partitions import (
     Box,
     Partition,
@@ -37,6 +39,24 @@ def brute_skew_ssyt(outer, inner, m):
                 break
         count += ok
     return count
+
+
+def weyl_oracle(eta, m):
+    """Uncached Weyl product over the rationals, for a weight already
+    weakly decreasing with at most m entries (negative ones only when
+    exactly m): the oracle for the cached schur_dim."""
+    eta = list(eta) + [0] * (m - len(eta))
+    value = prod(Fraction(eta[i] - eta[j] + j - i, j - i) for i in range(m) for j in range(i + 1, m))
+    assert value.denominator == 1
+    return int(value)
+
+
+weights = st.integers(0, 6).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.integers(-3, 4), min_size=m, max_size=m).map(lambda xs: sorted(xs, reverse=True)),
+    )
+)
 
 
 def is_horizontal_strip(outer, inner):
@@ -232,6 +252,35 @@ class TestSchurDim:
         with pytest.raises(TypeError):
             schur_dim((1.5, 0), 2)
         assert schur_dim((np.int64(1), 0), 2) == 2
+
+    @given(case=weights, trim=st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_cached_calls_match_uncached_oracle(self, case, trim):
+        m, eta = case
+        while trim and eta and eta[-1] == 0:  # the same weight without some trailing zeros
+            eta, trim = eta[:-1], trim - 1
+        want = weyl_oracle(eta, m)
+        _weyl_product.cache_clear()
+        assert schur_dim(eta, m) == want  # fresh
+        assert schur_dim(eta, m) == want  # repeated, from the cache
+        if not eta or eta[-1] >= 0:  # another spelling, same key
+            assert schur_dim(list(eta) + [0, 0], m) == want
+        assert schur_dim(tuple(np.int64(a) for a in eta), m) == want
+
+    def test_cache_keeps_validation(self):
+        assert schur_dim((1, 1, 1), 3) == 1
+        with pytest.raises(TypeError):
+            schur_dim((1, 1, 1), 3.0)
+        with pytest.raises(TypeError):
+            schur_dim((1.0, 1, 1), 3)
+        assert schur_dim((0, -1), 2) == 2
+        with pytest.raises(ValueError):
+            schur_dim((0, -1), 3)
+        with pytest.raises(ValueError):
+            schur_dim((-1, 0), 2)
+        with pytest.raises(ValueError):
+            schur_dim((0, -1), -1)
+        assert schur_dim((1, 1, 1), 2) == 0
 
     def test_matches_tableau_count_in_box(self):
         # independent routes: Weyl product formula vs Jacobi-Trudi determinant

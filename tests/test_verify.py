@@ -4,7 +4,7 @@ graded rank computations, minimality and Hilbert checks."""
 import dataclasses
 import random
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -178,6 +178,48 @@ class TestVanishing:
         bad = good + ring.var(0) * ring.var(0)
         report = vanishing_test([bad], 2, 4, trials=20)
         assert not report.passed
+
+    def test_failures_in_trial_then_generator_order(self, monkeypatch):
+        # the middle generator is a coordinate function that does not
+        # vanish, and trial 2 gets a point off the locus; the report must
+        # list what a per-trial, per-generator loop finds, in its order
+        d, n, trials = 2, 4, 8
+        cfg = PrimeFieldConfig(seed=31)
+        gf = cfg.field()
+        layout = BlockLayout(d, n)
+        minors = [g for _, g in all_top_minors(d, n, gf)]
+        gens = [minors[0], layout.ring(gf).var(layout.var_index(2, 2)), minors[-1]]
+        drawn = []
+
+        def draw(*args):
+            point = random_kalman_point(*args)
+            drawn.append(point)
+            if len(drawn) == 3:
+                point = dataclasses.replace(point, eigenvalue=(point.eigenvalue + 1) % gf.p)
+            return point
+
+        monkeypatch.setattr(verify, "random_kalman_point", draw)
+        report = vanishing_test(gens, d, n, trials, cfg)
+
+        rng = cfg.rng()
+        drawn.clear()
+        want = []
+        for trial in range(trials):
+            point = draw(d, n, gf, rng)
+            if any(point.eigen_residual()):
+                want.append({"kind": "bad_point", "trial": trial})
+                continue
+            coords = point.flatten()
+            for gi, g in enumerate(gens):
+                value = sum(
+                    c * prod(pow(x, e) for x, e in zip(coords, exp)) for exp, c in g.terms.items()
+                ) % gf.p
+                if value:
+                    want.append({"kind": "nonvanishing", "trial": trial, "generator": gi, "value": value})
+        assert [f["kind"] for f in want].count("bad_point") == 1
+        assert [f.get("generator") for f in want].count(1) == trials - 1
+        assert report.details == want
+        assert report.data["failure_count"] == len(want)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
