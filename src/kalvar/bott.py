@@ -106,7 +106,8 @@ def bundle_cohomology(
 ) -> tuple[BottOutcome, int]:
     """Dotted action applied to the bundle's weight (see bundle_weight),
     plus the dimension of the resulting GL(d) representation (0 if
-    cohomology vanishes)."""
+    cohomology vanishes).  The normalization loop computes the same from
+    weight halves it builds once; this checked route is its test oracle."""
     outcome = dotted_bott(bundle_weight(lam, mu_t, s, d))
     if outcome.vanishes:
         return outcome, 0

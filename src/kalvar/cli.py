@@ -24,10 +24,12 @@ from .report import CheckFailure, CheckReport
 from .resolution import (
     KalmanParams,
     chain_resolution,
+    check_pair_count,
     f0_check,
     hilbert_numerator,
     les_euler_check,
     minimal_generators,
+    normalization_pair_count,
     part_iii_profile,
     pd_and_reg,
     resolution_normalization,
@@ -222,6 +224,10 @@ def cmd_check_les(args) -> dict:
             f"--max-d {args.max_d} and --max-n {args.max_n} give no case 1 <= d < n; "
             "need --max-d >= 1 and --max-n >= 2"
         )
+    check_pair_count(
+        sum(normalization_pair_count(1, d, n) for d, n in grid),
+        f"check-les --max-d {args.max_d} --max-n {args.max_n}",
+    )
     rows = []
     ok = True
     for d, n in grid:

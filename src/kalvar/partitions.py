@@ -6,6 +6,10 @@ constrains a partition to at most r parts, each at most c; dimension
 counts are exact integers.  Skew tableau counts come from the
 Jacobi-Trudi determinant (Macdonald, Symmetric Functions, I.5), so their
 cost is polynomial in the shape rather than proportional to the count.
+`skew_schur_dim` is the validated entry; it picks the smaller of the h-
+and e-forms and hands the shape to `_jacobi_trudi`, which the
+normalization loop also calls directly on the form it already holds,
+with the h- and e-rows of its fixed m built once.
 """
 
 from __future__ import annotations
@@ -194,6 +198,34 @@ def _det(a: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def _h_row(m: int, length: int) -> list[int]:
+    """h_k(1^m) = C(m-1+k, k) for k < length."""
+    return [comb(m - 1 + k, k) for k in range(length)]
+
+
+def _e_row(m: int, length: int) -> list[int]:
+    """e_k(1^m) = C(m, k) for k < length."""
+    return [comb(m, k) for k in range(length)]
+
+
+def _jacobi_trudi(outer: Sequence[int], inner: Sequence[int], coeffs: Sequence[int]) -> int:
+    """det[coeffs[outer_i - inner_j - i + j]] over i, j < len(outer), an
+    entry being 0 where its index is negative.  With coeffs an h-row or
+    an e-row this is the Jacobi-Trudi determinant of outer/inner.
+
+    Trusts its caller: outer is a partition, inner one contained in it
+    (read as zero beyond its length), and coeffs reaches index
+    outer[0] + len(outer) - 1."""
+    rows = len(outer)
+    if rows < 2:
+        return coeffs[outer[0] - (inner[0] if inner else 0)] if rows else 1
+    cols = [b - j for j, b in enumerate(inner)] + [-j for j in range(len(inner), rows)]
+    return _det(
+        [[coeffs[k] if k >= 0 else 0 for k in [a - i - b for b in cols]]
+         for i, a in enumerate(outer)]
+    )
+
+
 def skew_schur_dim(shape: SkewShape, m: int) -> int:
     """Number of semistandard tableaux of the skew shape with entries
     in 1..m (= dim of the skew Schur functor applied to an m-dim space).
@@ -201,22 +233,16 @@ def skew_schur_dim(shape: SkewShape, m: int) -> int:
     Jacobi-Trudi: s_{lam/mu}(1^m) = det[h_{lam_i - mu_j - i + j}(1^m)] with
     h_k(1^m) = C(m-1+k, k), or the dual form det[e_{lam'_i - mu'_j - i + j}]
     on the conjugates with e_k(1^m) = C(m, k); the smaller matrix is used.
-    h_k = e_k = 0 for k < 0, and h_0 = e_0 = 1.
+    h_k = e_k = 0 for k < 0, and h_0 = e_0 = 1.  This is the public
+    entry; the normalization loop, which holds both forms of its
+    shapes, calls `_jacobi_trudi` directly.
     """
     if shape.size == 0:
         return 1
     if m <= 0:
         return 0
     outer, inner = shape.outer, shape.inner
-    dual = len(outer) > outer[0]
-    if dual:
-        outer, inner = outer.conjugate(), inner.conjugate()
-    rows = len(outer)
-    inner = inner.padded(rows)
-    coeff = [comb(m, k) if dual else comb(m - 1 + k, k) for k in range(outer[0] + rows)]
-    return _det(
-        [
-            [coeff[k] if k >= 0 else 0 for k in (outer[i] - inner[j] - i + j for j in range(rows))]
-            for i in range(rows)
-        ]
-    )
+    length = outer[0] + len(outer)
+    if len(outer) > outer[0]:
+        return _jacobi_trudi(outer.conjugate(), inner.conjugate(), _e_row(m, length))
+    return _jacobi_trudi(outer, inner, _h_row(m, length))

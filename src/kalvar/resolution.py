@@ -21,10 +21,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import comb
+from operator import lt
 from typing import Iterable, Iterator
 
-from .bott import bundle_cohomology
-from .partitions import Box, Partition, SkewShape, partitions_in_box, skew_schur_dim
+from .bott import dotted_bott
+from .partitions import (
+    Box,
+    Partition,
+    SkewShape,
+    _e_row,
+    _h_row,
+    _jacobi_trudi,
+    _weyl_product,
+    partitions_in_box,
+    skew_schur_dim,
+)
 from .report import CheckFailure, CheckReport
 
 
@@ -43,6 +54,12 @@ class KalmanParams:
     @property
     def w_dim(self) -> int:
         return self.n - self.d
+
+
+# Candidate (lam, mu) pairs that one resolution may visit, summed over
+# the levels it builds.  (1, 8, 16) has 735,470 and (1, 9, 18) 4,686,824;
+# (1, 10, 20) has 30,045,014 and would run for hours.
+MAX_NORMALIZATION_PAIRS = 5_000_000
 
 
 # part tags: "I" full-length mu, "II" short lam, "III" full-length lam
@@ -125,33 +142,72 @@ class BettiTable:
         }
 
 
+def normalization_pair_count(s: int, d: int, n: int) -> int:
+    """Candidate (lam, mu) pairs of the normalization tables of levels
+    s..d: at level k, lam ranges over the k x (n-k) box and mu over the
+    k x (d-k) box, C(n, k) * C(d, k) pairs before the containment test."""
+    return sum(comb(n, k) * comb(d, k) for k in range(s, d + 1))
+
+
+def check_pair_count(pairs: int, what: str) -> None:
+    """Refuse, before any table is built, a computation whose candidate
+    pairs exceed MAX_NORMALIZATION_PAIRS."""
+    if pairs > MAX_NORMALIZATION_PAIRS:
+        raise ValueError(
+            f"{what} has {pairs} candidate (lam, mu) pairs, more than the limit of "
+            f"{MAX_NORMALIZATION_PAIRS} (MAX_NORMALIZATION_PAIRS)"
+        )
+
+
 def resolution_normalization(params: KalmanParams) -> BettiTable:
     """Term-level resolution of normalization(s) over A.
 
     Enumerates partition pairs mu inside lam with lam in the s x (n-s)
     box and mu in the s x (d-s) box, lam-major; each pair contributes
-    through one cohomology computation on the Grassmannian of s-planes
-    in L, tensored with the skew Schur functor lam^T / mu^T of the
-    complement.  Terms with zero multiplicity are dropped.  This is the
-    one loop over the pairs, and it re-validates no Partition.
+    through the dotted action on the weight of its bundle on the
+    Grassmannian of s-planes in L, tensored with the skew Schur functor
+    lam^T / mu^T of the complement.  Terms with zero multiplicity are
+    dropped.  The public route, `bott.bundle_cohomology` and
+    `skew_schur_dim` per pair, is this loop's test oracle.
+
+    This is the one loop over the pairs, and it works on the shapes it
+    holds.  Per mu: its conjugate, its parts padded to s and the W-half
+    of the bundle weight (the negated reverse of mu^T, zero-padded in
+    front to d - s).  Per lam: its conjugate, its padded parts and which
+    Jacobi-Trudi form is smaller.  Per pair: containment on the padded
+    parts, one `dotted_bott` on the W-half followed by lam's padded
+    parts, one determinant on (lam^T, mu^T) with the h-row or on
+    (lam, mu) with the e-row (both rows built once per call, since
+    m = n - d is fixed), and the cached Weyl product of the dominant
+    weight, which `dotted_bott` returns sorted and of length d.  More
+    than MAX_NORMALIZATION_PAIRS candidate pairs raise ValueError.
     """
-    s, d = params.s, params.d
-    mus = [(mu, mu.conjugate()) for mu in partitions_in_box(Box(s, d - s))]
+    s, d, n = params.s, params.d, params.n
+    check_pair_count(comb(n, s) * comb(d, s), f"normalization level {s} at (d, n) = ({d}, {n})")
+    h_row, e_row = _h_row(params.w_dim, n), _e_row(params.w_dim, n)
+    mus = []
+    for mu in partitions_in_box(Box(s, d - s)):
+        mu_t = mu.conjugate()
+        w_half = (0,) * (d - s - len(mu_t)) + tuple(-a for a in reversed(mu_t))
+        mus.append((mu, mu_t, mu.padded(s), w_half))
     terms = []
-    for lam in partitions_in_box(Box(s, params.n - s)):
-        lam_t = lam.conjugate()
-        for mu, mu_t in mus:
-            if not lam.contains(mu):
+    for lam in partitions_in_box(Box(s, n - s)):
+        lam_t, lam_pad, size = lam.conjugate(), lam.padded(s), lam.size
+        dual = len(lam_t) > len(lam)  # the e-form on (lam, mu) has fewer rows
+        for mu, mu_t, mu_pad, w_half in mus:
+            if any(map(lt, lam_pad, mu_pad)):
                 continue
-            out, gl_mult = bundle_cohomology(lam, mu_t, s, d)
+            out = dotted_bott(w_half + lam_pad)
             if out.vanishes:
                 continue
-            shape = SkewShape(lam_t, mu_t)
-            mult = gl_mult * skew_schur_dim(shape, params.w_dim)
-            if mult == 0:
-                continue
-            hom_degree = lam.size - out.degree
-            terms.append(BettiTerm(hom_degree, lam.size, out.eta, shape, mult, None, (lam, mu)))
+            if dual:
+                skew = _jacobi_trudi(lam, mu, e_row)
+            else:
+                skew = _jacobi_trudi(lam_t, mu_t, h_row)
+            if skew:
+                mult = _weyl_product(out.eta, d) * skew
+                shape, hom_degree = SkewShape(lam_t, mu_t), size - out.degree
+                terms.append(BettiTerm(hom_degree, size, out.eta, shape, mult, None, (lam, mu)))
     return BettiTable("normalization", params, terms)
 
 
@@ -338,8 +394,12 @@ def chain_resolution(s: int, d: int, n: int) -> BettiTable:
 
 
 def _normalization_levels(s: int, d: int, n: int) -> list[BettiTable]:
-    """The normalization tables of levels s, s+1, ..., d."""
+    """The normalization tables of levels s, s+1, ..., d; their summed
+    candidate pairs are checked against MAX_NORMALIZATION_PAIRS first."""
     params = KalmanParams(s, d, n)
+    check_pair_count(
+        normalization_pair_count(s, d, n), f"normalization levels {s}..{d} at (d, n) = ({d}, {n})"
+    )
     return [resolution_normalization(replace(params, s=k)) for k in range(s, d + 1)]
 
 

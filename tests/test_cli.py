@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from kalvar import cli, verify
+from kalvar import cli, resolution, verify
 from kalvar.bott import MAX_EXHAUSTIVE_WORK
 from kalvar.polysym import MILLER_RABIN_LIMIT
 from kalvar.report import CheckReport
+from kalvar.resolution import MAX_NORMALIZATION_PAIRS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -192,6 +193,49 @@ class TestChecks:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert str(MAX_EXHAUSTIVE_WORK) in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("resolution", "--d", "10", "--n", "20"),
+            ("resolution", "--s", "7", "--d", "10", "--n", "20", "--module", "normalization"),
+            ("hilbert", "--d", "10", "--n", "20"),
+            ("check-les", "--max-d", "10", "--max-n", "20"),
+        ],
+    )
+    def test_over_pair_limit_exits_2(self, capsys, monkeypatch, argv):
+        def no_case(d, n):
+            raise AssertionError("a check-les case ran before the limit check")
+
+        monkeypatch.setattr(cli, "les_euler_check", no_case)
+        t0 = time.monotonic()
+        assert cli.main(list(argv)) == 2
+        assert time.monotonic() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert str(MAX_NORMALIZATION_PAIRS) in captured.err
+
+    def test_check_all_and_betti_workload_under_pair_limit(self, capsys, monkeypatch):
+        # the operations that reach the normalization loop; the other
+        # benchmark operations never build a resolution
+        counts = []
+        real = resolution.check_pair_count
+
+        def recording(pairs, what):
+            counts.append(pairs)
+            real(pairs, what)
+
+        monkeypatch.setattr(resolution, "check_pair_count", recording)
+        monkeypatch.setattr(cli, "check_pair_count", recording)
+        for argv in (
+            ["check-all"],
+            ["resolution", "--d", "5", "--n", "10"],
+            ["check-les", "--max-d", "4", "--max-n", "9"],
+        ):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert counts and max(counts) <= MAX_NORMALIZATION_PAIRS
 
     def test_minimality_has_no_seed(self, capsys):
         # the check draws nothing at random, so it takes no seed

@@ -4,10 +4,18 @@ from math import comb
 import pytest
 
 import kalvar.resolution as resolution_module
-from kalvar.bott import dotted_bott
-from kalvar.partitions import Box, Partition, SkewShape, partitions_in_box, schur_dim
+from kalvar.bott import bundle_cohomology, bundle_weight, dotted_bott
+from kalvar.partitions import (
+    Box,
+    Partition,
+    SkewShape,
+    partitions_in_box,
+    schur_dim,
+    skew_schur_dim,
+)
 from kalvar.report import CheckFailure, CheckReport
 from kalvar.resolution import (
+    MAX_NORMALIZATION_PAIRS,
     BettiTable,
     BettiTerm,
     KalmanParams,
@@ -18,6 +26,7 @@ from kalvar.resolution import (
     HilbertSeries,
     les_euler_check,
     minimal_generators,
+    normalization_pair_count,
     part_iii_profile,
     pd_and_reg,
     resolution_normalization,
@@ -88,6 +97,96 @@ class TestNormalization:
             assert t.multiplicity > 0
             assert t.hom_degree >= 0
             assert t.twist >= t.hom_degree
+
+
+class TestNormalizationOracle:
+    """The normalization loop against the public, validating route: box
+    pairs filtered by containment, `bundle_cohomology` on the pair's
+    pieces and `skew_schur_dim` on the conjugated skew shape."""
+
+    CASES = [
+        KalmanParams(s, d, n) for n in range(2, 9) for d in range(1, n) for s in range(1, d + 1)
+    ]
+
+    @staticmethod
+    def public_route(params):
+        """The terms, and the bundle weight of every pair visited."""
+        s, d, n = params.s, params.d, params.n
+        terms, weights = [], []
+        for lam in partitions_in_box(Box(s, n - s)):
+            for mu in partitions_in_box(Box(s, d - s)):
+                if any(mu.part(i) > lam.part(i) for i in range(s)):
+                    continue
+                weights.append(bundle_weight(lam, mu.conjugate(), s, d))
+                out, gl_mult = bundle_cohomology(lam, mu.conjugate(), s, d)
+                if out.vanishes:
+                    continue
+                shape = SkewShape(lam.conjugate(), mu.conjugate())
+                mult = gl_mult * skew_schur_dim(shape, n - d)
+                if mult:
+                    hom, twist = lam.size - out.degree, lam.size
+                    terms.append(BettiTerm(hom, twist, out.eta, shape, mult, None, (lam, mu)))
+        return terms, weights
+
+    def test_terms_match_public_route(self, monkeypatch):
+        # the dotted action sees the same weights in the same order: a
+        # pair with mu outside lam has no terms (its Jacobi-Trudi
+        # determinant is 0), so only the visits show a lost containment test
+        visited = []
+        real = resolution_module.dotted_bott
+
+        def recording(nu):
+            visited.append(nu)
+            return real(nu)
+
+        monkeypatch.setattr(resolution_module, "dotted_bott", recording)
+        covered = set()
+        for params in self.CASES:
+            want, weights = self.public_route(params)
+            visited.clear()
+            assert resolution_normalization(params).terms == want, params
+            assert visited == weights, params
+            for t in want:
+                lam = t.source[0]
+                dual = lam.part(0) > len(lam)  # the e-form on (lam, mu) is smaller
+                covered.add((params.w_dim == 1, dual))
+        # a one-dimensional complement, and both Jacobi-Trudi forms with either
+        assert covered == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestPairLimit:
+    def test_count_is_the_number_of_candidate_pairs(self):
+        for n in range(2, 9):
+            for d in range(1, n):
+                for s in range(1, d + 1):
+                    boxes = sum(
+                        len(partitions_in_box(Box(k, n - k)))
+                        * len(partitions_in_box(Box(k, d - k)))
+                        for k in range(s, d + 1)
+                    )
+                    assert normalization_pair_count(s, d, n) == boxes
+
+    @pytest.mark.parametrize(
+        "d, count", [(6, 18_563), (8, 735_470), (9, 4_686_824), (10, 30_045_014)]
+    )
+    def test_frontier_counts(self, d, count):
+        assert normalization_pair_count(1, d, 2 * d) == count
+        assert (count <= MAX_NORMALIZATION_PAIRS) == (d < 10)
+
+    def test_oversized_chain_refused_before_any_level(self, monkeypatch):
+        def refuse(params):
+            raise AssertionError("a level was built before the limit check")
+
+        monkeypatch.setattr(resolution_module, "resolution_normalization", refuse)
+        with pytest.raises(ValueError, match="MAX_NORMALIZATION_PAIRS"):
+            chain_resolution(1, 10, 20)
+        with pytest.raises(ValueError, match=str(MAX_NORMALIZATION_PAIRS)):
+            les_euler_check(10, 20)
+
+    def test_oversized_level_refused(self):
+        # level 7 of (10, 20) alone has C(20, 7) * C(10, 7) = 9,302,400 pairs
+        with pytest.raises(ValueError, match="9302400"):
+            resolution_normalization(KalmanParams(7, 10, 20))
 
 
 class TestSplitParts:
@@ -245,26 +344,52 @@ class TestChainResolution:
         with pytest.raises(ValueError, match="negative homological degree"):
             resolution_module._chain_from_normalizations(levels)
 
-    def test_one_bundle_cohomology_call_per_pair(self, monkeypatch):
+    def test_one_dotted_bott_call_per_pair(self, monkeypatch):
         calls = []
-        real = resolution_module.bundle_cohomology
+        real = resolution_module.dotted_bott
 
-        def counting(lam, mu_t, s, d):
-            calls.append((lam, mu_t.conjugate(), s))
-            return real(lam, mu_t, s, d)
+        def counting(nu):
+            calls.append(tuple(nu))
+            return real(nu)
 
-        monkeypatch.setattr(resolution_module, "bundle_cohomology", counting)
+        monkeypatch.setattr(resolution_module, "dotted_bott", counting)
         d, n = 5, 10
         chain_resolution(1, d, n)
-        pairs = [
-            (lam, mu, s)
+        weights = [
+            bundle_weight(lam, mu.conjugate(), s, d)
             for s in range(1, d + 1)
             for lam in partitions_in_box(Box(s, n - s))
             for mu in partitions_in_box(Box(s, d - s))
             if all(mu.part(i) <= lam.part(i) for i in range(s))
         ]
-        assert len(pairs) == 2547
-        assert sorted(calls) == sorted(pairs)
+        assert len(weights) == 2547
+        assert sorted(calls) == sorted(weights)
+
+    def test_one_conjugation_per_lam_and_mu_per_level(self, monkeypatch):
+        # the loop conjugates each enumerated shape once and hands both
+        # forms to the determinant; re-conjugating in the dual
+        # Jacobi-Trudi branch made 18,130 calls here
+        conjugations = [0]
+        real_conjugate = Partition.conjugate
+
+        def counting(self):
+            conjugations[0] += 1
+            return real_conjugate(self)
+
+        per_level = {}
+        real_normalization = resolution_module.resolution_normalization
+
+        def recording(params):
+            before = conjugations[0]
+            table = real_normalization(params)
+            per_level[params.s] = conjugations[0] - before
+            return table
+
+        monkeypatch.setattr(Partition, "conjugate", counting)
+        monkeypatch.setattr(resolution_module, "resolution_normalization", recording)
+        d, n = 6, 12
+        chain_resolution(1, d, n)
+        assert per_level == {s: comb(n, s) + comb(d, s) for s in range(1, d + 1)}
 
     def test_normalization_rebuilds_no_partition(self, monkeypatch):
         params = KalmanParams(2, 4, 7)
