@@ -23,6 +23,7 @@ from .polysym import trace_identity_check
 from .report import CheckFailure, CheckReport
 from .resolution import (
     KalmanParams,
+    chain_pair_count,
     chain_resolution,
     check_pair_count,
     f0_check,
@@ -225,7 +226,7 @@ def cmd_check_les(args) -> dict:
             "need --max-d >= 1 and --max-n >= 2"
         )
     check_pair_count(
-        sum(normalization_pair_count(1, d, n) for d, n in grid),
+        sum(normalization_pair_count(1, d, n) + chain_pair_count(1, d, n) for d, n in grid),
         f"check-les --max-d {args.max_d} --max-n {args.max_n}",
     )
     rows = []

@@ -9,7 +9,8 @@ polynomial ring A on End(V), three families of graded modules appear:
   term by term from the tautological bundle geometry (one cohomology
   computation per partition pair),
 * chain(s): the submodule chain connecting consecutive normalizations,
-  with chain(1) the coordinate ring of the s = 1 Kalman variety,
+  with chain(1) the coordinate ring of the s = 1 Kalman variety, built
+  from the normalization terms that survive the mapping cones,
 * twisted normalizations entering the Euler-characteristic identity.
 
 Every resolution term is a Schur functor on L (weight eta) tensored with
@@ -19,7 +20,8 @@ at a homological degree and an internal twist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from math import comb
 from operator import lt
 from typing import Iterable, Iterator
@@ -56,9 +58,9 @@ class KalmanParams:
         return self.n - self.d
 
 
-# Candidate (lam, mu) pairs that one resolution may visit, summed over
-# the levels it builds.  (1, 8, 16) has 735,470 and (1, 9, 18) 4,686,824;
-# (1, 10, 20) has 30,045,014 and would run for hours.
+# Candidate (lam, mu) pairs that one computation may visit, summed over
+# the levels it builds.  chain(1) visits 319,771 at (d, n) = (8, 16) and
+# 2,042,976 at (9, 18); at (10, 20) it would visit 13,123,111.
 MAX_NORMALIZATION_PAIRS = 5_000_000
 
 
@@ -149,6 +151,13 @@ def normalization_pair_count(s: int, d: int, n: int) -> int:
     return sum(comb(n, k) * comb(d, k) for k in range(s, d + 1))
 
 
+def chain_pair_count(s: int, d: int, n: int) -> int:
+    """Candidate (lam, mu) pairs that chain_resolution(s, d, n) visits:
+    C(n, s) * C(d-1, s-1) at level s, C(n-1, k) * C(d-1, k-1) at k > s."""
+    later = sum(comb(n - 1, k) * comb(d - 1, k - 1) for k in range(s + 1, d + 1))
+    return comb(n, s) * comb(d - 1, s - 1) + later
+
+
 def check_pair_count(pairs: int, what: str) -> None:
     """Refuse, before any table is built, a computation whose candidate
     pairs exceed MAX_NORMALIZATION_PAIRS."""
@@ -159,42 +168,39 @@ def check_pair_count(pairs: int, what: str) -> None:
         )
 
 
-def resolution_normalization(params: KalmanParams) -> BettiTable:
-    """Term-level resolution of normalization(s) over A.
-
-    Enumerates partition pairs mu inside lam with lam in the s x (n-s)
-    box and mu in the s x (d-s) box, lam-major; each pair contributes
-    through the dotted action on the weight of its bundle on the
-    Grassmannian of s-planes in L, tensored with the skew Schur functor
-    lam^T / mu^T of the complement.  Terms with zero multiplicity are
-    dropped.  The public route, `bott.bundle_cohomology` and
-    `skew_schur_dim` per pair, is this loop's test oracle.
+def _level_terms(
+    k: int, d: int, n: int, lams: Iterable[Partition], mus: Iterable[Partition],
+    parts: tuple[str | None, str | None], shift: tuple[int, int] = (0, 0),
+) -> list[BettiTerm]:
+    """The level-k normalization terms of the pairs mu inside lam, lam
+    from `lams` and mu from `mus`, lam-major, zero multiplicities
+    dropped; each is tagged parts[0] if lam is shorter than k, parts[1]
+    if not, and `shift` is added to its (hom degree, twist).
 
     This is the one loop over the pairs, and it works on the shapes it
-    holds.  Per mu: its conjugate, its parts padded to s and the W-half
+    holds.  Per mu: its conjugate, its parts padded to k and the W-half
     of the bundle weight (the negated reverse of mu^T, zero-padded in
-    front to d - s).  Per lam: its conjugate, its padded parts and which
+    front to d - k).  Per lam: its conjugate, its padded parts and which
     Jacobi-Trudi form is smaller.  Per pair: containment on the padded
     parts, one `dotted_bott` on the W-half followed by lam's padded
     parts, one determinant on (lam^T, mu^T) with the h-row or on
-    (lam, mu) with the e-row (both rows built once per call, since
-    m = n - d is fixed), and the cached Weyl product of the dominant
-    weight, which `dotted_bott` returns sorted and of length d.  More
-    than MAX_NORMALIZATION_PAIRS candidate pairs raise ValueError.
+    (lam, mu) with the e-row (both rows built once per call), and the
+    cached Weyl product of the dominant weight.
     """
-    s, d, n = params.s, params.d, params.n
-    check_pair_count(comb(n, s) * comb(d, s), f"normalization level {s} at (d, n) = ({d}, {n})")
-    h_row, e_row = _h_row(params.w_dim, n), _e_row(params.w_dim, n)
-    mus = []
-    for mu in partitions_in_box(Box(s, d - s)):
+    h_row, e_row = _h_row(n - d, n), _e_row(n - d, n)
+    hom_shift, twist_shift = shift
+    mu_data = []
+    for mu in mus:
         mu_t = mu.conjugate()
-        w_half = (0,) * (d - s - len(mu_t)) + tuple(-a for a in reversed(mu_t))
-        mus.append((mu, mu_t, mu.padded(s), w_half))
+        w_half = (0,) * (d - k - len(mu_t)) + tuple(-a for a in reversed(mu_t))
+        mu_data.append((mu, mu_t, mu.padded(k), w_half))
     terms = []
-    for lam in partitions_in_box(Box(s, n - s)):
-        lam_t, lam_pad, size = lam.conjugate(), lam.padded(s), lam.size
+    for lam in lams:
+        lam_t, lam_pad = lam.conjugate(), lam.padded(k)
+        hom_base, twist = lam.size + hom_shift, lam.size + twist_shift
         dual = len(lam_t) > len(lam)  # the e-form on (lam, mu) has fewer rows
-        for mu, mu_t, mu_pad, w_half in mus:
+        part = parts[len(lam) == k]
+        for mu, mu_t, mu_pad, w_half in mu_data:
             if any(map(lt, lam_pad, mu_pad)):
                 continue
             out = dotted_bott(w_half + lam_pad)
@@ -206,9 +212,27 @@ def resolution_normalization(params: KalmanParams) -> BettiTable:
                 skew = _jacobi_trudi(lam_t, mu_t, h_row)
             if skew:
                 mult = _weyl_product(out.eta, d) * skew
-                shape, hom_degree = SkewShape(lam_t, mu_t), size - out.degree
-                terms.append(BettiTerm(hom_degree, size, out.eta, shape, mult, None, (lam, mu)))
-    return BettiTable("normalization", params, terms)
+                shape, hom_degree = SkewShape(lam_t, mu_t), hom_base - out.degree
+                terms.append(BettiTerm(hom_degree, twist, out.eta, shape, mult, part, (lam, mu)))
+    return terms
+
+
+def resolution_normalization(params: KalmanParams) -> BettiTable:
+    """Term-level resolution of normalization(s) over A.
+
+    Enumerates partition pairs mu inside lam with lam in the s x (n-s)
+    box and mu in the s x (d-s) box, lam-major; each pair contributes
+    through the dotted action on the weight of its bundle on the
+    Grassmannian of s-planes in L, tensored with the skew Schur functor
+    lam^T / mu^T of the complement (`_level_terms`, untagged).  The
+    public route, `bott.bundle_cohomology` and `skew_schur_dim` per
+    pair, is its test oracle.  More than MAX_NORMALIZATION_PAIRS
+    candidate pairs raise ValueError.
+    """
+    s, d, n = params.s, params.d, params.n
+    check_pair_count(comb(n, s) * comb(d, s), f"normalization level {s} at (d, n) = ({d}, {n})")
+    lams, mus = partitions_in_box(Box(s, n - s)), partitions_in_box(Box(s, d - s))
+    return BettiTable("normalization", params, _level_terms(s, d, n, lams, mus, (None, None)))
 
 
 def classify_part(lam: Partition, mu: Partition, s: int) -> str:
@@ -219,24 +243,6 @@ def classify_part(lam: Partition, mu: Partition, s: int) -> str:
     if lam.length <= s - 1:
         return "II"
     return "III"
-
-
-def split_parts(table: BettiTable) -> BettiTable:
-    """Tag every term of a normalization table with its part."""
-    s = table.params.s
-    tagged = [
-        BettiTerm(
-            t.hom_degree,
-            t.twist,
-            t.eta,
-            t.w_shape,
-            t.multiplicity,
-            classify_part(t.source[0], t.source[1], s),
-            t.source,
-        )
-        for t in table.terms
-    ]
-    return BettiTable(table.module_id, table.params, tagged)
 
 
 def _bottom_stratum(
@@ -252,30 +258,11 @@ def _bottom_stratum(
         yield mu, lam, shape, skew_schur_dim(shape, n - d)
 
 
-def _closed_form_generator_terms(k: int, d: int, n: int) -> list[BettiTerm]:
-    """The bottom stratum of part III at level k: one term per nonzero
-    multiplicity, with full antisymmetrizer weight on L and the skew
-    functor lam^T / mu^T."""
-    return [
-        BettiTerm(
-            hom_degree=k,
-            twist=lam.size,
-            eta=(1,) * d,
-            w_shape=shape,
-            multiplicity=mult,
-            part="III",
-            source=(lam, mu),
-        )
-        for mu, lam, shape, mult in _bottom_stratum(k, d, n)
-        if mult
-    ]
-
-
-def _stratum_key(t: BettiTerm, twist_offset: int = 0) -> tuple:
+def _stratum_key(t: BettiTerm) -> tuple:
     """What the closed forms pin down about a term: twist, L-weight, skew
     shape and multiplicity."""
     return (
-        t.twist + twist_offset,
+        t.twist,
         t.eta,
         tuple(t.w_shape.outer),
         tuple(t.w_shape.inner),
@@ -283,20 +270,34 @@ def _stratum_key(t: BettiTerm, twist_offset: int = 0) -> tuple:
     )
 
 
+def _closed_form_strata(k: int, d: int, n: int, twist_offset: int = 0) -> list[tuple]:
+    """Stratum keys of the bottom stratum of part III at level k, twist
+    raised by twist_offset: one per nonzero multiplicity, with full
+    antisymmetrizer weight on L and the skew functor lam^T / mu^T."""
+    return [
+        (lam.size + twist_offset, (1,) * d, tuple(shape.outer), tuple(shape.inner), mult)
+        for mu, lam, shape, mult in _bottom_stratum(k, d, n)
+        if mult
+    ]
+
+
 @dataclass
 class PartIIIProfile:
     """Part III terms of a normalization table plus the structural check:
     nothing below hom degree s, and the hom = s stratum matches the
-    closed form."""
+    closed form.  Only the part III pairs are visited: lam of full
+    length s, mu shorter than s."""
 
     terms: list[BettiTerm]
     report: CheckReport
 
 
 def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
-    table = split_parts(resolution_normalization(params))
     s, d, n = params.s, params.d, params.n
-    iii = [t for t in table.terms if t.part == "III"]
+    pairs = comb(n - 1, s) * comb(d - 1, s - 1)
+    check_pair_count(pairs, f"part III of level {s} at (d, n) = ({d}, {n})")
+    lams = [lam for lam in partitions_in_box(Box(s, n - s)) if len(lam) == s]
+    iii = _level_terms(s, d, n, lams, partitions_in_box(Box(s - 1, d - s)), ("III", "III"))
     details: list[dict] = []
     low = [t for t in iii if t.hom_degree < s]
     for t in low:
@@ -309,7 +310,7 @@ def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
             }
         )
     got = sorted(_stratum_key(t) for t in iii if t.hom_degree == s)
-    want = sorted(_stratum_key(t) for t in _closed_form_generator_terms(s, d, n))
+    want = sorted(_closed_form_strata(s, d, n))
     if got != want:
         details.append(
             {
@@ -328,106 +329,76 @@ def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
     return PartIIIProfile(iii, report)
 
 
-def _expected_low_strata(level: BettiTable) -> dict[int, list[tuple]]:
-    """Closed forms for chain(s) in homological degrees <= s, read off
-    the level-s normalization table: its part II terms (lam shorter
-    than s), plus, exactly at degree s, the bottom strata inherited from
-    every level k = s..d with twist raised by (s+k-1)(k-s)/2."""
-    s, d, n = level.params.s, level.params.d, level.params.n
-    buckets: dict[int, list[tuple]] = {i: [] for i in range(s + 1)}
-    for t in level.terms:
-        if len(t.source[0]) < s and t.hom_degree <= s:
-            buckets[t.hom_degree].append(_stratum_key(t))
-    for k in range(s, d + 1):
-        offset = (s + k - 1) * (k - s) // 2
-        for t in _closed_form_generator_terms(k, d, n):
-            buckets[s].append(_stratum_key(t, offset))
-    return {i: sorted(v) for i, v in buckets.items()}
-
-
 def chain_closed_form_check(chain: BettiTable, level: BettiTable) -> CheckReport:
     """Compare the low homological degrees of a chain(s) table against
-    the closed forms read from `level`, the level-s normalization table
-    it was built from.  Degrees below s must be pure part II data;
-    degree s adds one inherited bottom stratum per deeper level."""
+    the closed forms read from `level`, level-s normalization terms
+    that include its part II.  Below degree s the chain must hold
+    exactly those part II terms (lam shorter than s); at degree s, those
+    plus the bottom strata of every level k = s..d, with twist raised
+    by (s+k-1)(k-s)/2."""
     params = chain.params
     if level.params != params:
         raise ValueError(f"level table has {level.params!r}, chain has {params!r}")
-    s = params.s
-    expected = _expected_low_strata(level)
+    s, d, n = params.s, params.d, params.n
+    expected: dict[int, list[tuple]] = {i: [] for i in range(s + 1)}
+    for t in level.terms:
+        if len(t.source[0]) < s and t.hom_degree <= s:
+            expected[t.hom_degree].append(_stratum_key(t))
+    for k in range(s, d + 1):
+        expected[s] += _closed_form_strata(k, d, n, (s + k - 1) * (k - s) // 2)
     details: list[dict] = []
-    for i in range(s + 1):
+    for i, want in expected.items():
+        want.sort()
         got = sorted(_stratum_key(t) for t in chain.terms if t.hom_degree == i)
-        if got != expected[i]:
+        if got != want:
             details.append(
                 {
                     "kind": "stratum_mismatch",
                     "hom_degree": i,
                     "got": [repr(g) for g in got],
-                    "want": [repr(w) for w in expected[i]],
+                    "want": [repr(w) for w in want],
                 }
             )
     return CheckReport(
         check="chain-closed-form",
-        params={"s": s, "d": params.d, "n": params.n},
+        params={"s": s, "d": d, "n": n},
         passed=not details,
         details=details,
     )
 
 
 def chain_resolution(s: int, d: int, n: int) -> BettiTable:
-    """Term-level resolution of chain(s) by downward induction on s.
+    """Term-level resolution of chain(s), built only from the terms that
+    survive its mapping cones.
 
-    Base case s = d: the level-d normalization table (a Koszul complex).
-    For s < d: keep the level-s normalization terms outside part I, and
-    inherit the chain(s+1) terms outside part II with homological degree
-    lowered by one and twist raised by s.  The removed summands are the
-    two sides of the identification between part I at level s and part
-    II at level s+1; dropping both implements the connecting map of the
-    short exact sequence linking the three modules.
-
-    Every level k = d, ..., s is compared against the closed forms for
-    homological degrees <= k, read from the level-k normalization table
-    it was built from; a mismatch raises CheckFailure.
+    chain(d) is the level-d normalization table (a Koszul complex); for
+    s < d, chain(s) is level s without part I plus chain(s+1) without
+    part II, one hom degree lower and s twists higher, since the
+    connecting map identifies part I at level s with part II at level
+    s+1.  Unrolled: level s with mu in the (s-1) x (d-s) box, and each
+    level k > s with lam of full length k and mu in the (k-1) x (d-k)
+    box, tagged "carried" and moved by (-(k-s), (s+k-1)(k-s)/2).  Over
+    MAX_NORMALIZATION_PAIRS such pairs raise ValueError up front.  The
+    low strata are checked against the closed forms read from the
+    level-s terms (CheckFailure on a mismatch); a level-k term in hom
+    degree h lands in h - (k-s), so that one check covers every level.
     """
-    return _chain_from_normalizations(_normalization_levels(s, d, n))
-
-
-def _normalization_levels(s: int, d: int, n: int) -> list[BettiTable]:
-    """The normalization tables of levels s, s+1, ..., d; their summed
-    candidate pairs are checked against MAX_NORMALIZATION_PAIRS first."""
     params = KalmanParams(s, d, n)
     check_pair_count(
-        normalization_pair_count(s, d, n), f"normalization levels {s}..{d} at (d, n) = ({d}, {n})"
+        chain_pair_count(s, d, n), f"normalization levels {s}..{d} at (d, n) = ({d}, {n})"
     )
-    return [resolution_normalization(replace(params, s=k)) for k in range(s, d + 1)]
-
-
-def _chain_from_normalizations(levels: list[BettiTable]) -> BettiTable:
-    """chain(s) from the normalization tables of levels s..d, built from
-    level d down as chain_resolution describes, checking every level."""
-    chain = None
-    for table in reversed(levels):
-        s = table.params.s
-        terms = [t for t in split_parts(table).terms if t.part != "I"]
-        if chain is not None:
-            terms += [
-                BettiTerm(
-                    t.hom_degree - 1,
-                    t.twist + s,
-                    t.eta,
-                    t.w_shape,
-                    t.multiplicity,
-                    "carried",
-                    t.source,
-                )
-                for t in chain.terms
-                if t.part != "II"
-            ]
-        chain = BettiTable("chain", table.params, terms)
-        report = chain_closed_form_check(chain, table)
-        if not report.passed:
-            raise CheckFailure(report)
+    lams, mus = partitions_in_box(Box(s, n - s)), partitions_in_box(Box(s - 1, d - s))
+    level = BettiTable("normalization", params, _level_terms(s, d, n, lams, mus, ("II", "III")))
+    terms = list(level.terms)
+    for k in range(s + 1, d + 1):
+        lams = [lam for lam in partitions_in_box(Box(k, n - k)) if len(lam) == k]
+        mus = partitions_in_box(Box(k - 1, d - k))
+        shift = (s - k, (s + k - 1) * (k - s) // 2)
+        terms += _level_terms(k, d, n, lams, mus, ("carried", "carried"), shift)
+    chain = BettiTable("chain", params, terms)
+    report = chain_closed_form_check(chain, level)
+    if not report.passed:
+        raise CheckFailure(report)
     return chain
 
 
@@ -554,24 +525,42 @@ def hilbert_numerator(table: BettiTable) -> HilbertSeries:
     return HilbertSeries.of(coeffs, table.params.n ** 2)
 
 
+def _cancelled(table: BettiTable, part: str, s: int, shift: int) -> Counter:
+    """(hom, twist - shift*s, eta, mult, lam - shift^s, mu - shift^s) of
+    the terms of `table` in `part`, lam and mu padded to length s."""
+    return Counter(
+        (t.hom_degree, t.twist - shift * s, t.eta, t.multiplicity)
+        + tuple(tuple(a - shift for a in p.padded(s)) for p in t.source)
+        for t in table.terms
+        if classify_part(*t.source, table.params.s) == part
+    )
+
+
 def les_euler_check(d: int, n: int) -> CheckReport:
-    """Alternating sum of the twisted normalization numerators must equal
-    the chain(1) numerator: the Euler characteristic of the long exact
-    sequence relating the modules."""
-    levels = _normalization_levels(1, d, n)
+    """Two routes to the chain(1) numerator.  The alternating sum of the
+    twisted numerators of the full normalization tables of levels 1..d
+    must equal that of chain_resolution(1, d, n), which builds only the
+    surviving terms: the Euler characteristic of the long exact sequence
+    relating the modules.  On the same tables, part I of each level
+    s < d, shifted by (lam, mu) -> (lam - 1^s, mu - 1^s) and twist - s,
+    must equal part II of level s+1: the summands the chain cancels.
+    The pairs of both routes together are held to MAX_NORMALIZATION_PAIRS."""
+    check_pair_count(
+        normalization_pair_count(1, d, n) + chain_pair_count(1, d, n),
+        f"the Euler check at (d, n) = ({d}, {n})",
+    )
+    levels = [resolution_normalization(KalmanParams(s, d, n)) for s in range(1, d + 1)]
     total = HilbertSeries.of(
         [
             (e + s * (s - 1) // 2, (-1) ** (s - 1) * c)
-            for table in levels
-            for s in [table.params.s]
+            for s, table in enumerate(levels, 1)
             for e, c in hilbert_numerator(table).numerator
         ],
         n * n,
     )
-    chain1 = hilbert_numerator(_chain_from_normalizations(levels))
-    passed = total == chain1
+    chain1 = hilbert_numerator(chain_resolution(1, d, n))
     details = []
-    if not passed:
+    if total != chain1:
         details.append(
             {
                 "kind": "euler_mismatch",
@@ -579,10 +568,21 @@ def les_euler_check(d: int, n: int) -> CheckReport:
                 "chain_numerator": chain1.numerator_string(),
             }
         )
+    for s, (lower, upper) in enumerate(zip(levels, levels[1:]), 1):
+        part_i, part_ii = _cancelled(lower, "I", s, 1), _cancelled(upper, "II", s, 0)
+        if part_i != part_ii:
+            details.append(
+                {
+                    "kind": "cancellation_mismatch",
+                    "level": s,
+                    "only_part_i": sorted(map(repr, (part_i - part_ii).elements())),
+                    "only_part_ii": sorted(map(repr, (part_ii - part_i).elements())),
+                }
+            )
     return CheckReport(
         check="les-euler",
         params={"d": d, "n": n},
-        passed=passed,
+        passed=not details,
         details=details,
         data={
             "alternating_sum": total.numerator_string(),
@@ -607,15 +607,14 @@ def f0_check(params: KalmanParams) -> CheckReport:
     landing in part I when mu has full length s and part II otherwise,
     with no part III contribution."""
     s, d = params.s, params.d
-    table = split_parts(resolution_normalization(params))
-    col = table.column(0)
+    col = resolution_normalization(params).column(0)
     details: list[dict] = []
     got: dict[tuple[str, int], int] = {}
     for t in col:
         if t.multiplicity != 1 or t.source[0] != t.source[1] or t.eta != (0,) * d:
             details.append({"kind": "unexpected_f0_term", "term": repr(t)})
             continue
-        key = (t.part, t.twist)
+        key = (classify_part(*t.source, s), t.twist)
         got[key] = got.get(key, 0) + 1
     want: dict[tuple[str, int], int] = {}
     for mu in partitions_in_box(Box(s, d - s)):

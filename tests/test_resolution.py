@@ -1,10 +1,11 @@
+from collections import Counter
 from dataclasses import replace
 from math import comb
 
 import pytest
 
 import kalvar.resolution as resolution_module
-from kalvar.bott import bundle_cohomology, bundle_weight, dotted_bott
+from kalvar.bott import BottOutcome, bundle_cohomology, bundle_weight, dotted_bott
 from kalvar.partitions import (
     Box,
     Partition,
@@ -20,7 +21,9 @@ from kalvar.resolution import (
     BettiTerm,
     KalmanParams,
     chain_closed_form_check,
+    chain_pair_count,
     chain_resolution,
+    classify_part,
     f0_check,
     hilbert_numerator,
     HilbertSeries,
@@ -30,7 +33,6 @@ from kalvar.resolution import (
     part_iii_profile,
     pd_and_reg,
     resolution_normalization,
-    split_parts,
 )
 from test_partitions import brute_skew_ssyt
 
@@ -173,11 +175,34 @@ class TestPairLimit:
         assert normalization_pair_count(1, d, 2 * d) == count
         assert (count <= MAX_NORMALIZATION_PAIRS) == (d < 10)
 
+    def test_chain_count_is_the_number_of_surviving_candidates(self):
+        # candidate pairs of the full boxes outside part I at level s,
+        # and in part III at every level k > s
+        for n in range(2, 9):
+            for d in range(1, n):
+                for s in range(1, d + 1):
+                    surviving = sum(
+                        1
+                        for k in range(s, d + 1)
+                        for lam in partitions_in_box(Box(k, n - k))
+                        for mu in partitions_in_box(Box(k, d - k))
+                        if classify_part(lam, mu, k) in (("II", "III") if k == s else ("III",))
+                    )
+                    assert chain_pair_count(s, d, n) == surviving, (s, d, n)
+
+    @pytest.mark.parametrize(
+        "d, count", [(5, 1_288), (6, 8_009), (8, 319_771), (9, 2_042_976), (10, 13_123_111)]
+    )
+    def test_chain_frontier_counts(self, d, count):
+        assert chain_pair_count(1, d, 2 * d) == count
+        assert (count <= MAX_NORMALIZATION_PAIRS) == (d < 10)
+
     def test_oversized_chain_refused_before_any_level(self, monkeypatch):
-        def refuse(params):
+        def refuse(*args):
             raise AssertionError("a level was built before the limit check")
 
         monkeypatch.setattr(resolution_module, "resolution_normalization", refuse)
+        monkeypatch.setattr(resolution_module, "_level_terms", refuse)
         with pytest.raises(ValueError, match="MAX_NORMALIZATION_PAIRS"):
             chain_resolution(1, 10, 20)
         with pytest.raises(ValueError, match=str(MAX_NORMALIZATION_PAIRS)):
@@ -191,24 +216,25 @@ class TestPairLimit:
 
 class TestSplitParts:
     def test_f0_parts_s2_d3(self):
-        table = split_parts(resolution_normalization(KalmanParams(2, 3, 5)))
-        f0 = {(t.part, t.twist): t.multiplicity for t in table.column(0)}
+        table = resolution_normalization(KalmanParams(2, 3, 5))
+        f0 = {(classify_part(*t.source, 2), t.twist): t.multiplicity for t in table.column(0)}
         assert f0 == {("II", 0): 1, ("II", 1): 1, ("I", 2): 1}
 
     def test_every_term_tagged(self):
-        table = split_parts(resolution_normalization(KalmanParams(2, 4, 6)))
-        assert all(t.part in ("I", "II", "III") for t in table.terms)
+        table = resolution_normalization(KalmanParams(2, 4, 6))
+        assert all(classify_part(*t.source, 2) in ("I", "II", "III") for t in table.terms)
 
     def test_s1_tags(self):
-        table = split_parts(resolution_normalization(KalmanParams(1, 2, 4)))
+        table = resolution_normalization(KalmanParams(1, 2, 4))
         for t in table.terms:
             lam, mu = t.source
+            part = classify_part(lam, mu, 1)
             if mu.length == 1:
-                assert t.part == "I"
+                assert part == "I"
             elif lam.length == 0:
-                assert t.part == "II"
+                assert part == "II"
             else:
-                assert t.part == "III"
+                assert part == "III"
 
     def test_f0_check_grid(self):
         for d in range(1, 5):
@@ -236,6 +262,20 @@ class TestPartIII:
         profile = part_iii_profile(KalmanParams(1, 2, 4))
         assert [(t.hom_degree, t.twist, t.multiplicity) for t in profile.terms] == [(1, 2, 1)]
         assert profile.terms[0].eta == (1, 1)
+
+    def test_terms_are_the_part_iii_terms_of_the_full_level(self):
+        # the profile visits only the part III pairs; the full table,
+        # filtered by classify_part, is its oracle
+        for n in range(2, 9):
+            for d in range(1, n):
+                for s in range(1, d + 1):
+                    params = KalmanParams(s, d, n)
+                    want = [
+                        replace(t, part="III")
+                        for t in resolution_normalization(params).terms
+                        if classify_part(*t.source, s) == "III"
+                    ]
+                    assert part_iii_profile(params).terms == want, params
 
     def test_bottom_stratum_never_below_s(self):
         for s in range(1, 4):
@@ -330,19 +370,46 @@ class TestChainResolution:
 
     def test_carried_term_below_degree_zero_raises(self, monkeypatch):
         # a part III term in degree 0 at level 2 would be carried to
-        # degree -1 at level 1; the carried copy is a checked BettiTerm
-        levels = resolution_module._normalization_levels(1, 2, 4)
-        top = levels[-1]
-        lam, mu = Partition((1, 1)), Partition(())
-        stray = BettiTerm(0, lam.size, (0, 0), SkewShape(lam.conjugate(), mu), 1, None, (lam, mu))
-        levels[-1] = BettiTable(top.module_id, top.params, top.terms + [stray])
+        # degree -1 at level 1; the carried term is a checked BettiTerm.
+        # Only lam = (1, 1) at level 2 of (d, n) = (2, 4) has the weight
+        # (1, 1); a Bott degree of |lam| puts it in degree 0.
+        real = resolution_module.dotted_bott
+
+        def lowered(nu):
+            out = real(nu)
+            return BottOutcome(False, 2, out.eta) if nu == (1, 1) else out
+
+        monkeypatch.setattr(resolution_module, "dotted_bott", lowered)
         monkeypatch.setattr(
             resolution_module,
             "chain_closed_form_check",
             lambda chain, level: CheckReport("stub", {}, True),
         )
         with pytest.raises(ValueError, match="negative homological degree"):
-            resolution_module._chain_from_normalizations(levels)
+            chain_resolution(1, 2, 4)
+
+    @staticmethod
+    def assembled_from_full_levels(s, d, n):
+        """chain(s) as the full normalization tables give it: every level
+        tagged with its part, and chain(k+1) outside part II carried into
+        chain(k) with hom degree - 1 and twist + k."""
+        chain = []
+        for k in range(d, s - 1, -1):
+            table = resolution_normalization(KalmanParams(k, d, n))
+            tagged = [replace(t, part=classify_part(*t.source, k)) for t in table.terms]
+            chain = [t for t in tagged if t.part != "I"] + [
+                replace(t, hom_degree=t.hom_degree - 1, twist=t.twist + k, part="carried")
+                for t in chain
+                if t.part != "II"
+            ]
+        return chain
+
+    def test_matches_assembly_from_full_levels(self):
+        for n in range(2, 9):
+            for d in range(1, n):
+                for s in range(1, d + 1):
+                    want = Counter(self.assembled_from_full_levels(s, d, n))
+                    assert Counter(chain_resolution(s, d, n).terms) == want, (s, d, n)
 
     def test_one_dotted_bott_call_per_pair(self, monkeypatch):
         calls = []
@@ -355,14 +422,17 @@ class TestChainResolution:
         monkeypatch.setattr(resolution_module, "dotted_bott", counting)
         d, n = 5, 10
         chain_resolution(1, d, n)
+        # the contained pairs that survive: outside part I at level 1,
+        # part III at every deeper level (2,547 pairs in the full levels)
         weights = [
-            bundle_weight(lam, mu.conjugate(), s, d)
-            for s in range(1, d + 1)
-            for lam in partitions_in_box(Box(s, n - s))
-            for mu in partitions_in_box(Box(s, d - s))
-            if all(mu.part(i) <= lam.part(i) for i in range(s))
+            bundle_weight(lam, mu.conjugate(), k, d)
+            for k in range(1, d + 1)
+            for lam in partitions_in_box(Box(k, n - k))
+            for mu in partitions_in_box(Box(k, d - k))
+            if all(mu.part(i) <= lam.part(i) for i in range(k))
+            and classify_part(lam, mu, k) in (("II", "III") if k == 1 else ("III",))
         ]
-        assert len(weights) == 2547
+        assert len(weights) == 1275
         assert sorted(calls) == sorted(weights)
 
     def test_one_conjugation_per_lam_and_mu_per_level(self, monkeypatch):
@@ -377,19 +447,23 @@ class TestChainResolution:
             return real_conjugate(self)
 
         per_level = {}
-        real_normalization = resolution_module.resolution_normalization
+        real_level_terms = resolution_module._level_terms
 
-        def recording(params):
+        def recording(k, *args):
             before = conjugations[0]
-            table = real_normalization(params)
-            per_level[params.s] = conjugations[0] - before
-            return table
+            terms = real_level_terms(k, *args)
+            per_level[k] = per_level.get(k, 0) + conjugations[0] - before
+            return terms
 
         monkeypatch.setattr(Partition, "conjugate", counting)
-        monkeypatch.setattr(resolution_module, "resolution_normalization", recording)
+        monkeypatch.setattr(resolution_module, "_level_terms", recording)
         d, n = 6, 12
         chain_resolution(1, d, n)
-        assert per_level == {s: comb(n, s) + comb(d, s) for s in range(1, d + 1)}
+        # level 1: every lam, and mu in the 0 x 5 box; level k > 1: lam
+        # of full length k, and mu in the (k-1) x (6-k) box
+        want = {1: comb(n, 1) + 1}
+        want.update({k: comb(n - 1, k) + comb(d - 1, k - 1) for k in range(2, d + 1)})
+        assert per_level == want
 
     def test_normalization_rebuilds_no_partition(self, monkeypatch):
         params = KalmanParams(2, 4, 7)
@@ -507,6 +581,69 @@ class TestHilbert:
                 assert series.vanishing_order_at_one() == n - d
 
 
+class TestCancellation:
+    """les_euler_check matches part I of each level s with part II of
+    level s+1 on the full normalization tables."""
+
+    def test_part_i_meets_part_ii_on_every_adjacent_pair(self):
+        # each side is nonempty: part I of level s holds the generators
+        # of every mu of full length s
+        for d in range(2, 6):
+            for n in range(d + 1, 10):
+                levels = [resolution_normalization(KalmanParams(s, d, n)) for s in range(1, d + 1)]
+                for lower, upper in zip(levels, levels[1:]):
+                    s = lower.params.s
+                    part_i = [t for t in lower.terms if classify_part(*t.source, s) == "I"]
+                    part_ii = [t for t in upper.terms if classify_part(*t.source, s + 1) == "II"]
+                    assert part_i and len(part_i) == len(part_ii), (s, d, n)
+                    assert resolution_module._cancelled(lower, "I", s, 1) == resolution_module._cancelled(upper, "II", s, 0)
+
+    @staticmethod
+    def corrupt_level(monkeypatch, level, change):
+        real = resolution_module.resolution_normalization
+
+        def corrupted(params):
+            table = real(params)
+            if params.s == level:
+                table.terms = change(table.terms, params.s)
+            return table
+
+        monkeypatch.setattr(resolution_module, "resolution_normalization", corrupted)
+
+    @staticmethod
+    def kinds(report):
+        return [detail["kind"] for detail in report.details]
+
+    def test_part_ii_twist_off_by_one_fails(self, monkeypatch):
+        def shift_one(terms, s):
+            i = next(i for i, t in enumerate(terms) if classify_part(*t.source, s) == "II")
+            return terms[:i] + [replace(terms[i], twist=terms[i].twist + 1)] + terms[i + 1 :]
+
+        self.corrupt_level(monkeypatch, 2, shift_one)
+        report = les_euler_check(3, 6)
+        assert not report.passed
+        assert "cancellation_mismatch" in self.kinds(report)
+
+    def test_dropped_part_i_term_fails(self, monkeypatch):
+        def drop_one(terms, s):
+            i = next(i for i, t in enumerate(terms) if classify_part(*t.source, s) == "I")
+            return terms[:i] + terms[i + 1 :]
+
+        self.corrupt_level(monkeypatch, 1, drop_one)
+        report = les_euler_check(3, 6)
+        assert not report.passed
+        assert "cancellation_mismatch" in self.kinds(report)
+
+    def test_chain_side_is_the_second_route(self, monkeypatch):
+        # the chain numerator no longer comes from the tables the
+        # alternating sum reads
+        def refuse(params):
+            raise AssertionError("the chain built a full normalization table")
+
+        monkeypatch.setattr(resolution_module, "resolution_normalization", refuse)
+        chain_resolution(1, 4, 8)
+
+
 class TestPdReg:
     def test_cubic(self):
         assert pd_and_reg(chain_resolution(1, 2, 3)) == (1, 2)
@@ -520,7 +657,7 @@ class TestPdReg:
 
 class TestSerialization:
     def test_to_dict_shape(self):
-        table = split_parts(resolution_normalization(KalmanParams(1, 2, 3)))
+        table = resolution_normalization(KalmanParams(1, 2, 3))
         doc = table.to_dict()
         assert doc["module_id"] == "normalization"
         assert (doc["d"], doc["n"], doc["s"]) == (2, 3, 1)
