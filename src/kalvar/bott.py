@@ -10,11 +10,16 @@ the sorted vector minus rho.  A bundle is given by its pieces
 
 `dotted_bott` does its per-weight work in builtins (`map`, `set`,
 `sorted`, `itertools.combinations`), and every vanishing weight gets the
-one shared vanishing outcome.  `exhaustive_dotted_check` is its
-independent oracle: it runs the action backwards, building for each
-permutation only the preimages that lie in the window, and it refuses a
-window whose weights and permutations together exceed
-MAX_EXHAUSTIVE_WORK.
+one shared vanishing outcome.  The normalization loop holds each bundle
+weight as two halves that are strictly decreasing once shifted, and
+`_dotted_halves` resolves it by merging them: a shared entry vanishes,
+the degree counts the out-of-order pairs across the halves, and eta is
+the merge minus rho; `dotted_bott` is its oracle.
+
+`exhaustive_dotted_check` is the independent oracle of `dotted_bott`:
+it runs the action backwards, building for each permutation only the
+preimages that lie in the window, and it refuses a window whose weights
+and permutations together exceed MAX_EXHAUSTIVE_WORK.
 """
 
 from __future__ import annotations
@@ -77,6 +82,23 @@ def dotted_bott(nu: Sequence[int]) -> BottOutcome:
         return _VANISHES
     inv = sum(itertools.starmap(lt, itertools.combinations(shifted, 2)))
     return BottOutcome(False, inv, tuple(map(sub, sorted(shifted, reverse=True), r)))
+
+
+def _dotted_halves(
+    upper: tuple[int, ...], lower: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]] | None:
+    """The dotted action on the weight nu whose shifted form nu + rho is
+    upper followed by lower, each strictly decreasing: None where they
+    share an entry (cohomology vanishes), else (degree, eta) as
+    dotted_bott gives them.  Only pairs across the halves can be out of
+    order, so the degree is #{(i, j): upper[i] < lower[j]}, and eta is
+    the merge of the halves minus rho.  Trusts its caller: int entries,
+    both halves strictly decreasing; dotted_bott is its oracle."""
+    if not set(upper).isdisjoint(lower):
+        return None
+    inv = sum(itertools.starmap(lt, itertools.product(upper, lower)))
+    merged = sorted(upper + lower, reverse=True)
+    return inv, tuple(map(sub, merged, rho(len(merged))))
 
 
 def bundle_weight(

@@ -9,7 +9,10 @@ cost is polynomial in the shape rather than proportional to the count.
 `skew_schur_dim` is the validated entry; it picks the smaller of the h-
 and e-forms and hands the shape to `_jacobi_trudi`, which the
 normalization loop also calls directly on the form it already holds,
-with the h- and e-rows of its fixed m built once.
+with the h- and e-rows of its fixed m built once.  The partitions of a
+box and the conjugate of a shape are built once per process, on first
+use; `partitions_in_box` hands each caller a new list of the shared
+shapes.
 """
 
 from __future__ import annotations
@@ -60,10 +63,13 @@ class Partition(tuple):
         return self[i] if 0 <= i < len(self) else 0
 
     def conjugate(self) -> "Partition":
-        """Transpose the Young diagram (columns become rows)."""
-        if not self:
-            return self
-        return _trusted(tuple(sum(1 for a in self if a > j) for j in range(self[0])))
+        """Transpose the Young diagram (columns become rows).  Memoized
+        per shape, both ways: a conjugate's conjugate is the shape."""
+        conj = _CONJUGATES.get(self)
+        if conj is None:
+            conj = _trusted(tuple(sum(1 for a in self if a > j) for j in range(self.part(0))))
+            _CONJUGATES[self], _CONJUGATES[conj] = conj, self
+        return conj
 
     def contains(self, other: "Partition") -> bool:
         """Diagram containment: other fits inside self row by row."""
@@ -77,6 +83,10 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition{tuple(self)!r}"
+
+
+# Partition -> its conjugate, filled by Partition.conjugate.
+_CONJUGATES: dict[Partition, Partition] = {}
 
 
 def _trusted(parts: tuple[int, ...]) -> Partition:
@@ -107,28 +117,35 @@ class SkewShape(NamedTuple):
 
 
 def partitions_in_box(box: Box | tuple[int, int]) -> list[Partition]:
-    """All partitions contained in the box.
+    """All partitions contained in the box, as a new list the caller may
+    change; the shapes are shared, built once per box.
 
     Order is deterministic: graded by size, then lexicographically
     descending within a size.
     """
-    box = Box(*box)
+    box = Box(*map(index, box))
     if box.rows < 0 or box.cols < 0:
         raise ValueError(f"box sides must be nonnegative: {box}")
+    return list(_box_partitions(*box))
+
+
+@lru_cache(maxsize=None)
+def _box_partitions(rows: int, cols: int) -> tuple[Partition, ...]:
+    """The partitions of `partitions_in_box`, for sides it has checked."""
     out: list[Partition] = []
 
     def extend(prefix: list[int], bound: int) -> None:
         out.append(_trusted(tuple(prefix)))
-        if len(prefix) == box.rows:
+        if len(prefix) == rows:
             return
         for a in range(1, bound + 1):
             prefix.append(a)
             extend(prefix, a)
             prefix.pop()
 
-    extend([], box.cols)
+    extend([], cols)
     out.sort(key=lambda p: (p.size, tuple(-a for a in p)))
-    return out
+    return tuple(out)
 
 
 def schur_dim(eta: Sequence[int], m: int) -> int:

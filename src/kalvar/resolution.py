@@ -15,7 +15,12 @@ polynomial ring A on End(V), three families of graded modules appear:
 
 Every resolution term is a Schur functor on L (weight eta) tensored with
 a skew Schur functor on a complementary (n-d)-dimensional space, placed
-at a homological degree and an internal twist.
+at a homological degree and an internal twist.  One loop, `_level_terms`,
+builds the terms of every table; it resolves each pair's dotted action
+by merging the weight's two rho-shifted halves (`bott._dotted_halves`).
+The public route, `bundle_cohomology` and `skew_schur_dim` per pair, is
+its test oracle, and gives the chain check its expectation below
+degree s (`_low_part_ii`).
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from operator import lt
+from operator import add, lt
 from typing import Iterable, Iterator
 
-from .bott import dotted_bott
+from .bott import _dotted_halves, bundle_cohomology, rho
 from .partitions import (
     Box,
     Partition,
@@ -178,42 +183,49 @@ def _level_terms(
     if not, and `shift` is added to its (hom degree, twist).
 
     This is the one loop over the pairs, and it works on the shapes it
-    holds.  Per mu: its conjugate, its parts padded to k and the W-half
-    of the bundle weight (the negated reverse of mu^T, zero-padded in
-    front to d - k).  Per lam: its conjugate, its padded parts and which
-    Jacobi-Trudi form is smaller.  Per pair: containment on the padded
-    parts, one `dotted_bott` on the W-half followed by lam's padded
-    parts, one determinant on (lam^T, mu^T) with the h-row or on
-    (lam, mu) with the e-row (both rows built once per call), and the
-    cached Weyl product of the dominant weight.
+    holds.  The bundle weight is the W-half (the negated reverse of
+    mu^T, zero-padded in front to d - k) followed by lam padded to k;
+    shifted by rho(d), each half is strictly decreasing and depends on
+    one shape only.  Per mu: its conjugate, its parts padded to k and
+    its shifted half `upper`.  Per lam: its conjugate, its padded parts,
+    its shifted half `lower` and which Jacobi-Trudi form is smaller.
+    Per pair: containment on the padded parts, the dotted action by
+    merging the two halves (`bott._dotted_halves`), one determinant on
+    (lam^T, mu^T) with the h-row or on (lam, mu) with the e-row (both
+    rows built once per call), and the cached Weyl product of the
+    dominant weight.
     """
     h_row, e_row = _h_row(n - d, n), _e_row(n - d, n)
     hom_shift, twist_shift = shift
+    r = rho(d)
+    r_upper, r_lower = r[:d - k], r[d - k:]
     mu_data = []
     for mu in mus:
         mu_t = mu.conjugate()
         w_half = (0,) * (d - k - len(mu_t)) + tuple(-a for a in reversed(mu_t))
-        mu_data.append((mu, mu_t, mu.padded(k), w_half))
+        mu_data.append((mu, mu_t, mu.padded(k), tuple(map(add, w_half, r_upper))))
     terms = []
     for lam in lams:
         lam_t, lam_pad = lam.conjugate(), lam.padded(k)
+        lower = tuple(map(add, lam_pad, r_lower))
         hom_base, twist = lam.size + hom_shift, lam.size + twist_shift
         dual = len(lam_t) > len(lam)  # the e-form on (lam, mu) has fewer rows
         part = parts[len(lam) == k]
-        for mu, mu_t, mu_pad, w_half in mu_data:
+        for mu, mu_t, mu_pad, upper in mu_data:
             if any(map(lt, lam_pad, mu_pad)):
                 continue
-            out = dotted_bott(w_half + lam_pad)
-            if out.vanishes:
+            out = _dotted_halves(upper, lower)
+            if out is None:
                 continue
             if dual:
                 skew = _jacobi_trudi(lam, mu, e_row)
             else:
                 skew = _jacobi_trudi(lam_t, mu_t, h_row)
             if skew:
-                mult = _weyl_product(out.eta, d) * skew
-                shape, hom_degree = SkewShape(lam_t, mu_t), hom_base - out.degree
-                terms.append(BettiTerm(hom_degree, twist, out.eta, shape, mult, part, (lam, mu)))
+                degree, eta = out
+                mult = _weyl_product(eta, d) * skew
+                shape, hom_degree = SkewShape(lam_t, mu_t), hom_base - degree
+                terms.append(BettiTerm(hom_degree, twist, eta, shape, mult, part, (lam, mu)))
     return terms
 
 
@@ -332,7 +344,8 @@ def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
 def chain_closed_form_check(chain: BettiTable, level: BettiTable) -> CheckReport:
     """Compare the low homological degrees of a chain(s) table against
     the closed forms read from `level`, level-s normalization terms
-    that include its part II.  Below degree s the chain must hold
+    that include its part II in hom degree at most s (the full table,
+    or `_low_part_ii`).  Below degree s the chain must hold
     exactly those part II terms (lam shorter than s); at degree s, those
     plus the bottom strata of every level k = s..d, with twist raised
     by (s+k-1)(k-s)/2."""
@@ -367,6 +380,35 @@ def chain_closed_form_check(chain: BettiTable, level: BettiTable) -> CheckReport
     )
 
 
+def _low_part_ii(params: KalmanParams) -> BettiTable:
+    """The part II terms of the level-s normalization table in hom
+    degree at most s, by the public route: `bundle_cohomology` and
+    `skew_schur_dim` on each pair mu inside lam, both shorter than s.
+    This is the expectation `chain_resolution` checks its low strata
+    against, computed apart from the loop that built the chain; at
+    s = 1 it is the one pair of empty shapes."""
+    s, d, n = params.s, params.d, params.n
+    terms = []
+    # a Bott degree is at most s(d-s), the dimension of the Grassmannian,
+    # so a lam larger than s + s(d-s) has nothing in hom degree <= s
+    lams = [lam for lam in partitions_in_box(Box(s - 1, n - s)) if lam.size <= s * (d - s + 1)]
+    mus = partitions_in_box(Box(s - 1, d - s))
+    for lam in lams:
+        for mu in mus:
+            if not lam.contains(mu):
+                continue
+            out, gl_mult = bundle_cohomology(lam, mu.conjugate(), s, d)
+            if out.vanishes or lam.size - out.degree > s:
+                continue
+            shape = SkewShape(lam.conjugate(), mu.conjugate())
+            mult = gl_mult * skew_schur_dim(shape, n - d)
+            if mult:
+                terms.append(
+                    BettiTerm(lam.size - out.degree, lam.size, out.eta, shape, mult, "II", (lam, mu))
+                )
+    return BettiTable("normalization", params, terms)
+
+
 def chain_resolution(s: int, d: int, n: int) -> BettiTable:
     """Term-level resolution of chain(s), built only from the terms that
     survive its mapping cones.
@@ -379,8 +421,9 @@ def chain_resolution(s: int, d: int, n: int) -> BettiTable:
     level k > s with lam of full length k and mu in the (k-1) x (d-k)
     box, tagged "carried" and moved by (-(k-s), (s+k-1)(k-s)/2).  Over
     MAX_NORMALIZATION_PAIRS such pairs raise ValueError up front.  The
-    low strata are checked against the closed forms read from the
-    level-s terms (CheckFailure on a mismatch); a level-k term in hom
+    low strata are checked (CheckFailure on a mismatch) against the
+    closed forms and the low part II terms of level s, which
+    `_low_part_ii` computes by the public route; a level-k term in hom
     degree h lands in h - (k-s), so that one check covers every level.
     """
     params = KalmanParams(s, d, n)
@@ -388,15 +431,14 @@ def chain_resolution(s: int, d: int, n: int) -> BettiTable:
         chain_pair_count(s, d, n), f"normalization levels {s}..{d} at (d, n) = ({d}, {n})"
     )
     lams, mus = partitions_in_box(Box(s, n - s)), partitions_in_box(Box(s - 1, d - s))
-    level = BettiTable("normalization", params, _level_terms(s, d, n, lams, mus, ("II", "III")))
-    terms = list(level.terms)
+    terms = _level_terms(s, d, n, lams, mus, ("II", "III"))
     for k in range(s + 1, d + 1):
         lams = [lam for lam in partitions_in_box(Box(k, n - k)) if len(lam) == k]
         mus = partitions_in_box(Box(k - 1, d - k))
         shift = (s - k, (s + k - 1) * (k - s) // 2)
         terms += _level_terms(k, d, n, lams, mus, ("carried", "carried"), shift)
     chain = BettiTable("chain", params, terms)
-    report = chain_closed_form_check(chain, level)
+    report = chain_closed_form_check(chain, _low_part_ii(params))
     if not report.passed:
         raise CheckFailure(report)
     return chain

@@ -10,6 +10,7 @@ import kalvar.bott
 from kalvar.bott import (
     MAX_EXHAUSTIVE_WORK,
     BottOutcome,
+    _dotted_halves,
     _inverse_dotted_map,
     bundle_cohomology,
     bundle_weight,
@@ -212,6 +213,30 @@ class TestDottedBott:
         for max_d, lo, hi in [(3, -2, 3), (5, *WIDE), (6, *WIDE)]:
             work = sum((hi - lo + 1) ** d + math.factorial(d) for d in range(1, max_d + 1))
             assert work <= MAX_EXHAUSTIVE_WORK
+
+
+class TestDottedHalves:
+    """The merge of two strictly decreasing shifted halves against
+    dotted_bott on the weight they make."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_dotted_bott(self, d):
+        # every split and every pair of strictly decreasing halves with
+        # entries in [-4, 6], shared entries included
+        window = range(6, -5, -1)
+        r = rho(d)
+        survivors = 0
+        for k in range(d + 1):
+            for upper in itertools.combinations(window, d - k):
+                for lower in itertools.combinations(window, k):
+                    want = dotted_bott(tuple(a - b for a, b in zip(upper + lower, r)))
+                    got = _dotted_halves(upper, lower)
+                    if want.vanishes:
+                        assert got is None, (upper, lower)
+                    else:
+                        survivors += 1
+                        assert got == (want.degree, want.eta), (upper, lower)
+        assert survivors == math.comb(11, d) * 2 ** d
 
 
 class TestInverseDottedMap:

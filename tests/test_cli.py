@@ -377,6 +377,7 @@ class TestFormatsAndOutput:
             ("check-minors", "--d", "3", "--n", "5", "--trials", "5"),
             ("check-trace", "--max-d", "2"),
             ("check-bott", "--max-d", "3", "--lo", "-2", "--hi", "3"),
+            ("check-les", "--max-d", "3", "--max-n", "6"),
         ],
     )
     def test_output_independent_of_hash_seed(self, argv):

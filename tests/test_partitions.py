@@ -181,6 +181,28 @@ class TestPartitionsInBox:
         for p in partitions_in_box(Box(3, 4)):
             assert len(p) <= 3 and p.part(0) <= 4
 
+    def test_returned_list_is_the_callers(self):
+        # the shapes are built once per box; each call gets its own list
+        want = list(partitions_in_box(Box(3, 3)))
+        got = partitions_in_box(Box(3, 3))
+        got.reverse()
+        got.append(Partition((9,)))
+        del got[:5]
+        assert partitions_in_box(Box(3, 3)) == want
+        assert partitions_in_box((3, 3)) is not partitions_in_box((3, 3))
+
+
+class TestConjugateMemo:
+    def test_memoized_equals_recomputed(self):
+        # whether or not the memo already holds p, the shape, its second
+        # call and a fresh equal Partition all give the transpose counted
+        # cell by cell
+        for p in partitions_in_box(Box(6, 6)):
+            want = tuple(sum(1 for a in p if a > j) for j in range(p.part(0)))
+            assert p.conjugate() == want
+            assert p.conjugate() == want
+            assert Partition(tuple(p)).conjugate() == want
+
 
 def assert_trusted(p):
     """p, built without validation, is exactly what Partition(...) makes

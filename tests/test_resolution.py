@@ -1,11 +1,12 @@
 from collections import Counter
 from dataclasses import replace
 from math import comb
+from operator import sub
 
 import pytest
 
 import kalvar.resolution as resolution_module
-from kalvar.bott import BottOutcome, bundle_cohomology, bundle_weight, dotted_bott
+from kalvar.bott import bundle_cohomology, bundle_weight, dotted_bott, rho
 from kalvar.partitions import (
     Box,
     Partition,
@@ -35,6 +36,11 @@ from kalvar.resolution import (
     resolution_normalization,
 )
 from test_partitions import brute_skew_ssyt
+
+
+def weight_of_halves(upper, lower):
+    """The weight whose rho-shifted form is upper followed by lower."""
+    return tuple(map(sub, upper + lower, rho(len(upper) + len(lower))))
 
 
 def brute_normalization_s1_d2(n):
@@ -135,13 +141,13 @@ class TestNormalizationOracle:
         # pair with mu outside lam has no terms (its Jacobi-Trudi
         # determinant is 0), so only the visits show a lost containment test
         visited = []
-        real = resolution_module.dotted_bott
+        real = resolution_module._dotted_halves
 
-        def recording(nu):
-            visited.append(nu)
-            return real(nu)
+        def recording(upper, lower):
+            visited.append(weight_of_halves(upper, lower))
+            return real(upper, lower)
 
-        monkeypatch.setattr(resolution_module, "dotted_bott", recording)
+        monkeypatch.setattr(resolution_module, "_dotted_halves", recording)
         covered = set()
         for params in self.CASES:
             want, weights = self.public_route(params)
@@ -373,13 +379,13 @@ class TestChainResolution:
         # degree -1 at level 1; the carried term is a checked BettiTerm.
         # Only lam = (1, 1) at level 2 of (d, n) = (2, 4) has the weight
         # (1, 1); a Bott degree of |lam| puts it in degree 0.
-        real = resolution_module.dotted_bott
+        real = resolution_module._dotted_halves
 
-        def lowered(nu):
-            out = real(nu)
-            return BottOutcome(False, 2, out.eta) if nu == (1, 1) else out
+        def lowered(upper, lower):
+            out = real(upper, lower)
+            return (2, out[1]) if weight_of_halves(upper, lower) == (1, 1) else out
 
-        monkeypatch.setattr(resolution_module, "dotted_bott", lowered)
+        monkeypatch.setattr(resolution_module, "_dotted_halves", lowered)
         monkeypatch.setattr(
             resolution_module,
             "chain_closed_form_check",
@@ -387,6 +393,33 @@ class TestChainResolution:
         )
         with pytest.raises(ValueError, match="negative homological degree"):
             chain_resolution(1, 2, 4)
+
+    def test_low_part_ii_is_read_off_the_full_level(self):
+        for n in range(2, 10):
+            for d in range(1, min(n, 6)):
+                for s in range(1, d + 1):
+                    params = KalmanParams(s, d, n)
+                    want = [
+                        replace(t, part="II")
+                        for t in resolution_normalization(params).terms
+                        if len(t.source[0]) < s and t.hom_degree <= s
+                    ]
+                    assert Counter(resolution_module._low_part_ii(params).terms) == Counter(want)
+
+    def test_lost_level_s_pairs_raise(self, monkeypatch):
+        # level s taking only full-length lam loses its part II; the low
+        # strata are expected from a level computed apart from the chain,
+        # so the loss shows on one side only
+        real = resolution_module._level_terms
+
+        def full_length_only(k, d, n, lams, mus, parts, shift=(0, 0)):
+            if parts == ("II", "III"):
+                lams = [lam for lam in lams if len(lam) == k]
+            return real(k, d, n, lams, mus, parts, shift)
+
+        monkeypatch.setattr(resolution_module, "_level_terms", full_length_only)
+        with pytest.raises(CheckFailure):
+            chain_resolution(1, 1, 2)
 
     @staticmethod
     def assembled_from_full_levels(s, d, n):
@@ -413,13 +446,13 @@ class TestChainResolution:
 
     def test_one_dotted_bott_call_per_pair(self, monkeypatch):
         calls = []
-        real = resolution_module.dotted_bott
+        real = resolution_module._dotted_halves
 
-        def counting(nu):
-            calls.append(tuple(nu))
-            return real(nu)
+        def counting(upper, lower):
+            calls.append(weight_of_halves(upper, lower))
+            return real(upper, lower)
 
-        monkeypatch.setattr(resolution_module, "dotted_bott", counting)
+        monkeypatch.setattr(resolution_module, "_dotted_halves", counting)
         d, n = 5, 10
         chain_resolution(1, d, n)
         # the contained pairs that survive: outside part I at level 1,
