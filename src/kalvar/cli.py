@@ -26,6 +26,7 @@ from .resolution import (
     chain_pair_count,
     chain_resolution,
     check_pair_count,
+    classify_part,
     f0_check,
     hilbert_numerator,
     les_euler_check,
@@ -149,9 +150,11 @@ def cmd_resolution(args) -> dict:
         table = resolution_normalization(KalmanParams(args.s, args.d, args.n))
     pd, reg = pd_and_reg(table)
     series = hilbert_numerator(table)
+    chain = args.module == "chain"
     rows = [
-        [t.hom_degree, t.twist, t.multiplicity, t.part,
-         _p(t.source[0]), _p(t.source[1]), _p(t.eta)]
+        [t.hom_degree, t.twist, t.multiplicity,
+         classify_part(t.lam, t.mu, args.s) if chain else None,
+         _p(t.lam), _p(t.mu), _p(t.eta)]
         for t in table.sorted_terms()
     ]
     return {

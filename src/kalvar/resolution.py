@@ -15,9 +15,12 @@ polynomial ring A on End(V), three families of graded modules appear:
 
 Every resolution term is a Schur functor on L (weight eta) tensored with
 a skew Schur functor on a complementary (n-d)-dimensional space, placed
-at a homological degree and an internal twist.  One loop, `_level_terms`,
-builds the terms of every table; it resolves each pair's dotted action
-by merging the weight's two rho-shifted halves (`bott._dotted_halves`).
+at a homological degree and an internal twist.  A term keeps the pair
+(lam, mu) it comes from; its skew shape lam^T / mu^T and its part (I,
+II, III, or carried from a deeper chain level; `classify_part`) are
+read off that pair.  One loop, `_level_terms`, builds the terms of
+every table; it resolves each pair's dotted action by merging the
+weight's two rho-shifted halves (`bott._dotted_halves`).
 The public route, `bundle_cohomology` and `skew_schur_dim` per pair, is
 its test oracle, and gives the chain check its expectation below
 degree s (`_low_part_ii`).
@@ -69,36 +72,31 @@ class KalmanParams:
 MAX_NORMALIZATION_PAIRS = 5_000_000
 
 
-# part tags: "I" full-length mu, "II" short lam, "III" full-length lam
-# with short mu, "carried" for terms inherited from a deeper chain level
-PART_TAGS = ("I", "II", "III", "carried")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BettiTerm:
     """One summand of a free resolution: `multiplicity` copies of
     A(-twist) in homological degree hom_degree, carrying the GL(L)
-    weight eta and the skew shape applied to the complement."""
+    weight eta and the skew Schur functor lam^T / mu^T applied to the
+    complement.  The pair (lam, mu) it comes from fixes its skew shape
+    (`w_shape`) and, at a chain level s, its part (`classify_part`)."""
 
     hom_degree: int
     twist: int
     eta: tuple[int, ...]
-    w_shape: SkewShape
     multiplicity: int
-    part: str | None
-    source: tuple[Partition, Partition]
+    lam: Partition
+    mu: Partition
 
     def __post_init__(self) -> None:
         if self.hom_degree < 0:
             raise ValueError(f"negative homological degree in {self!r}")
         if self.multiplicity <= 0:
             raise ValueError(f"non-positive multiplicity in {self!r}")
-        if self.part is not None and self.part not in PART_TAGS:
-            raise ValueError(f"unknown part tag {self.part!r}")
 
-
-def _term_key(t: BettiTerm):
-    return (t.hom_degree, t.twist, tuple(t.source[0]), tuple(t.source[1]), t.part or "")
+    @property
+    def w_shape(self) -> SkewShape:
+        """The skew shape lam^T / mu^T of the functor on the complement."""
+        return SkewShape(self.lam.conjugate(), self.mu.conjugate())
 
 
 @dataclass
@@ -121,32 +119,7 @@ class BettiTable:
         return [t for t in self.terms if t.hom_degree == hom_degree]
 
     def sorted_terms(self) -> list[BettiTerm]:
-        return sorted(self.terms, key=_term_key)
-
-    def to_dict(self) -> dict:
-        p = self.params
-        return {
-            "module_id": self.module_id,
-            "d": p.d,
-            "n": p.n,
-            "s": p.s,
-            "entries": [
-                {
-                    "i": t.hom_degree,
-                    "twist": t.twist,
-                    "mult": t.multiplicity,
-                    "part": t.part,
-                    "lambda": list(t.source[0]),
-                    "mu": list(t.source[1]),
-                    "eta": list(t.eta),
-                    "skew": {
-                        "outer": list(t.w_shape.outer),
-                        "inner": list(t.w_shape.inner),
-                    },
-                }
-                for t in self.sorted_terms()
-            ],
-        }
+        return sorted(self.terms, key=lambda t: (t.hom_degree, t.twist, t.lam, t.mu))
 
 
 def normalization_pair_count(s: int, d: int, n: int) -> int:
@@ -175,12 +148,11 @@ def check_pair_count(pairs: int, what: str) -> None:
 
 def _level_terms(
     k: int, d: int, n: int, lams: Iterable[Partition], mus: Iterable[Partition],
-    parts: tuple[str | None, str | None], shift: tuple[int, int] = (0, 0),
+    shift: tuple[int, int] = (0, 0),
 ) -> list[BettiTerm]:
     """The level-k normalization terms of the pairs mu inside lam, lam
     from `lams` and mu from `mus`, lam-major, zero multiplicities
-    dropped; each is tagged parts[0] if lam is shorter than k, parts[1]
-    if not, and `shift` is added to its (hom degree, twist).
+    dropped, with `shift` added to each (hom degree, twist).
 
     This is the one loop over the pairs, and it works on the shapes it
     holds.  The bundle weight is the W-half (the negated reverse of
@@ -210,7 +182,6 @@ def _level_terms(
         lower = tuple(map(add, lam_pad, r_lower))
         hom_base, twist = lam.size + hom_shift, lam.size + twist_shift
         dual = len(lam_t) > len(lam)  # the e-form on (lam, mu) has fewer rows
-        part = parts[len(lam) == k]
         for mu, mu_t, mu_pad, upper in mu_data:
             if any(map(lt, lam_pad, mu_pad)):
                 continue
@@ -224,8 +195,7 @@ def _level_terms(
             if skew:
                 degree, eta = out
                 mult = _weyl_product(eta, d) * skew
-                shape, hom_degree = SkewShape(lam_t, mu_t), hom_base - degree
-                terms.append(BettiTerm(hom_degree, twist, eta, shape, mult, part, (lam, mu)))
+                terms.append(BettiTerm(hom_base - degree, twist, eta, mult, lam, mu))
     return terms
 
 
@@ -236,7 +206,7 @@ def resolution_normalization(params: KalmanParams) -> BettiTable:
     box and mu in the s x (d-s) box, lam-major; each pair contributes
     through the dotted action on the weight of its bundle on the
     Grassmannian of s-planes in L, tensored with the skew Schur functor
-    lam^T / mu^T of the complement (`_level_terms`, untagged).  The
+    lam^T / mu^T of the complement (`_level_terms`).  The
     public route, `bott.bundle_cohomology` and `skew_schur_dim` per
     pair, is its test oracle.  More than MAX_NORMALIZATION_PAIRS
     candidate pairs raise ValueError.
@@ -244,15 +214,19 @@ def resolution_normalization(params: KalmanParams) -> BettiTable:
     s, d, n = params.s, params.d, params.n
     check_pair_count(comb(n, s) * comb(d, s), f"normalization level {s} at (d, n) = ({d}, {n})")
     lams, mus = partitions_in_box(Box(s, n - s)), partitions_in_box(Box(s, d - s))
-    return BettiTable("normalization", params, _level_terms(s, d, n, lams, mus, (None, None)))
+    return BettiTable("normalization", params, _level_terms(s, d, n, lams, mus))
 
 
 def classify_part(lam: Partition, mu: Partition, s: int) -> str:
-    """Split rule: mu of full length s is part I; otherwise lam of
-    length below s is part II and lam of full length s is part III."""
-    if mu.length == s:
+    """The part of the pair (lam, mu) in a table at level s: "carried"
+    if lam is longer than s (a term of a deeper level carried into the
+    chain); otherwise "I" if mu has full length s, "II" if lam is
+    shorter than s, and "III" if lam has full length s and mu does not."""
+    if len(lam) > s:
+        return "carried"
+    if len(mu) == s:
         return "I"
-    if lam.length <= s - 1:
+    if len(lam) < s:
         return "II"
     return "III"
 
@@ -309,7 +283,7 @@ def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
     pairs = comb(n - 1, s) * comb(d - 1, s - 1)
     check_pair_count(pairs, f"part III of level {s} at (d, n) = ({d}, {n})")
     lams = [lam for lam in partitions_in_box(Box(s, n - s)) if len(lam) == s]
-    iii = _level_terms(s, d, n, lams, partitions_in_box(Box(s - 1, d - s)), ("III", "III"))
+    iii = _level_terms(s, d, n, lams, partitions_in_box(Box(s - 1, d - s)))
     details: list[dict] = []
     low = [t for t in iii if t.hom_degree < s]
     for t in low:
@@ -317,8 +291,8 @@ def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
             {
                 "kind": "term_below_minimum_degree",
                 "hom_degree": t.hom_degree,
-                "lambda": list(t.source[0]),
-                "mu": list(t.source[1]),
+                "lambda": list(t.lam),
+                "mu": list(t.mu),
             }
         )
     got = sorted(_stratum_key(t) for t in iii if t.hom_degree == s)
@@ -355,7 +329,7 @@ def chain_closed_form_check(chain: BettiTable, level: BettiTable) -> CheckReport
     s, d, n = params.s, params.d, params.n
     expected: dict[int, list[tuple]] = {i: [] for i in range(s + 1)}
     for t in level.terms:
-        if len(t.source[0]) < s and t.hom_degree <= s:
+        if t.hom_degree <= s and classify_part(t.lam, t.mu, s) == "II":
             expected[t.hom_degree].append(_stratum_key(t))
     for k in range(s, d + 1):
         expected[s] += _closed_form_strata(k, d, n, (s + k - 1) * (k - s) // 2)
@@ -400,12 +374,9 @@ def _low_part_ii(params: KalmanParams) -> BettiTable:
             out, gl_mult = bundle_cohomology(lam, mu.conjugate(), s, d)
             if out.vanishes or lam.size - out.degree > s:
                 continue
-            shape = SkewShape(lam.conjugate(), mu.conjugate())
-            mult = gl_mult * skew_schur_dim(shape, n - d)
+            mult = gl_mult * skew_schur_dim(SkewShape(lam.conjugate(), mu.conjugate()), n - d)
             if mult:
-                terms.append(
-                    BettiTerm(lam.size - out.degree, lam.size, out.eta, shape, mult, "II", (lam, mu))
-                )
+                terms.append(BettiTerm(lam.size - out.degree, lam.size, out.eta, mult, lam, mu))
     return BettiTable("normalization", params, terms)
 
 
@@ -419,24 +390,27 @@ def chain_resolution(s: int, d: int, n: int) -> BettiTable:
     connecting map identifies part I at level s with part II at level
     s+1.  Unrolled: level s with mu in the (s-1) x (d-s) box, and each
     level k > s with lam of full length k and mu in the (k-1) x (d-k)
-    box, tagged "carried" and moved by (-(k-s), (s+k-1)(k-s)/2).  Over
-    MAX_NORMALIZATION_PAIRS such pairs raise ValueError up front.  The
-    low strata are checked (CheckFailure on a mismatch) against the
-    closed forms and the low part II terms of level s, which
-    `_low_part_ii` computes by the public route; a level-k term in hom
-    degree h lands in h - (k-s), so that one check covers every level.
+    box, moved by (-(k-s), (s+k-1)(k-s)/2).  A term's part follows from
+    its pair: `classify_part(t.lam, t.mu, s)` reads "II" or "III" at
+    level s and "carried" at every deeper level, whose lam is longer
+    than s.  Over MAX_NORMALIZATION_PAIRS such pairs raise ValueError
+    up front.  The low strata are checked (CheckFailure on a mismatch)
+    against the closed forms and the low part II terms of level s,
+    which `_low_part_ii` computes by the public route; a level-k term
+    in hom degree h lands in h - (k-s), so that one check covers every
+    level.
     """
     params = KalmanParams(s, d, n)
     check_pair_count(
         chain_pair_count(s, d, n), f"normalization levels {s}..{d} at (d, n) = ({d}, {n})"
     )
     lams, mus = partitions_in_box(Box(s, n - s)), partitions_in_box(Box(s - 1, d - s))
-    terms = _level_terms(s, d, n, lams, mus, ("II", "III"))
+    terms = _level_terms(s, d, n, lams, mus)
     for k in range(s + 1, d + 1):
         lams = [lam for lam in partitions_in_box(Box(k, n - k)) if len(lam) == k]
         mus = partitions_in_box(Box(k - 1, d - k))
         shift = (s - k, (s + k - 1) * (k - s) // 2)
-        terms += _level_terms(k, d, n, lams, mus, ("carried", "carried"), shift)
+        terms += _level_terms(k, d, n, lams, mus, shift)
     chain = BettiTable("chain", params, terms)
     report = chain_closed_form_check(chain, _low_part_ii(params))
     if not report.passed:
@@ -572,9 +546,9 @@ def _cancelled(table: BettiTable, part: str, s: int, shift: int) -> Counter:
     the terms of `table` in `part`, lam and mu padded to length s."""
     return Counter(
         (t.hom_degree, t.twist - shift * s, t.eta, t.multiplicity)
-        + tuple(tuple(a - shift for a in p.padded(s)) for p in t.source)
+        + tuple(tuple(a - shift for a in p.padded(s)) for p in (t.lam, t.mu))
         for t in table.terms
-        if classify_part(*t.source, table.params.s) == part
+        if classify_part(t.lam, t.mu, table.params.s) == part
     )
 
 
@@ -653,15 +627,14 @@ def f0_check(params: KalmanParams) -> CheckReport:
     details: list[dict] = []
     got: dict[tuple[str, int], int] = {}
     for t in col:
-        if t.multiplicity != 1 or t.source[0] != t.source[1] or t.eta != (0,) * d:
+        if t.multiplicity != 1 or t.lam != t.mu or t.eta != (0,) * d:
             details.append({"kind": "unexpected_f0_term", "term": repr(t)})
             continue
-        key = (classify_part(*t.source, s), t.twist)
+        key = (classify_part(t.lam, t.mu, s), t.twist)
         got[key] = got.get(key, 0) + 1
     want: dict[tuple[str, int], int] = {}
     for mu in partitions_in_box(Box(s, d - s)):
-        part = "I" if mu.length == s else "II"
-        key = (part, mu.size)
+        key = (classify_part(mu, mu, s), mu.size)
         want[key] = want.get(key, 0) + 1
     if got != want:
         details.append({"kind": "f0_count_mismatch", "got": repr(sorted(got.items())), "want": repr(sorted(want.items()))})

@@ -70,6 +70,31 @@ class TestResolution:
         counts = {(r[0], r[1]): r[2] for r in payload["rows"]}
         assert counts == {(0, 0): 1, (0, 1): 1, (1, 2): 2}
 
+    @staticmethod
+    def parts_and_lengths(capsys, module):
+        code, out = run(
+            capsys, "--format", "json", "resolution",
+            "--s", "2", "--d", "4", "--n", "7", "--module", module,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        part, lam = payload["columns"].index("part"), payload["columns"].index("lambda")
+        return [
+            (row[part], 0 if row[lam] == "-" else len(row[lam].split(",")))
+            for row in payload["rows"]
+        ]
+
+    def test_chain_part_column_follows_lambda_length(self, capsys):
+        rows = self.parts_and_lengths(capsys, "chain")
+        for part, length in rows:
+            assert part == ("II" if length < 2 else "III" if length == 2 else "carried")
+        assert {part for part, _ in rows} == {"II", "III", "carried"}
+
+    def test_normalization_part_column_is_null(self, capsys):
+        rows = self.parts_and_lengths(capsys, "normalization")
+        assert rows
+        assert all(part is None for part, _ in rows)
+
     def test_invalid_params_exit_2(self, capsys):
         code = cli.main(["resolution", "--d", "3", "--n", "3"])
         assert code == 2
@@ -373,6 +398,7 @@ class TestFormatsAndOutput:
         "argv",
         [
             ("resolution", "--d", "3", "--n", "6"),
+            ("resolution", "--s", "2", "--d", "4", "--n", "7", "--module", "normalization"),
             ("check-minimality", "--d", "2", "--n", "4"),
             ("check-minors", "--d", "3", "--n", "5", "--trials", "5"),
             ("check-trace", "--max-d", "2"),

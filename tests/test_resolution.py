@@ -118,9 +118,10 @@ class TestNormalizationOracle:
 
     @staticmethod
     def public_route(params):
-        """The terms, and the bundle weight of every pair visited."""
+        """The terms, their skew shapes, and the bundle weight of every
+        pair visited."""
         s, d, n = params.s, params.d, params.n
-        terms, weights = [], []
+        terms, shapes, weights = [], [], []
         for lam in partitions_in_box(Box(s, n - s)):
             for mu in partitions_in_box(Box(s, d - s)):
                 if any(mu.part(i) > lam.part(i) for i in range(s)):
@@ -133,8 +134,9 @@ class TestNormalizationOracle:
                 mult = gl_mult * skew_schur_dim(shape, n - d)
                 if mult:
                     hom, twist = lam.size - out.degree, lam.size
-                    terms.append(BettiTerm(hom, twist, out.eta, shape, mult, None, (lam, mu)))
-        return terms, weights
+                    terms.append(BettiTerm(hom, twist, out.eta, mult, lam, mu))
+                    shapes.append(shape)
+        return terms, shapes, weights
 
     def test_terms_match_public_route(self, monkeypatch):
         # the dotted action sees the same weights in the same order: a
@@ -150,13 +152,14 @@ class TestNormalizationOracle:
         monkeypatch.setattr(resolution_module, "_dotted_halves", recording)
         covered = set()
         for params in self.CASES:
-            want, weights = self.public_route(params)
+            want, shapes, weights = self.public_route(params)
             visited.clear()
-            assert resolution_normalization(params).terms == want, params
+            got = resolution_normalization(params).terms
+            assert got == want, params
+            assert [t.w_shape for t in got] == shapes, params
             assert visited == weights, params
             for t in want:
-                lam = t.source[0]
-                dual = lam.part(0) > len(lam)  # the e-form on (lam, mu) is smaller
+                dual = t.lam.part(0) > len(t.lam)  # the e-form on (lam, mu) is smaller
                 covered.add((params.w_dim == 1, dual))
         # a one-dimensional complement, and both Jacobi-Trudi forms with either
         assert covered == {(True, True), (True, False), (False, True), (False, False)}
@@ -223,17 +226,17 @@ class TestPairLimit:
 class TestSplitParts:
     def test_f0_parts_s2_d3(self):
         table = resolution_normalization(KalmanParams(2, 3, 5))
-        f0 = {(classify_part(*t.source, 2), t.twist): t.multiplicity for t in table.column(0)}
+        f0 = {(classify_part(t.lam, t.mu, 2), t.twist): t.multiplicity for t in table.column(0)}
         assert f0 == {("II", 0): 1, ("II", 1): 1, ("I", 2): 1}
 
     def test_every_term_tagged(self):
         table = resolution_normalization(KalmanParams(2, 4, 6))
-        assert all(classify_part(*t.source, 2) in ("I", "II", "III") for t in table.terms)
+        assert all(classify_part(t.lam, t.mu, 2) in ("I", "II", "III") for t in table.terms)
 
     def test_s1_tags(self):
         table = resolution_normalization(KalmanParams(1, 2, 4))
         for t in table.terms:
-            lam, mu = t.source
+            lam, mu = t.lam, t.mu
             part = classify_part(lam, mu, 1)
             if mu.length == 1:
                 assert part == "I"
@@ -241,6 +244,15 @@ class TestSplitParts:
                 assert part == "II"
             else:
                 assert part == "III"
+
+    def test_classify_part_rule(self):
+        p = Partition
+        assert classify_part(p((1, 1, 1)), p(()), 2) == "carried"
+        assert classify_part(p((2, 1)), p((1,)), 1) == "carried"  # mu of full length s too
+        assert classify_part(p((2, 1)), p((1, 1)), 2) == "I"
+        assert classify_part(p((2,)), p((1,)), 2) == "II"
+        assert classify_part(p(()), p(()), 1) == "II"
+        assert classify_part(p((2, 1)), p((1,)), 2) == "III"
 
     def test_f0_check_grid(self):
         for d in range(1, 5):
@@ -277,9 +289,9 @@ class TestPartIII:
                 for s in range(1, d + 1):
                     params = KalmanParams(s, d, n)
                     want = [
-                        replace(t, part="III")
+                        t
                         for t in resolution_normalization(params).terms
-                        if classify_part(*t.source, s) == "III"
+                        if classify_part(t.lam, t.mu, s) == "III"
                     ]
                     assert part_iii_profile(params).terms == want, params
 
@@ -348,7 +360,7 @@ class TestChainResolution:
     def test_dropping_a_part_ii_term_fails(self, s, d, n):
         table = chain_resolution(s, d, n)
         level = resolution_normalization(table.params)
-        low = [t for t in table.terms if t.part == "II" and t.hom_degree <= s]
+        low = [t for t in table.terms if classify_part(t.lam, t.mu, s) == "II" and t.hom_degree <= s]
         assert low
         for t in low:
             report = chain_closed_form_check(self.corrupted(table, drop=t), level)
@@ -358,7 +370,7 @@ class TestChainResolution:
     def test_dropping_a_carried_term_fails(self, s, d, n):
         table = chain_resolution(s, d, n)
         level = resolution_normalization(table.params)
-        low = [t for t in table.terms if t.part == "carried" and t.hom_degree <= s]
+        low = [t for t in table.terms if classify_part(t.lam, t.mu, s) == "carried" and t.hom_degree <= s]
         assert low
         for t in low:
             report = chain_closed_form_check(self.corrupted(table, drop=t), level)
@@ -400,9 +412,9 @@ class TestChainResolution:
                 for s in range(1, d + 1):
                     params = KalmanParams(s, d, n)
                     want = [
-                        replace(t, part="II")
+                        t
                         for t in resolution_normalization(params).terms
-                        if len(t.source[0]) < s and t.hom_degree <= s
+                        if len(t.lam) < s and t.hom_degree <= s
                     ]
                     assert Counter(resolution_module._low_part_ii(params).terms) == Counter(want)
 
@@ -412,10 +424,10 @@ class TestChainResolution:
         # so the loss shows on one side only
         real = resolution_module._level_terms
 
-        def full_length_only(k, d, n, lams, mus, parts, shift=(0, 0)):
-            if parts == ("II", "III"):
+        def full_length_only(k, d, n, lams, mus, shift=(0, 0)):
+            if shift == (0, 0):  # level s; deeper levels are shifted
                 lams = [lam for lam in lams if len(lam) == k]
-            return real(k, d, n, lams, mus, parts, shift)
+            return real(k, d, n, lams, mus, shift)
 
         monkeypatch.setattr(resolution_module, "_level_terms", full_length_only)
         with pytest.raises(CheckFailure):
@@ -423,17 +435,18 @@ class TestChainResolution:
 
     @staticmethod
     def assembled_from_full_levels(s, d, n):
-        """chain(s) as the full normalization tables give it: every level
-        tagged with its part, and chain(k+1) outside part II carried into
-        chain(k) with hom degree - 1 and twist + k."""
+        """chain(s) as the full normalization tables give it, as (term,
+        part) pairs: every level tagged with its part, and chain(k+1)
+        outside part II carried into chain(k) with hom degree - 1 and
+        twist + k, tagged "carried"."""
         chain = []
         for k in range(d, s - 1, -1):
             table = resolution_normalization(KalmanParams(k, d, n))
-            tagged = [replace(t, part=classify_part(*t.source, k)) for t in table.terms]
-            chain = [t for t in tagged if t.part != "I"] + [
-                replace(t, hom_degree=t.hom_degree - 1, twist=t.twist + k, part="carried")
-                for t in chain
-                if t.part != "II"
+            tagged = [(t, classify_part(t.lam, t.mu, k)) for t in table.terms]
+            chain = [(t, part) for t, part in tagged if part != "I"] + [
+                (replace(t, hom_degree=t.hom_degree - 1, twist=t.twist + k), "carried")
+                for t, part in chain
+                if part != "II"
             ]
         return chain
 
@@ -442,7 +455,10 @@ class TestChainResolution:
             for d in range(1, n):
                 for s in range(1, d + 1):
                     want = Counter(self.assembled_from_full_levels(s, d, n))
-                    assert Counter(chain_resolution(s, d, n).terms) == want, (s, d, n)
+                    got = Counter(
+                        (t, classify_part(t.lam, t.mu, s)) for t in chain_resolution(s, d, n).terms
+                    )
+                    assert got == want, (s, d, n)
 
     def test_one_dotted_bott_call_per_pair(self, monkeypatch):
         calls = []
@@ -626,8 +642,8 @@ class TestCancellation:
                 levels = [resolution_normalization(KalmanParams(s, d, n)) for s in range(1, d + 1)]
                 for lower, upper in zip(levels, levels[1:]):
                     s = lower.params.s
-                    part_i = [t for t in lower.terms if classify_part(*t.source, s) == "I"]
-                    part_ii = [t for t in upper.terms if classify_part(*t.source, s + 1) == "II"]
+                    part_i = [t for t in lower.terms if classify_part(t.lam, t.mu, s) == "I"]
+                    part_ii = [t for t in upper.terms if classify_part(t.lam, t.mu, s + 1) == "II"]
                     assert part_i and len(part_i) == len(part_ii), (s, d, n)
                     assert resolution_module._cancelled(lower, "I", s, 1) == resolution_module._cancelled(upper, "II", s, 0)
 
@@ -649,7 +665,7 @@ class TestCancellation:
 
     def test_part_ii_twist_off_by_one_fails(self, monkeypatch):
         def shift_one(terms, s):
-            i = next(i for i, t in enumerate(terms) if classify_part(*t.source, s) == "II")
+            i = next(i for i, t in enumerate(terms) if classify_part(t.lam, t.mu, s) == "II")
             return terms[:i] + [replace(terms[i], twist=terms[i].twist + 1)] + terms[i + 1 :]
 
         self.corrupt_level(monkeypatch, 2, shift_one)
@@ -659,7 +675,7 @@ class TestCancellation:
 
     def test_dropped_part_i_term_fails(self, monkeypatch):
         def drop_one(terms, s):
-            i = next(i for i, t in enumerate(terms) if classify_part(*t.source, s) == "I")
+            i = next(i for i, t in enumerate(terms) if classify_part(t.lam, t.mu, s) == "I")
             return terms[:i] + terms[i + 1 :]
 
         self.corrupt_level(monkeypatch, 1, drop_one)
@@ -688,21 +704,26 @@ class TestPdReg:
             assert reg == d * (d + 1) // 2 - 1
 
 
-class TestSerialization:
-    def test_to_dict_shape(self):
-        table = resolution_normalization(KalmanParams(1, 2, 3))
-        doc = table.to_dict()
-        assert doc["module_id"] == "normalization"
-        assert (doc["d"], doc["n"], doc["s"]) == (2, 3, 1)
-        entry = doc["entries"][0]
-        assert set(entry) == {"i", "twist", "mult", "part", "lambda", "mu", "eta", "skew"}
-        assert set(entry["skew"]) == {"outer", "inner"}
+class TestBettiTerm:
+    def test_non_positive_multiplicity_raises(self):
+        for mult in (0, -1):
+            with pytest.raises(ValueError, match="non-positive multiplicity"):
+                BettiTerm(0, 0, (0,), mult, Partition(()), Partition(()))
 
-    def test_entries_sorted_deterministically(self):
+    def test_negative_hom_degree_raises(self):
+        with pytest.raises(ValueError, match="negative homological degree"):
+            BettiTerm(-1, 0, (0,), 1, Partition(()), Partition(()))
+
+    def test_six_slotted_fields(self):
+        term = chain_resolution(1, 2, 4).terms[0]
+        assert BettiTerm.__slots__ == ("hom_degree", "twist", "eta", "multiplicity", "lam", "mu")
+        assert not hasattr(term, "__dict__")
+
+    def test_sorted_terms_by_degree_twist_and_pair(self):
         table = chain_resolution(1, 2, 4)
-        doc = table.to_dict()
-        keys = [(e["i"], e["twist"], tuple(e["lambda"]), tuple(e["mu"])) for e in doc["entries"]]
+        keys = [(t.hom_degree, t.twist, tuple(t.lam), tuple(t.mu)) for t in table.sorted_terms()]
         assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys) == len(table.terms)
 
 
 # Values recorded from the tableau-backtracking implementation before the
