@@ -242,7 +242,6 @@ def exhaustive_dotted_check(max_d: int = 5, lo: int = -4, hi: int = 6) -> CheckR
     return CheckReport(
         check="bott-exhaustive",
         params={"max_d": max_d, "lo": lo, "hi": hi},
-        passed=not details,
         details=details,
         data={"per_d": per_d},
     )

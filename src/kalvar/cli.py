@@ -23,15 +23,14 @@ from .polysym import trace_identity_check
 from .report import CheckFailure, CheckReport
 from .resolution import (
     KalmanParams,
-    chain_pair_count,
     chain_resolution,
     check_pair_count,
     classify_part,
     f0_check,
     hilbert_numerator,
     les_euler_check,
+    les_pair_count,
     minimal_generators,
-    normalization_pair_count,
     part_iii_profile,
     pd_and_reg,
     resolution_normalization,
@@ -229,22 +228,17 @@ def cmd_check_les(args) -> dict:
             "need --max-d >= 1 and --max-n >= 2"
         )
     check_pair_count(
-        sum(normalization_pair_count(1, d, n) + chain_pair_count(1, d, n) for d, n in grid),
+        sum(les_pair_count(d, n) for d, n in grid),
         f"check-les --max-d {args.max_d} --max-n {args.max_n}",
     )
-    rows = []
-    ok = True
-    for d, n in grid:
-        report = les_euler_check(d, n)
-        ok = ok and report.passed
-        rows.append([d, n, report.verdict])
+    rows = [[d, n, les_euler_check(d, n).verdict] for d, n in grid]
     return {
         "command": "check-les",
         "params": {"max_d": args.max_d, "max_n": args.max_n},
         "summary": {"cases": len(rows)},
         "columns": ["d", "n", "verdict"],
         "rows": rows,
-        "passed": ok,
+        "passed": all(r[2] == "pass" for r in rows),
     }
 
 
@@ -259,20 +253,18 @@ def cmd_check_minors(args) -> dict:
 def cmd_check_trace(args) -> dict:
     if args.max_d < 1:
         raise ValueError(f"--max-d must be at least 1, got {args.max_d}")
-    rows = []
-    ok = True
-    for d in range(1, args.max_d + 1):
-        for i in range(1, d + 1):
-            report = trace_identity_check(d, i)
-            ok = ok and report.passed
-            rows.append([d, i, report.verdict])
+    rows = [
+        [d, i, trace_identity_check(d, i).verdict]
+        for d in range(1, args.max_d + 1)
+        for i in range(1, d + 1)
+    ]
     return {
         "command": "check-trace",
         "params": {"max_d": args.max_d},
         "summary": {"cases": len(rows)},
         "columns": ["d", "i", "verdict"],
         "rows": rows,
-        "passed": ok,
+        "passed": all(r[2] == "pass" for r in rows),
     }
 
 
@@ -292,11 +284,8 @@ def cmd_check_minimality(args) -> dict:
 def cmd_check_all(args) -> dict:
     cfg = PrimeFieldConfig()
     rows: list[list] = []
-    ok = True
 
     def add(name: str, params: dict, passed: bool) -> None:
-        nonlocal ok
-        ok = ok and passed
         rows.append([name, _fmt_value(params), "pass" if passed else "FAIL"])
 
     report = exhaustive_dotted_check(3, -2, 3)
@@ -345,16 +334,14 @@ def cmd_check_all(args) -> dict:
     report = truncated_hilbert_check(2, 3, 5, cfg)
     add("truncated-hilbert", {"d": 2, "n": 3}, report.passed)
 
+    failed = sum(1 for r in rows if r[2] != "pass")
     return {
         "command": "check-all",
         "params": {"modulus": cfg.modulus, "seed": cfg.seed},
-        "summary": {
-            "checks": len(rows),
-            "failed": sum(1 for r in rows if r[2] != "pass"),
-        },
+        "summary": {"checks": len(rows), "failed": failed},
         "columns": ["check", "params", "verdict"],
         "rows": rows,
-        "passed": ok,
+        "passed": failed == 0,
     }
 
 

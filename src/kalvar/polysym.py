@@ -591,12 +591,10 @@ def trace_identity_check(d: int, i: int) -> CheckReport:
     for rows in itertools.combinations(range(d), i):
         rhs = rhs + determinant(a_mat.replace_rows(rows, product))
     diff = lhs - rhs
-    passed = diff.is_zero()
-    details = [] if passed else [{"kind": "nonzero_difference", "difference": str(diff)}]
+    details = [] if diff.is_zero() else [{"kind": "nonzero_difference", "difference": str(diff)}]
     return CheckReport(
         check="trace-minor-identity",
         params={"d": d, "i": i},
-        passed=passed,
         details=details,
         data={"lhs_terms": len(lhs.terms), "rhs_terms": len(rhs.terms)},
     )

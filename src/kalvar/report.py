@@ -11,26 +11,23 @@ class CheckReport:
     """Outcome of one named check.
 
     params holds the inputs that identify the run, details holds
-    structured findings (empty when the check passes), data holds
-    check-specific payload such as per-degree tables.
+    structured findings, data holds check-specific payload such as
+    per-degree tables.  The verdict is read off the findings: a check
+    passes exactly when details is empty.
     """
 
     check: str
     params: dict[str, Any]
-    passed: bool
     details: list[Any] = field(default_factory=list)
     data: dict[str, Any] = field(default_factory=dict)
 
     @property
+    def passed(self) -> bool:
+        return not self.details
+
+    @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"check": self.check, "params": dict(self.params)}
-        out.update(self.data)
-        out["details"] = list(self.details)
-        out["verdict"] = self.verdict
-        return out
 
 
 class CheckFailure(Exception):

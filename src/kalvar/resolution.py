@@ -23,7 +23,7 @@ every table; it resolves each pair's dotted action by merging the
 weight's two rho-shifted halves (`bott._dotted_halves`).
 The public route, `bundle_cohomology` and `skew_schur_dim` per pair, is
 its test oracle, and gives the chain check its expectation below
-degree s (`_low_part_ii`).
+degree s (`_low_strata`).
 """
 
 from __future__ import annotations
@@ -134,6 +134,12 @@ def chain_pair_count(s: int, d: int, n: int) -> int:
     C(n, s) * C(d-1, s-1) at level s, C(n-1, k) * C(d-1, k-1) at k > s."""
     later = sum(comb(n - 1, k) * comb(d - 1, k - 1) for k in range(s + 1, d + 1))
     return comb(n, s) * comb(d - 1, s - 1) + later
+
+
+def les_pair_count(d: int, n: int) -> int:
+    """Candidate (lam, mu) pairs of one Euler check at (d, n): the full
+    normalization tables of levels 1..d plus chain_resolution(1, d, n)."""
+    return normalization_pair_count(1, d, n) + chain_pair_count(1, d, n)
 
 
 def check_pair_count(pairs: int, what: str) -> None:
@@ -308,34 +314,19 @@ def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
     report = CheckReport(
         check="part-iii-profile",
         params={"s": s, "d": d, "n": n},
-        passed=not details,
         details=details,
         data={"terms": len(iii)},
     )
     return PartIIIProfile(iii, report)
 
 
-def chain_closed_form_check(chain: BettiTable, level: BettiTable) -> CheckReport:
+def chain_closed_form_check(chain: BettiTable) -> CheckReport:
     """Compare the low homological degrees of a chain(s) table against
-    the closed forms read from `level`, level-s normalization terms
-    that include its part II in hom degree at most s (the full table,
-    or `_low_part_ii`).  Below degree s the chain must hold
-    exactly those part II terms (lam shorter than s); at degree s, those
-    plus the bottom strata of every level k = s..d, with twist raised
-    by (s+k-1)(k-s)/2."""
-    params = chain.params
-    if level.params != params:
-        raise ValueError(f"level table has {level.params!r}, chain has {params!r}")
-    s, d, n = params.s, params.d, params.n
-    expected: dict[int, list[tuple]] = {i: [] for i in range(s + 1)}
-    for t in level.terms:
-        if t.hom_degree <= s and classify_part(t.lam, t.mu, s) == "II":
-            expected[t.hom_degree].append(_stratum_key(t))
-    for k in range(s, d + 1):
-        expected[s] += _closed_form_strata(k, d, n, (s + k - 1) * (k - s) // 2)
+    the stratum keys `_low_strata` computes for its parameters, apart
+    from the loop that built it."""
+    s, d, n = chain.params.s, chain.params.d, chain.params.n
     details: list[dict] = []
-    for i, want in expected.items():
-        want.sort()
+    for i, want in _low_strata(s, d, n).items():
         got = sorted(_stratum_key(t) for t in chain.terms if t.hom_degree == i)
         if got != want:
             details.append(
@@ -349,20 +340,19 @@ def chain_closed_form_check(chain: BettiTable, level: BettiTable) -> CheckReport
     return CheckReport(
         check="chain-closed-form",
         params={"s": s, "d": d, "n": n},
-        passed=not details,
         details=details,
     )
 
 
-def _low_part_ii(params: KalmanParams) -> BettiTable:
-    """The part II terms of the level-s normalization table in hom
-    degree at most s, by the public route: `bundle_cohomology` and
-    `skew_schur_dim` on each pair mu inside lam, both shorter than s.
-    This is the expectation `chain_resolution` checks its low strata
-    against, computed apart from the loop that built the chain; at
-    s = 1 it is the one pair of empty shapes."""
-    s, d, n = params.s, params.d, params.n
-    terms = []
+def _low_strata(s: int, d: int, n: int) -> dict[int, list[tuple]]:
+    """The sorted stratum keys chain(s) must hold in each hom degree
+    0..s.  Below degree s, the part II terms of level s (lam shorter
+    than s) by the public route: `bundle_cohomology` and
+    `skew_schur_dim` on each pair mu inside lam, both shorter than s; at
+    s = 1 that is the one pair of empty shapes.  At degree s, those plus
+    the bottom strata of every level k = s..d, whose terms land k - s
+    hom degrees lower, with twist raised by (s+k-1)(k-s)/2."""
+    strata: dict[int, list[tuple]] = {i: [] for i in range(s + 1)}
     # a Bott degree is at most s(d-s), the dimension of the Grassmannian,
     # so a lam larger than s + s(d-s) has nothing in hom degree <= s
     lams = [lam for lam in partitions_in_box(Box(s - 1, n - s)) if lam.size <= s * (d - s + 1)]
@@ -374,10 +364,16 @@ def _low_part_ii(params: KalmanParams) -> BettiTable:
             out, gl_mult = bundle_cohomology(lam, mu.conjugate(), s, d)
             if out.vanishes or lam.size - out.degree > s:
                 continue
-            mult = gl_mult * skew_schur_dim(SkewShape(lam.conjugate(), mu.conjugate()), n - d)
+            shape = SkewShape(lam.conjugate(), mu.conjugate())
+            mult = gl_mult * skew_schur_dim(shape, n - d)
             if mult:
-                terms.append(BettiTerm(lam.size - out.degree, lam.size, out.eta, mult, lam, mu))
-    return BettiTable("normalization", params, terms)
+                key = (lam.size, out.eta, tuple(shape.outer), tuple(shape.inner), mult)
+                strata[lam.size - out.degree].append(key)
+    for k in range(s, d + 1):
+        strata[s] += _closed_form_strata(k, d, n, (s + k - 1) * (k - s) // 2)
+    for keys in strata.values():
+        keys.sort()
+    return strata
 
 
 def chain_resolution(s: int, d: int, n: int) -> BettiTable:
@@ -395,10 +391,10 @@ def chain_resolution(s: int, d: int, n: int) -> BettiTable:
     level s and "carried" at every deeper level, whose lam is longer
     than s.  Over MAX_NORMALIZATION_PAIRS such pairs raise ValueError
     up front.  The low strata are checked (CheckFailure on a mismatch)
-    against the closed forms and the low part II terms of level s,
-    which `_low_part_ii` computes by the public route; a level-k term
-    in hom degree h lands in h - (k-s), so that one check covers every
-    level.
+    by `chain_closed_form_check`, which takes its expectation from the
+    chain's parameters alone: the closed forms and the low part II
+    terms of level s, by the public route; a level-k term in hom degree
+    h lands in h - (k-s), so that one check covers every level.
     """
     params = KalmanParams(s, d, n)
     check_pair_count(
@@ -412,7 +408,7 @@ def chain_resolution(s: int, d: int, n: int) -> BettiTable:
         shift = (s - k, (s + k - 1) * (k - s) // 2)
         terms += _level_terms(k, d, n, lams, mus, shift)
     chain = BettiTable("chain", params, terms)
-    report = chain_closed_form_check(chain, _low_part_ii(params))
+    report = chain_closed_form_check(chain)
     if not report.passed:
         raise CheckFailure(report)
     return chain
@@ -464,7 +460,8 @@ def minimal_generators(d: int, n: int) -> list[GeneratorRecord]:
 @dataclass(frozen=True)
 class HilbertSeries:
     """Rational Hilbert series: integer numerator over (1-t)^denom_power.
-    The numerator is stored sparsely as {exponent: coefficient}."""
+    The numerator is stored sparsely as (exponent, coefficient) pairs,
+    sorted by exponent, with no zero coefficient."""
 
     numerator: tuple[tuple[int, int], ...]
     denom_power: int
@@ -478,9 +475,6 @@ class HilbertSeries:
         clean = tuple(sorted((k, c) for k, c in acc.items() if c != 0))
         return HilbertSeries(clean, denom_power)
 
-    def coeff_dict(self) -> dict[int, int]:
-        return dict(self.numerator)
-
     def expand(self, max_degree: int) -> list[int]:
         """Power series coefficients of numerator / (1-t)^denom_power up
         to max_degree inclusive."""
@@ -493,25 +487,18 @@ class HilbertSeries:
         return out
 
     def vanishing_order_at_one(self) -> int:
-        """Largest power of (1 - t) dividing the numerator."""
-        coeffs = self.coeff_dict()
-        if not coeffs:
+        """Largest power of (1 - t) dividing the numerator: the least j
+        whose Taylor coefficient at t = 1, the sum of c_e * C(e - low, j)
+        with low the lowest exponent (0 for every table), is not zero.
+        At j = top - low that sum is the top coefficient, so the search
+        ends there."""
+        if not self.numerator:
             raise ValueError("zero numerator has no finite vanishing order")
-        order = 0
-        while sum(coeffs.values()) == 0:
-            # divide by (1 - t): quotient coefficients are partial sums
-            top = max(coeffs)
-            run = 0
-            quo: dict[int, int] = {}
-            for e in range(top + 1):
-                run += coeffs.get(e, 0)
-                if run:
-                    quo[e] = run
-            coeffs = quo
-            order += 1
-            if not coeffs:
-                raise ValueError("zero numerator has no finite vanishing order")
-        return order
+        low, top = self.numerator[0][0], self.numerator[-1][0]
+        return next(
+            j for j in range(top - low + 1)
+            if sum(c * comb(e - low, j) for e, c in self.numerator)
+        )
 
     def numerator_string(self) -> str:
         if not self.numerator:
@@ -561,10 +548,7 @@ def les_euler_check(d: int, n: int) -> CheckReport:
     s < d, shifted by (lam, mu) -> (lam - 1^s, mu - 1^s) and twist - s,
     must equal part II of level s+1: the summands the chain cancels.
     The pairs of both routes together are held to MAX_NORMALIZATION_PAIRS."""
-    check_pair_count(
-        normalization_pair_count(1, d, n) + chain_pair_count(1, d, n),
-        f"the Euler check at (d, n) = ({d}, {n})",
-    )
+    check_pair_count(les_pair_count(d, n), f"the Euler check at (d, n) = ({d}, {n})")
     levels = [resolution_normalization(KalmanParams(s, d, n)) for s in range(1, d + 1)]
     total = HilbertSeries.of(
         [
@@ -598,7 +582,6 @@ def les_euler_check(d: int, n: int) -> CheckReport:
     return CheckReport(
         check="les-euler",
         params={"d": d, "n": n},
-        passed=not details,
         details=details,
         data={
             "alternating_sum": total.numerator_string(),
@@ -641,7 +624,6 @@ def f0_check(params: KalmanParams) -> CheckReport:
     return CheckReport(
         check="f0-counts",
         params={"s": s, "d": d, "n": params.n},
-        passed=not details,
         details=details,
         data={"ranks_by_part_twist": {f"{p}:{tw}": c for (p, tw), c in sorted(got.items())}},
     )

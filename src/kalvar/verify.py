@@ -172,7 +172,6 @@ def vanishing_test(
     return CheckReport(
         check="random-point-vanishing",
         params={"d": d, "n": n, "trials": trials, "modulus": cfg.modulus, "seed": cfg.seed},
-        passed=not failures,
         details=failures[:20],
         data={"generator_count": len(gens), "failure_count": len(failures)},
     )
@@ -324,6 +323,8 @@ def truncated_hilbert(
     """Dimensions of the graded pieces of k[x]/(generators), degrees 0
     through max_degree, from ranks taken in the ring of the generators,
     k[alpha, gamma] of `BlockLayout`, and lifted to k[x]."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     if not generators:
         raise ValueError("no generators")
     nvars = generators[0].ring.nvars
@@ -399,7 +400,6 @@ def minimality_report(
             "max_degree": max_degree,
             "modulus": cfg.modulus,
         },
-        passed=not failures,
         details=failures,
         data={"per_degree": per_degree, "generator_count": len(gens)},
     )
@@ -413,9 +413,10 @@ def truncated_hilbert_check(
 ) -> CheckReport:
     """Measure the quotient's graded dimensions by rank computations and
     compare against the expansion of the rational series obtained from
-    the resolution."""
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be at least 0, got {max_degree}")
+    the resolution.  Degree 0 holds for any proper ideal, so at least
+    degree 1 is compared."""
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     _capped_count(n * d, max_degree)
     gens = [p for _, p in all_top_minors(d, n, cfg.field())]
     measured = truncated_hilbert(gens, n, max_degree, cfg)
@@ -428,7 +429,6 @@ def truncated_hilbert_check(
     return CheckReport(
         check="truncated-hilbert",
         params={"d": d, "n": n, "max_degree": max_degree, "modulus": cfg.modulus},
-        passed=not mismatches,
         details=mismatches,
         data={"measured": measured, "expected": expected},
     )
@@ -458,7 +458,6 @@ def hypersurface_check(
     return CheckReport(
         check="hypersurface-determinant",
         params={"d": d, "n": n, "trials": trials, "modulus": cfg.modulus},
-        passed=degree_ok and inner.passed,
         details=details,
         data={
             "degree": det.degree(),

@@ -316,7 +316,6 @@ class TestChecks:
         broken = CheckReport(
             check="minor-vanishing",
             params={"d": 2, "n": 3},
-            passed=False,
             details=[{"kind": "nonvanishing", "trial": 0}],
             data={},
         )
@@ -324,6 +323,48 @@ class TestChecks:
         code, out = run(capsys, "check-minors", "--d", "2", "--n", "3")
         assert code == 1
         assert "result: FAIL" in out
+
+    @staticmethod
+    def failing_at(real, case):
+        """`real`, except that the report whose first two arguments are
+        `case` carries a finding."""
+        def check(*args):
+            report = real(*args)
+            if args[:2] == case:
+                report.details.append({"kind": "planted"})
+            return report
+        return check
+
+    def test_les_grid_with_a_failing_case_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "les_euler_check", self.failing_at(cli.les_euler_check, (2, 3)))
+        code, out = run(capsys, "--format", "json", "check-les", "--max-d", "2", "--max-n", "3")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["rows"] == [[1, 2, "pass"], [1, 3, "pass"], [2, 3, "fail"]]
+        assert payload["passed"] is False
+
+    def test_trace_grid_with_a_failing_case_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "trace_identity_check", self.failing_at(cli.trace_identity_check, (2, 1))
+        )
+        code, out = run(capsys, "--format", "json", "check-trace", "--max-d", "2")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["rows"] == [[1, 1, "pass"], [2, 1, "fail"], [2, 2, "pass"]]
+        assert payload["passed"] is False
+
+    def test_check_all_with_a_failing_case_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "truncated_hilbert_check", self.failing_at(cli.truncated_hilbert_check, (2, 3))
+        )
+        code, out = run(capsys, "check-all")
+        assert code == 1
+        lines = out.splitlines()
+        assert "failed: 1" in lines
+        assert [line.split()[0] for line in lines[:-1] if line.endswith("FAIL")] == [
+            "truncated-hilbert"
+        ]
+        assert lines[-1] == "result: FAIL"
 
 
 class TestFormatsAndOutput:

@@ -1,7 +1,13 @@
 """The package's public names: every exported name resolves, so a name
-deleted from a module cannot linger in `kalvar.__all__`."""
+deleted from a module cannot linger in `kalvar.__all__`.  The report
+every check returns keeps only what the check found."""
+
+import dataclasses
+
+import pytest
 
 import kalvar
+from kalvar.report import CheckReport
 
 
 def test_every_exported_name_resolves():
@@ -14,3 +20,19 @@ def test_star_import():
     namespace: dict = {}
     exec("from kalvar import *", namespace)
     assert set(kalvar.__all__) <= set(namespace)
+
+
+def test_check_report_fields():
+    names = [f.name for f in dataclasses.fields(CheckReport)]
+    assert names == ["check", "params", "details", "data"]
+
+
+def test_verdict_is_read_off_the_findings():
+    clean = CheckReport("c", {"d": 2})
+    assert clean.passed is True
+    assert clean.verdict == "pass"
+    found = CheckReport("c", {"d": 2}, details=[{"kind": "mismatch"}])
+    assert found.passed is False
+    assert found.verdict == "fail"
+    with pytest.raises(AttributeError):
+        clean.passed = False

@@ -690,9 +690,9 @@ class TestTraceIdentity:
     def test_report_shape(self):
         report = trace_identity_check(2, 2)
         assert report.verdict == "pass"
-        d = report.to_dict()
-        assert d["check"] == "trace-minor-identity"
-        assert d["params"] == {"d": 2, "i": 2}
+        assert report.check == "trace-minor-identity"
+        assert report.params == {"d": 2, "i": 2}
+        assert report.details == []
 
 
 class TestPolyMatrix:

@@ -4,6 +4,8 @@ from math import comb
 from operator import sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kalvar.resolution as resolution_module
 from kalvar.bott import bundle_cohomology, bundle_weight, dotted_bott, rho
@@ -41,6 +43,23 @@ from test_partitions import brute_skew_ssyt
 def weight_of_halves(upper, lower):
     """The weight whose rho-shifted form is upper followed by lower."""
     return tuple(map(sub, upper + lower, rho(len(upper) + len(lower))))
+
+
+def order_by_division(coeffs):
+    """Largest power of (1 - t) dividing a nonzero polynomial given as
+    {exponent: coefficient}, by dividing by (1 - t) while the
+    coefficients sum to zero: the quotient's coefficients are the
+    partial sums."""
+    order = 0
+    while sum(coeffs.values()) == 0:
+        run, quo = 0, {}
+        for e in range(max(coeffs) + 1):
+            run += coeffs.get(e, 0)
+            if run:
+                quo[e] = run
+        coeffs = quo
+        order += 1
+    return order
 
 
 def brute_normalization_s1_d2(n):
@@ -333,23 +352,15 @@ class TestChainResolution:
         for s in range(1, 4):
             for d in range(s, 5):
                 for n in range(d + 1, 7):
-                    table = chain_resolution(s, d, n)
-                    level = resolution_normalization(KalmanParams(s, d, n))
-                    report = chain_closed_form_check(table, level)
+                    report = chain_closed_form_check(chain_resolution(s, d, n))
                     assert report.passed, report.details
 
     def test_closed_form_check_catches_corruption(self):
         table = chain_resolution(1, 2, 4)
-        level = resolution_normalization(table.params)
         # removing the generator column must break the low strata
         bad = BettiTable(table.module_id, table.params, [t for t in table.terms if t.hom_degree != 1])
-        report = chain_closed_form_check(bad, level)
+        report = chain_closed_form_check(bad)
         assert not report.passed
-
-    def test_closed_form_check_needs_the_matching_level(self):
-        table = chain_resolution(1, 2, 4)
-        with pytest.raises(ValueError):
-            chain_closed_form_check(table, resolution_normalization(KalmanParams(2, 2, 4)))
 
     @staticmethod
     def corrupted(table, drop=None, add=()):
@@ -359,31 +370,28 @@ class TestChainResolution:
     @pytest.mark.parametrize("s, d, n", [(2, 3, 5), (2, 4, 6), (3, 4, 6)])
     def test_dropping_a_part_ii_term_fails(self, s, d, n):
         table = chain_resolution(s, d, n)
-        level = resolution_normalization(table.params)
         low = [t for t in table.terms if classify_part(t.lam, t.mu, s) == "II" and t.hom_degree <= s]
         assert low
         for t in low:
-            report = chain_closed_form_check(self.corrupted(table, drop=t), level)
+            report = chain_closed_form_check(self.corrupted(table, drop=t))
             assert not report.passed, t
 
     @pytest.mark.parametrize("s, d, n", [(1, 2, 4), (1, 3, 5), (2, 3, 5), (2, 4, 6)])
     def test_dropping_a_carried_term_fails(self, s, d, n):
         table = chain_resolution(s, d, n)
-        level = resolution_normalization(table.params)
         low = [t for t in table.terms if classify_part(t.lam, t.mu, s) == "carried" and t.hom_degree <= s]
         assert low
         for t in low:
-            report = chain_closed_form_check(self.corrupted(table, drop=t), level)
+            report = chain_closed_form_check(self.corrupted(table, drop=t))
             assert not report.passed, t
 
     @pytest.mark.parametrize("s, d, n", [(1, 2, 4), (1, 3, 5), (2, 3, 5), (3, 4, 6)])
     def test_adding_a_term_below_degree_s_fails(self, s, d, n):
         table = chain_resolution(s, d, n)
-        level = resolution_normalization(table.params)
         for t in table.terms:
             for i in range(s):
                 extra = replace(t, hom_degree=i)
-                report = chain_closed_form_check(self.corrupted(table, add=[extra]), level)
+                report = chain_closed_form_check(self.corrupted(table, add=[extra]))
                 assert not report.passed, (t, i)
 
     def test_carried_term_below_degree_zero_raises(self, monkeypatch):
@@ -401,22 +409,32 @@ class TestChainResolution:
         monkeypatch.setattr(
             resolution_module,
             "chain_closed_form_check",
-            lambda chain, level: CheckReport("stub", {}, True),
+            lambda chain: CheckReport("stub", {}),
         )
         with pytest.raises(ValueError, match="negative homological degree"):
             chain_resolution(1, 2, 4)
 
     def test_low_part_ii_is_read_off_the_full_level(self):
+        # the expected low strata, read off the full normalization
+        # tables: part II of level s in hom degree <= s, and at degree s
+        # the part III terms of every level k >= s in hom degree k,
+        # carried k - s degrees down with twist raised by (s+k-1)(k-s)/2
+        key = resolution_module._stratum_key
         for n in range(2, 10):
             for d in range(1, min(n, 6)):
+                levels = {k: resolution_normalization(KalmanParams(k, d, n)) for k in range(1, d + 1)}
                 for s in range(1, d + 1):
-                    params = KalmanParams(s, d, n)
-                    want = [
-                        t
-                        for t in resolution_normalization(params).terms
-                        if len(t.lam) < s and t.hom_degree <= s
-                    ]
-                    assert Counter(resolution_module._low_part_ii(params).terms) == Counter(want)
+                    want = {i: [] for i in range(s + 1)}
+                    for t in levels[s].terms:
+                        if classify_part(t.lam, t.mu, s) == "II" and t.hom_degree <= s:
+                            want[t.hom_degree].append(key(t))
+                    for k in range(s, d + 1):
+                        offset = (s + k - 1) * (k - s) // 2
+                        for t in levels[k].terms:
+                            if classify_part(t.lam, t.mu, k) == "III" and t.hom_degree == k:
+                                want[s].append(key(replace(t, twist=t.twist + offset)))
+                    got = resolution_module._low_strata(s, d, n)
+                    assert got == {i: sorted(keys) for i, keys in want.items()}, (s, d, n)
 
     def test_lost_level_s_pairs_raise(self, monkeypatch):
         # level s taking only full-length lam loses its part II; the low
@@ -589,12 +607,12 @@ class TestHilbert:
     def test_koszul_numerator(self):
         table = resolution_normalization(KalmanParams(2, 2, 3))
         series = hilbert_numerator(table)
-        assert series.coeff_dict() == {0: 1, 1: -2, 2: 1}
+        assert dict(series.numerator) == {0: 1, 1: -2, 2: 1}
         assert series.denom_power == 9
 
     def test_chain_cubic_numerator(self):
         series = hilbert_numerator(chain_resolution(1, 2, 3))
-        assert series.coeff_dict() == {0: 1, 3: -1}
+        assert dict(series.numerator) == {0: 1, 3: -1}
 
     def test_expand_cubic(self):
         series = hilbert_numerator(chain_resolution(1, 2, 3))
@@ -607,6 +625,43 @@ class TestHilbert:
         series = HilbertSeries.of({0: 1, 1: -3, 2: 3, 3: -1}, 4)
         assert series.vanishing_order_at_one() == 3
         assert HilbertSeries.of({0: 2}, 4).vanishing_order_at_one() == 0
+        # a Laurent numerator: t^-1 - 1 = t^-1 (1 - t)
+        assert HilbertSeries.of({-1: 1, 0: -1}, 2).vanishing_order_at_one() == 1
+
+    def test_zero_numerator_has_no_vanishing_order(self):
+        with pytest.raises(ValueError, match="zero numerator"):
+            HilbertSeries.of({3: 0}, 4).vanishing_order_at_one()
+
+    def test_vanishing_order_matches_division_on_the_tables(self):
+        seen = 0
+        for n in range(2, 13):
+            for d in range(1, min(n, 7)):
+                for s in range(1, d + 1):
+                    for table in (
+                        chain_resolution(s, d, n),
+                        resolution_normalization(KalmanParams(s, d, n)),
+                    ):
+                        series = hilbert_numerator(table)
+                        want = order_by_division(dict(series.numerator))
+                        assert series.vanishing_order_at_one() == want, (s, d, n, table.module_id)
+                        seen += 1
+        assert seen == 322
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=8).filter(any),
+        st.integers(0, 6),
+        st.integers(0, 3),
+    )
+    def test_vanishing_order_matches_division(self, coeffs, k, lift):
+        # (t^lift * p(t)) * (1 - t)^k with p nonzero: order k plus p's own
+        poly = {lift + e: c for e, c in enumerate(coeffs)}
+        for _ in range(k):
+            poly = {e: poly.get(e, 0) - poly.get(e - 1, 0) for e in range(max(poly) + 2)}
+        series = HilbertSeries.of(poly, 9)
+        want = order_by_division(dict(series.numerator))
+        assert want >= k
+        assert series.vanishing_order_at_one() == want
 
     def test_les_euler_small(self):
         for d in range(1, 4):

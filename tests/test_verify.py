@@ -402,8 +402,19 @@ class TestTruncatedHilbert:
         assert report.data["expected"] == expected
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError, match="max_degree must be at least 0, got -1"):
+        with pytest.raises(ValueError, match="max_degree must be at least 1, got -1"):
             truncated_hilbert_check(2, 3, -1)
+
+    def test_degree_zero_rejected(self):
+        # degree 0 compares [1] with [1], which holds for any proper ideal
+        with pytest.raises(ValueError, match="max_degree must be at least 1, got 0"):
+            truncated_hilbert_check(2, 3, 0)
+
+    def test_truncated_hilbert_negative_degree_rejected(self):
+        gens = [p for _, p in all_top_minors(2, 3)]
+        with pytest.raises(ValueError, match="max_degree must be at least 0, got -2"):
+            truncated_hilbert(gens, 3, -2)
+        assert truncated_hilbert(gens, 3, 0) == [1]
 
     def test_no_generators_rejected(self):
         with pytest.raises(ValueError, match="no generators"):
