@@ -54,10 +54,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def part(self, i: int) -> int:
         """The i-th part, 0-based, zero beyond the length."""
         return self[i] if 0 <= i < len(self) else 0

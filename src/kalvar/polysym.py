@@ -10,14 +10,18 @@ reduces it mod p, and prime fields with the same modulus are the same
 domain.  Arithmetic works on plain ints and reduces each coefficient of
 a result once (`PolyRing.reduce`), dropping zeros.
 
-Monomials are exponent tuples over a fixed ring; graded reverse
-lexicographic order fixes how a polynomial is serialized.  The
-finite-field ranks downstream number their columns on first touch and
-do not depend on it.  Two routines work on other forms inside and
-convert at their boundary: the minors pack each exponent tuple into one
-int, and evaluation (`evaluate_many`) compiles the monomials of all the
-polynomials it is given into one trie of variables, shared by all of
-them, and walks it once per point.
+A monomial is one int: its exponent vector packed one byte per
+variable, variable k at bits 8k, so a monomial product is one int add.
+`PolyRing.pack` and `PolyRing.unpack` are the only conversions to and
+from exponent tuples.  One byte holds exponents up to 255, and every
+route that adds monomials refuses a degree over 255
+(`check_degree`) rather than carrying into the next variable.  Graded
+reverse lexicographic order on the exponent tuples fixes how a
+polynomial is serialized; the finite-field ranks downstream number
+their columns on first touch and do not depend on it.  Evaluation
+(`evaluate_many`) compiles the monomials of all the polynomials it is
+given into one trie of variables, shared by all of them, and walks it
+once per point.
 """
 
 from __future__ import annotations
@@ -88,6 +92,18 @@ class PrimeField:
 ZZ = Integers()
 
 
+MAX_DEGREE = 255  # one byte per variable in a packed monomial
+
+
+def check_degree(degree: int, what: str) -> None:
+    """Refuse a degree over MAX_DEGREE: past it, an exponent could carry
+    into the next variable's byte."""
+    if degree > MAX_DEGREE:
+        raise ValueError(
+            f"{what} may reach degree {degree}; packed monomials hold at most {MAX_DEGREE} per variable"
+        )
+
+
 def grevlex_key(exp: tuple[int, ...]) -> tuple:
     """Sort key putting monomials in graded reverse lexicographic
     descending order when sorted ascending by this key."""
@@ -108,8 +124,22 @@ class PolyRing:
     def compatible(self, other: "PolyRing") -> bool:
         return self is other or (self.nvars == other.nvars and self.domain == other.domain)
 
+    def pack(self, exp: Sequence[int]) -> int:
+        """The monomial with exponent vector `exp`, one byte per variable,
+        variable k at bits 8k."""
+        exp = tuple(exp)
+        if len(exp) != self.nvars:
+            raise ValueError(f"exponent vector {exp!r} does not have {self.nvars} entries")
+        if not all(0 <= e <= MAX_DEGREE for e in exp):
+            raise ValueError(f"exponent vector {exp!r}: packed monomials hold 0 to {MAX_DEGREE} per variable")
+        return int.from_bytes(bytes(exp), "little")
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        """The exponent vector of the packed monomial `m`."""
+        return tuple(m.to_bytes(self.nvars, "little"))
+
     def reduce(self, acc: dict) -> "SparsePoly":
-        """The polynomial {exponent tuple: integer} `acc` in this ring:
+        """The polynomial {packed monomial: integer} `acc` in this ring:
         every coefficient coerced into the domain once, zeros dropped."""
         coerce = self.domain.coerce
         return SparsePoly(self, {e: v for e, c in acc.items() if (v := coerce(c))})
@@ -118,7 +148,7 @@ class PolyRing:
         return SparsePoly(self, {})
 
     def const(self, c) -> "SparsePoly":
-        return self.reduce({(0,) * self.nvars: c})
+        return self.reduce({0: c})
 
     def one(self) -> "SparsePoly":
         return self.const(1)
@@ -126,17 +156,11 @@ class PolyRing:
     def var(self, k: int) -> "SparsePoly":
         if not 0 <= k < self.nvars:
             raise ValueError(f"variable index {k} out of range")
-        return self.reduce({tuple(1 if i == k else 0 for i in range(self.nvars)): 1})
-
-    def monomial(self, exp: Sequence[int], c=1) -> "SparsePoly":
-        exp = tuple(int(e) for e in exp)
-        if len(exp) != self.nvars or any(e < 0 for e in exp):
-            raise ValueError(f"bad exponent vector {exp!r}")
-        return self.reduce({exp: c})
+        return self.reduce({1 << 8 * k: 1})
 
 
 class SparsePoly:
-    """Immutable-by-convention sparse polynomial: {exponent tuple: coeff}."""
+    """Immutable-by-convention sparse polynomial: {packed monomial: coeff}."""
 
     __slots__ = ("ring", "terms")
 
@@ -151,11 +175,13 @@ class SparsePoly:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._degrees())
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(self._degrees())) <= 1
+
+    def _degrees(self) -> Iterable[int]:
+        return map(sum, map(self.ring.unpack, self.terms))
 
     def _check_ring(self, other: "SparsePoly") -> None:
         if not isinstance(other, SparsePoly):
@@ -184,11 +210,12 @@ class SparsePoly:
         if isinstance(other, int):
             return self.ring.reduce({e: c * other for e, c in self.terms.items()})
         self._check_ring(other)
+        check_degree(self.degree() + other.degree(), "a product")
         acc: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc[e] = acc.get(e, 0) + ca * cb
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                m = ma + mb
+                acc[m] = acc.get(m, 0) + ca * cb
         return self.ring.reduce(acc)
 
     __rmul__ = __mul__
@@ -196,6 +223,7 @@ class SparsePoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power")
+        check_degree(self.degree() * e, "a power")
         out = self.ring.one()
         for _ in range(e):
             out = out * self
@@ -211,7 +239,9 @@ class SparsePoly:
         )
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]))
+        """(exponent tuple, coefficient) pairs in grevlex order."""
+        unpack = self.ring.unpack
+        return sorted(((unpack(m), c) for m, c in self.terms.items()), key=lambda t: grevlex_key(t[0]))
 
     def evaluate(self, point: Sequence):
         """Value at a point given as one domain element per variable: the
@@ -248,9 +278,8 @@ def _shared_trie(polys: Sequence[SparsePoly]) -> tuple:
     first, and the words of all polynomials share their prefixes.  A
     node is a prefix monomial, so its parent drops one factor of the
     node's lowest-index variable.  The trie is built layer by layer,
-    deepest first, from monomials packed into ints wide enough for the
-    largest exponent: the lowest set bit names the variable, and one
-    subtraction gives the parent.
+    deepest first, on the packed monomials themselves: the lowest set
+    bit names the variable, and one subtraction gives the parent.
 
     Node 0 is the empty word.  Level t lists, for each node of degree
     t + 1, its parent node and last variable, and nodes are numbered
@@ -264,38 +293,24 @@ def _shared_trie(polys: Sequence[SparsePoly]) -> tuple:
     84 minors of (3, 6) need 11,043 nodes in one trie, 26,499 in one
     trie each.
     """
-    top = max((max(exp, default=0) for p in polys for exp in p.terms), default=0)
-    width = max(1, (top.bit_length() + 7) // 8)
-    step = 8 * width
-
-    def pack(exp):
-        if width == 1:
-            return int.from_bytes(bytes(exp), "little")
-        return int.from_bytes(b"".join(e.to_bytes(width, "little") for e in exp), "little")
-
     layers: list[set[int]] = [{0}]
-    words = []
     for p in polys:
-        word = []
-        for exp in p.terms:
-            m, degree = pack(exp), sum(exp)
+        for m, degree in zip(p.terms, p._degrees()):
             while len(layers) <= degree:
                 layers.append(set())
             layers[degree].add(m)
-            word.append(m)
-        words.append(word)
     nodes, links = [], []  # deepest layer first
     for t in reversed(range(1, len(layers))):
         layer = sorted(layers[t])
-        variables = [((m & -m).bit_length() - 1) // step for m in layer]
-        parents = [m - (1 << k * step) for m, k in zip(layer, variables)]
+        variables = [((m & -m).bit_length() - 1) >> 3 for m in layer]
+        parents = [m - (1 << 8 * k) for m, k in zip(layer, variables)]
         layers[t - 1].update(parents)
         nodes.append(layer)
         links.append((parents, variables))
     nodes.append([0])
     index = {m: i for i, m in enumerate(itertools.chain.from_iterable(reversed(nodes)))}
     levels = [([index[m] for m in parents], variables) for parents, variables in reversed(links)]
-    return levels, [[index[m] for m in word] for word in words]
+    return levels, [[index[m] for m in p.terms] for p in polys]
 
 
 def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence]) -> list[list]:
@@ -433,38 +448,21 @@ def _minors(
     minors sit on the highest-degree rows, so their transients peak
     before the lighter results pile up.
 
-    Inside the expansion a monomial is its exponent vector packed into
-    one int, one byte per variable, so a monomial product is one int
-    add; each pick is unpacked as soon as it is done, and a monomial
-    that several picks share gets one exponent tuple (the 70 minors of
-    (4, 6) hold 1,874,352 terms but 1,104,308 monomials).  The
-    exponents of a pick are bounded by the sum of its rows' largest
-    entry degrees, and a bound over 255 raises ValueError rather than
-    carrying into the next variable.
+    The expansion works on the terms dicts of the entries and of the
+    sub-minors directly, since a packed monomial product is one int add.
+    The degree of a pick is bounded by the sum of its rows' largest
+    entry degrees, and a bound over 255 raises ValueError
+    (`check_degree`).
     """
-    nvars = ring.nvars
     coerce = ring.domain.coerce
     picks = [(tuple(rows), tuple(cols)) for rows, cols in picks]
-    packed: dict[tuple[int, int], dict[int, object]] = {}
     uses: dict[tuple, int] = {}
     memo: dict[tuple, dict[int, object]] = {}
-
-    def entry(r, c):
-        e = packed.get((r, c))
-        if e is None:
-            terms = entries[r][c].terms
-            e = packed[r, c] = {int.from_bytes(bytes(exp), "little"): v for exp, v in terms.items()}
-        return e
-
-    share = {}.setdefault  # one exponent tuple per distinct monomial, shared across picks
-
-    def unpack(terms):
-        return SparsePoly(ring, {share(e := tuple(m.to_bytes(nvars, "little")), e): c for m, c in terms.items()})
 
     def expansion(key):
         rows, cols = key
         for pos, c in enumerate(cols):
-            e = entry(rows[0], c)
+            e = entries[rows[0]][c].terms
             if e:
                 yield pos, e, (rows[1:], cols[:pos] + cols[pos + 1:])
 
@@ -498,14 +496,10 @@ def _minors(
         return value
 
     for rows, cols in picks:
-        bound = sum(max(0, *(entries[r][c].degree() for c in cols)) for r in rows)
-        if bound > 255:
-            raise ValueError(
-                f"minor exponents may reach {bound}; packed monomials hold at most 255 per variable"
-            )
+        check_degree(sum(max(0, *(entries[r][c].degree() for c in cols)) for r in rows), "a minor")
         count((rows, cols))
     order = sorted(range(len(picks)), key=lambda i: sorted(picks[i][0], reverse=True), reverse=True)
-    values = {i: unpack(take(picks[i])) for i in order}
+    values = {i: SparsePoly(ring, take(picks[i])) for i in order}
     return [values[i] for i in range(len(picks))]
 
 

@@ -61,10 +61,6 @@ class KalmanParams:
         if not (1 <= self.s <= self.d < self.n):
             raise ValueError(f"need 1 <= s <= d < n, got {self!r}")
 
-    @property
-    def w_dim(self) -> int:
-        return self.n - self.d
-
 
 # Candidate (lam, mu) pairs that one computation may visit, summed over
 # the levels it builds.  chain(1) visits 319,771 at (d, n) = (8, 16) and
@@ -106,14 +102,6 @@ class BettiTable:
     module_id: str
     params: KalmanParams
     terms: list[BettiTerm] = field(default_factory=list)
-
-    def betti_numbers(self) -> dict[tuple[int, int], int]:
-        """Aggregate multiplicities by (hom_degree, twist)."""
-        out: dict[tuple[int, int], int] = {}
-        for t in self.terms:
-            key = (t.hom_degree, t.twist)
-            out[key] = out.get(key, 0) + t.multiplicity
-        return dict(sorted(out.items()))
 
     def column(self, hom_degree: int) -> list[BettiTerm]:
         return [t for t in self.terms if t.hom_degree == hom_degree]

@@ -14,7 +14,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import comb
-from operator import add
 from typing import Sequence
 
 from .polysym import (
@@ -22,6 +21,7 @@ from .polysym import (
     PrimeField,
     SparsePoly,
     all_top_minors,
+    check_degree,
     determinant,
     evaluate_many,
     is_prime,
@@ -271,26 +271,25 @@ def _generator_rows(
     gens: Sequence[SparsePoly],
     multiplier_degree: int,
     nvars: int,
-    col_index: dict[tuple[int, ...], int],
+    col_index: dict[int, int],
 ):
     """Yield one sparse row per product m*g, with m running over the
     monomials of the given degree.  A monomial that no earlier row used
     gets the next free column."""
-    multipliers = monomials_of_degree(nvars, multiplier_degree)
+    multipliers = list(map(gens[0].ring.pack, monomials_of_degree(nvars, multiplier_degree)))
     for g in gens:
         terms = list(g.terms.items())
         for mono in multipliers:
-            yield {
-                col_index.setdefault(tuple(map(add, exp, mono)), len(col_index)): c
-                for exp, c in terms
-            }
+            yield {col_index.setdefault(m + mono, len(col_index)): c for m, c in terms}
 
 
 def _graded_ranks(by_degree: dict[int, list[SparsePoly]], degree: int, nvars: int, p: int) -> tuple[int, int]:
     """Ranks over GF(p) of the degree piece spanned by the proper
     multiples m*g (deg m >= 1) of the generators, and of the piece
-    spanned by all their multiples."""
-    col_index: dict[tuple[int, ...], int] = {}
+    spanned by all their multiples.  A degree over 255 raises
+    ValueError, since the packed columns would collide."""
+    check_degree(degree, "a graded piece")
+    col_index: dict[int, int] = {}
     elim = SpanEliminator(p)
 
     def absorb(q: int) -> None:
@@ -360,6 +359,7 @@ def minimality_report(
     params = KalmanParams(1, d, n)
     nvars = n * d
     _capped_count(nvars, max_degree)
+    check_degree(max_degree, "a graded piece")
     gf = cfg.field()
     if generators is None:
         gens = [p for _, p in all_top_minors(d, n, gf)]
@@ -418,6 +418,7 @@ def truncated_hilbert_check(
     if max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     _capped_count(n * d, max_degree)
+    check_degree(max_degree, "a graded piece")
     gens = [p for _, p in all_top_minors(d, n, cfg.field())]
     measured = truncated_hilbert(gens, n, max_degree, cfg)
     expected = hilbert_numerator(chain_resolution(1, d, n)).expand(max_degree)

@@ -370,7 +370,7 @@ class TestBundleCohomology:
     def test_mu_equal_lam_fixed_point(self):
         # mu = lam gives cohomology exactly in degree |lam|, one copy
         for lam in partitions_in_box(Box(3, 3)):
-            s = max(1, lam.length)
+            s = max(1, len(lam))
             d = s + lam.part(0) + 1
             out, mult = bundle_cohomology(lam, lam.conjugate(), s=s, d=d)
             assert not out.vanishes

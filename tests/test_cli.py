@@ -188,6 +188,21 @@ class TestChecks:
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
 
+    def test_minimality_past_the_packed_degree_exits_2(self, capsys):
+        # a degree-256 piece could carry in a packed monomial; it is
+        # refused before the ranks of the lower degrees are taken
+        t0 = time.monotonic()
+        assert cli.main(["check-minimality", "--d", "1", "--n", "3", "--max-degree", "256"]) == 2
+        assert time.monotonic() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "255" in captured.err
+
+    def test_minimality_at_the_packed_degree_runs(self, capsys):
+        code, out = run(capsys, "check-minimality", "--d", "1", "--n", "2", "--max-degree", "255")
+        assert code == 0
+        assert "result: pass" in out
+
     def test_minimality_over_monomial_limit_exits_2(self, capsys, monkeypatch):
         # degree 9 in the 18 variables of k[alpha, gamma] has
         # C(26, 9) = 3,124,550 monomials; no minor is built

@@ -1,8 +1,11 @@
 """The package's public names: every exported name resolves, so a name
 deleted from a module cannot linger in `kalvar.__all__`.  The report
-every check returns keeps only what the check found."""
+every check returns keeps only what the check found.  The packed
+monomial format stays inside `kalvar.polysym`."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,10 @@ def test_verdict_is_read_off_the_findings():
     assert found.verdict == "fail"
     with pytest.raises(AttributeError):
         clean.passed = False
+
+
+def test_only_polysym_converts_packed_monomials():
+    # every other module goes through PolyRing.pack and PolyRing.unpack
+    src = Path(kalvar.__file__).parent
+    converting = [path.name for path in sorted(src.glob("*.py")) if re.search(r"\b(to|from)_bytes\b", path.read_text())]
+    assert converting == ["polysym.py"]

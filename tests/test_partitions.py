@@ -129,7 +129,7 @@ class TestPartition:
     def test_size_length_part(self):
         p = Partition((4, 2, 1))
         assert p.size == 7
-        assert p.length == 3
+        assert len(p) == 3
         assert p.part(0) == 4
         assert p.part(5) == 0
 

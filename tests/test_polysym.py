@@ -61,9 +61,9 @@ def evaluate_oracle(poly: SparsePoly, point) -> int:
     after every product: the oracle for SparsePoly.evaluate."""
     coerce = poly.ring.domain.coerce
     total = 0
-    for exp, c in poly.terms.items():
+    for m, c in poly.terms.items():
         acc = c
-        for k, e in enumerate(exp):
+        for k, e in enumerate(poly.ring.unpack(m)):
             if e:
                 acc = coerce(acc * pow(point[k], e))
         total = coerce(total + acc)
@@ -96,10 +96,11 @@ def stepwise_neg(a: SparsePoly) -> SparsePoly:
 
 def stepwise_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
     coerce = a.ring.domain.coerce
+    pack, unpack = a.ring.pack, a.ring.unpack
     out: dict = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = pack(tuple(x + y for x, y in zip(unpack(ea), unpack(eb))))
             _put(out, e, coerce(out.get(e, 0) + coerce(ca * cb)))
     return SparsePoly(a.ring, out)
 
@@ -127,7 +128,7 @@ def polys(draw, ring, max_exp=3, max_coeff=9):
     for _ in range(nterms):
         exp = tuple(draw(st.integers(0, max_exp)) for _ in range(ring.nvars))
         c = draw(st.integers(-max_coeff, max_coeff))
-        p = ring.monomial(exp, c) if c else ring.zero()
+        p = ring.reduce({ring.pack(exp): c})
         terms[exp] = p
     out = ring.zero()
     for p in terms.values():
@@ -318,6 +319,49 @@ class TestSparsePoly:
             PolyRing(3, PrimeField(101)).var(0) + PolyRing(3, PrimeField(103)).var(0)
 
 
+class TestPacking:
+    def test_var_and_const_keys(self):
+        ring = PolyRing(4, ZZ)
+        assert ring.var(2).terms == {1 << 16: 1} == {ring.pack((0, 0, 1, 0)): 1}
+        assert ring.const(5).terms == {0: 5}
+        assert PolyRing(0, ZZ).pack(()) == 0 and PolyRing(0, ZZ).unpack(0) == ()
+
+    @given(exp=st.lists(st.integers(0, 255), min_size=5, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_unpack_inverts_pack(self, exp):
+        ring = PolyRing(5, ZZ)
+        assert ring.unpack(ring.pack(exp)) == tuple(exp)
+
+    def test_pack_refuses_past_the_byte_and_wrong_length(self):
+        with pytest.raises(ValueError, match="255"):
+            RING_ZZ.pack((0, 256, 0))
+        with pytest.raises(ValueError, match="255"):
+            RING_ZZ.pack((0, -1, 0))
+        with pytest.raises(ValueError, match="3 entries"):
+            RING_ZZ.pack((1, 2))
+        with pytest.raises(ValueError, match="3 entries"):
+            RING_ZZ.pack((1, 2, 3, 4))
+
+    def test_product_and_power_past_255_refused(self):
+        x, y, _ = (RING_GF.var(k) for k in range(3))
+        with pytest.raises(ValueError, match="255"):
+            x**256
+        with pytest.raises(ValueError, match="255"):
+            x**200 * x**56
+        with pytest.raises(ValueError, match="255"):
+            (x * y + 1) ** 128
+        assert (x**200 * x**55).terms == {RING_GF.pack((255, 0, 0)): 1}
+        assert (x**255).degree() == 255
+        assert RING_GF.zero() * x**255 == RING_GF.zero()
+
+    def test_serialization_reads_exponent_tuples(self):
+        ring = PolyRing(2, ZZ)
+        p = ring.reduce({ring.pack((0, 255)): 4, ring.pack((3, 1)): -1})
+        assert p.sorted_terms() == [((0, 255), 4), ((3, 1), -1)]
+        assert str(p) == "4*x1^255 + -1*x0^3*x1^1"
+        assert p.degree() == 255 and not p.is_homogeneous()
+
+
 class TestBlockLayout:
     def test_var_indexing_row_major(self):
         # only the first d columns are variables
@@ -373,14 +417,16 @@ class TestReducedMatrix:
 
 
 class TestMinors:
-    def test_picks_share_exponent_tuples(self):
-        # a monomial that several minors share is one tuple object
-        minors = [p for _, p in all_top_minors(3, 5)]
-        first = {}
-        for p in minors:
-            for exp in p.terms:
-                assert first.setdefault(exp, exp) is exp
-        assert sum(len(p.terms) for p in minors) > len(first)
+    def test_minor_past_the_byte_refused(self):
+        # twelve rows of degree-22 entries may reach degree 264; eleven
+        # reach 242 and expand
+        ring = PolyRing(2, ZZ)
+        x, y = ring.var(0), ring.var(1)
+        entry = x**11 * y**11
+        big = PolyMatrix([[entry] * 12 for _ in range(12)])
+        with pytest.raises(ValueError, match="264.*255"):
+            determinant(big)
+        assert determinant(PolyMatrix([[entry] * 11 for _ in range(11)])).is_zero()
 
     def test_frozen_smallest_determinant(self):
         # d=2, n=3: det of the full 2x2 stacked matrix, degree 3,
@@ -507,7 +553,7 @@ class TestMinors:
         x, y = ring.var(0), ring.var(1)
         at_limit = PolyMatrix([[x**200, y], [y, x**55]])
         assert determinant(at_limit) == x**255 - y * y
-        assert determinant(at_limit).terms[(255, 0)] == 1
+        assert determinant(at_limit).terms[ring.pack((255, 0))] == 1
         over = PolyMatrix([[x**200, y], [y, x**56]])
         with pytest.raises(ValueError, match="255"):
             determinant(over)
@@ -527,16 +573,16 @@ def families(draw):
     """Polynomials over ZZ and GF(32003) in three variables, drawn from
     one pool of monomials so that they share some monomials and not
     others, always with the zero polynomial and a constant among them,
-    and sometimes with an exponent above 255."""
+    and sometimes with an exponent of 255, the most one byte holds."""
     pool = draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=8, unique=True))
     if draw(st.booleans()):
-        pool.append((0, 300, 1))
+        pool.append((0, 255, 1))
     ring = draw(st.sampled_from([RING_ZZ, RING_GF]))
     out = [ring.zero(), ring.const(draw(st.integers(-9, 9)))]
     for _ in range(draw(st.integers(1, 4))):
         ring = draw(st.sampled_from([RING_ZZ, RING_GF]))
         picked = draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True))
-        out.append(ring.reduce({e: draw(st.integers(-9, 9)) for e in picked}))
+        out.append(ring.reduce({ring.pack(e): draw(st.integers(-9, 9)) for e in picked}))
     order = draw(st.permutations(range(len(out))))
     return [out[i] for i in order]
 
@@ -553,12 +599,16 @@ class TestEvaluateMany:
         for p, value in zip(polys, values[0]):
             assert p.evaluate(points[0]) == value
 
-    def test_zero_constant_and_wide_exponent(self):
+    def test_zero_constant_and_top_exponent(self):
+        # x^255 z packs, with the top byte value; building it as a
+        # product is refused, since a product of degree 256 could carry
         x, y, z = (RING_ZZ.var(k) for k in range(3))
-        wide = x ** 300 * z + 2 * y
+        with pytest.raises(ValueError, match="255"):
+            x**255 * z
+        wide = RING_ZZ.reduce({RING_ZZ.pack((255, 0, 1)): 1}) + 2 * y
         polys = [RING_ZZ.zero(), RING_ZZ.const(-7), wide, wide.map_domain(RING_GF), x * z + 2 * y]
         pt = [3, 5, -1]
-        want = [0, -7, -(3 ** 300) + 10, (-(3 ** 300) + 10) % 32003, 7]
+        want = [0, -7, -(3 ** 255) + 10, (-(3 ** 255) + 10) % 32003, 7]
         assert evaluate_many(polys, [pt]) == [want]
         assert [p.evaluate(pt) for p in polys] == want
         assert evaluate_many(polys, [pt, [0, 0, 0]]) == [want, [0, -7, 0, 0, 0]]

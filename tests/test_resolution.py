@@ -40,6 +40,14 @@ from kalvar.resolution import (
 from test_partitions import brute_skew_ssyt
 
 
+def betti_numbers(table):
+    """A table's multiplicities summed by (hom_degree, twist), in key order."""
+    out = Counter()
+    for t in table.terms:
+        out[t.hom_degree, t.twist] += t.multiplicity
+    return dict(sorted(out.items()))
+
+
 def weight_of_halves(upper, lower):
     """The weight whose rho-shifted form is upper followed by lower."""
     return tuple(map(sub, upper + lower, rho(len(upper) + len(lower))))
@@ -84,7 +92,7 @@ def brute_normalization_s1_d2(n):
 class TestKalmanParams:
     def test_valid(self):
         p = KalmanParams(1, 2, 3)
-        assert p.w_dim == 1
+        assert p.n - p.d == 1
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -103,20 +111,20 @@ class TestNormalization:
                 want = {
                     (i, i): comb(d * (n - d), i) for i in range(d * (n - d) + 1)
                 }
-                assert table.betti_numbers() == want
+                assert betti_numbers(table) == want
 
     def test_s1_d2_n3_frozen(self):
         table = resolution_normalization(KalmanParams(1, 2, 3))
-        assert table.betti_numbers() == {(0, 0): 1, (0, 1): 1, (1, 2): 2}
+        assert betti_numbers(table) == {(0, 0): 1, (0, 1): 1, (1, 2): 2}
 
     def test_s1_d2_matches_direct_enumeration(self):
         for n in range(3, 7):
             table = resolution_normalization(KalmanParams(1, 2, n))
-            assert table.betti_numbers() == brute_normalization_s1_d2(n)
+            assert betti_numbers(table) == brute_normalization_s1_d2(n)
 
     def test_s1_d2_n4_frozen(self):
         table = resolution_normalization(KalmanParams(1, 2, 4))
-        assert table.betti_numbers() == {(0, 0): 1, (0, 1): 1, (1, 2): 5, (2, 3): 3}
+        assert betti_numbers(table) == {(0, 0): 1, (0, 1): 1, (1, 2): 5, (2, 3): 3}
 
     def test_terms_have_positive_multiplicity_and_degree(self):
         table = resolution_normalization(KalmanParams(2, 3, 6))
@@ -179,7 +187,7 @@ class TestNormalizationOracle:
             assert visited == weights, params
             for t in want:
                 dual = t.lam.part(0) > len(t.lam)  # the e-form on (lam, mu) is smaller
-                covered.add((params.w_dim == 1, dual))
+                covered.add((params.n - params.d == 1, dual))
         # a one-dimensional complement, and both Jacobi-Trudi forms with either
         assert covered == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -257,9 +265,9 @@ class TestSplitParts:
         for t in table.terms:
             lam, mu = t.lam, t.mu
             part = classify_part(lam, mu, 1)
-            if mu.length == 1:
+            if len(mu) == 1:
                 assert part == "I"
-            elif lam.length == 0:
+            elif len(lam) == 0:
                 assert part == "II"
             else:
                 assert part == "III"
@@ -324,15 +332,15 @@ class TestPartIII:
 class TestChainResolution:
     def test_base_case_is_koszul(self):
         table = chain_resolution(2, 2, 4)
-        assert table.betti_numbers() == {(0, 0): 1, (1, 1): 4, (2, 2): 6, (3, 3): 4, (4, 4): 1}
+        assert betti_numbers(table) == {(0, 0): 1, (1, 1): 4, (2, 2): 6, (3, 3): 4, (4, 4): 1}
 
     def test_cubic_hypersurface_frozen(self):
         table = chain_resolution(1, 2, 3)
-        assert table.betti_numbers() == {(0, 0): 1, (1, 3): 1}
+        assert betti_numbers(table) == {(0, 0): 1, (1, 3): 1}
 
     def test_d2_n4_frozen(self):
         table = chain_resolution(1, 2, 4)
-        assert table.betti_numbers() == {
+        assert betti_numbers(table) == {
             (0, 0): 1,
             (1, 2): 1,
             (1, 3): 3,
@@ -822,7 +830,7 @@ SEED_LES_NUMERATORS = {
 
 class TestSeedValues:
     def test_chain_1_5_10_betti_numbers(self):
-        assert chain_resolution(1, 5, 10).betti_numbers() == SEED_CHAIN_1_5_10
+        assert betti_numbers(chain_resolution(1, 5, 10)) == SEED_CHAIN_1_5_10
 
     @pytest.mark.parametrize("d, n", sorted(SEED_LES_NUMERATORS))
     def test_les_euler_data(self, d, n):

@@ -85,6 +85,7 @@ def minor_rows_at_degree(d: int, n: int, degree: int, p: int, min_mult: int = 0)
     full grevlex column index of that degree in the minors' ring."""
     gens = [g for _, g in all_top_minors(d, n, PrimeField(p))]
     nvars = gens[0].ring.nvars
+    unpack = gens[0].ring.unpack
     col_index = grevlex_index(nvars, degree)
     rows = []
     for g in gens:
@@ -93,8 +94,8 @@ def minor_rows_at_degree(d: int, n: int, degree: int, p: int, min_mult: int = 0)
         mdeg = degree - g.degree()
         for mono in monomials_of_degree(nvars, mdeg):
             rows.append({
-                col_index[tuple(a + b for a, b in zip(exp, mono))]: c
-                for exp, c in g.terms.items()
+                col_index[tuple(a + b for a, b in zip(unpack(m), mono))]: c
+                for m, c in g.terms.items()
             })
     return rows
 
@@ -104,9 +105,8 @@ def in_full_ring(g, d: int, n: int):
     entries of x: zero exponents in columns d+1..n."""
     pad = (0,) * (n - d)
     ring = PolyRing(n * n, g.ring.domain)
-    return ring.reduce({
-        sum((exp[i * d:(i + 1) * d] + pad for i in range(n)), ()): c for exp, c in g.terms.items()
-    })
+    rows = lambda exp: sum((exp[i * d:(i + 1) * d] + pad for i in range(n)), ())
+    return ring.reduce({ring.pack(rows(g.ring.unpack(m))): c for m, c in g.terms.items()})
 
 
 class TestRandomPoint:
@@ -212,7 +212,7 @@ class TestVanishing:
             coords = point.flatten()
             for gi, g in enumerate(gens):
                 value = sum(
-                    c * prod(pow(x, e) for x, e in zip(coords, exp)) for exp, c in g.terms.items()
+                    c * prod(pow(x, e) for x, e in zip(coords, g.ring.unpack(m))) for m, c in g.terms.items()
                 ) % gf.p
                 if value:
                     want.append({"kind": "nonvanishing", "trial": trial, "generator": gi, "value": value})
@@ -268,6 +268,30 @@ class TestGradedRanks:
             dense_rank_mod_p(minor_rows_at_degree(d, n, degree, modulus, 0), modulus),
         )
         assert got == want
+
+    def test_degree_past_the_byte_refused(self):
+        # packed columns would collide past 255: at degree 257,
+        # x0^256 x2 and x1^257 pack to the same int, and the rank of the
+        # multiples of y^2 and x*z would come out one short
+        ring = PolyRing(3, PrimeField(DEFAULT_MODULUS))
+        x, y, z = (ring.var(k) for k in range(3))
+        by_degree = _by_degree([y * y, x * z])
+        with pytest.raises(ValueError, match="257.*255"):
+            _graded_ranks(by_degree, 257, 3, DEFAULT_MODULUS)
+        # at 255 the rank counts the monomials divisible by y^2 or x*z
+        divisible = sum(
+            1 for a in range(256) for b in range(256 - a) if b >= 2 or (a and 255 - a - b)
+        )
+        assert _graded_ranks(by_degree, 255, 3, DEFAULT_MODULUS) == (divisible, divisible)
+
+    @pytest.mark.parametrize("check", [minimality_report, truncated_hilbert_check])
+    def test_degree_past_the_byte_refused_up_front(self, check, monkeypatch):
+        def no_minors(*args):
+            raise AssertionError("minors built before the degree check")
+
+        monkeypatch.setattr(verify, "all_top_minors", no_minors)
+        with pytest.raises(ValueError, match="256.*255"):
+            check(1, 3, 256)
 
     def test_cap_checks_the_target_degree_piece(self):
         # a cubic in one of the 18 variables, at degree 9: its
