@@ -17,9 +17,10 @@ the degree counts the out-of-order pairs across the halves, and eta is
 the merge minus rho; `dotted_bott` is its oracle.
 
 `exhaustive_dotted_check` is the independent oracle of `dotted_bott`:
-it runs the action backwards, building for each permutation only the
-preimages that lie in the window, and it refuses a window whose weights
-and permutations together exceed MAX_EXHAUSTIVE_WORK.
+it runs the action backwards, reaching for each permutation only the
+preimages that lie in the window, into a dense table with one slot per
+weight, and it refuses a window whose weights and permutations together
+exceed MAX_EXHAUSTIVE_WORK.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
-from operator import add, index, lt, sub
+from itertools import combinations, starmap
+from operator import add, index, lt, mul, sub
 from typing import Sequence
 
 from .partitions import Partition, schur_dim
@@ -74,13 +76,12 @@ def dotted_bott(nu: Sequence[int]) -> BottOutcome:
     out-of-order pairs in nu + rho.  Entries must be integers
     (`operator.index`); anything else raises TypeError.
     """
-    nu = tuple(map(index, nu))
     d = len(nu)
     r = rho(d)
-    shifted = tuple(map(add, nu, r))
+    shifted = tuple(map(add, map(index, nu), r))
     if len(set(shifted)) < d:
         return _VANISHES
-    inv = sum(itertools.starmap(lt, itertools.combinations(shifted, 2)))
+    inv = sum(starmap(lt, combinations(shifted, 2)))
     return BottOutcome(False, inv, tuple(map(sub, sorted(shifted, reverse=True), r)))
 
 
@@ -138,32 +139,47 @@ def bundle_cohomology(
 
 def _inverse_dotted_map(
     d: int, lo: int, hi: int
-) -> tuple[dict[tuple[int, ...], tuple[int, tuple[int, ...]]], int]:
+) -> tuple[list[tuple[int, tuple[int, ...]] | None], int]:
     """Run the dotted action backwards over the window [lo, hi]^d.
 
     Every strictly decreasing srt and every permutation w give the
     preimage nu[w[i]] = srt[i] - rho[w[i]]: w sorts nu + rho into srt, so
     by definition the degree is inv(w) and eta = srt - rho.  srt is
     strictly decreasing exactly when eta is weakly decreasing, so the
-    enumeration runs over eta.  For each w only the eta whose preimage
-    lies in the window are built, one entry at a time, and each eta is
-    one tuple shared by all its preimages.  Returns the map
-    nu -> (inv(w), eta) over those preimages and the number of weights
-    hit more than once.
+    enumeration runs over eta, whose entries then lie in [lo, hi] too.
+    For each w only the eta whose preimage lies in the window are
+    walked, one entry at a time.
+
+    The result is a dense table with one slot per weight of the window,
+    in the order of itertools.product(range(lo, hi + 1), repeat=d): nu
+    sits at slot sum((nu[j] - lo) * place[j]), place[j] = width^(d-1-j),
+    which holds (inv(w), eta) for a preimage and None otherwise.  The
+    walk carries each prefix's slot instead of the prefix, so no nu is
+    built and nothing is looked up by a tuple; each eta is a weight of
+    the window itself, one tuple shared by all its preimages and found
+    by its own slot.  Returns the table and the number of weights hit
+    more than once.
     """
     r = rho(d)
-    ref: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    repeated: set[tuple[int, ...]] = set()
-    etas: dict[tuple[int, ...], tuple[int, ...]] = {}
+    width = hi - lo + 1
+    place = [width ** (d - 1 - j) for j in range(d)]
+    offset = lo * sum(place)  # the slot of nu is sum(nu[j] * place[j]) - offset
+    table: list[tuple[int, tuple[int, ...]] | None] = [None] * width**d
+    etas = {
+        sum(map(mul, eta, place)) - offset: eta
+        for eta in itertools.combinations_with_replacement(range(hi, lo - 1, -1), d)
+    }
+    repeated: set[int] = set()
     # Walk w through its inverse u, so that nu[j] = eta[u[j]] + shift[j]
     # with shift[j] = rho[u[j]] - rho[j]; inv(u) == inv(w).
     for u in itertools.permutations(range(d)):
         inv = sum(1 for i in range(d) for j in range(i + 1, d) if u[i] > u[j])
         shift = [r[k] - b for k, b in zip(u, r)]
-        # lo <= nu[j] <= hi puts eta[u[j]] in [lo - shift[j], hi - shift[j]].
-        low, high = [0] * d, [0] * d
-        for k, c in zip(u, shift):
-            low[k], high[k] = lo - c, hi - c
+        # lo <= nu[j] <= hi puts eta[u[j]] in [lo - shift[j], hi - shift[j]],
+        # and eta[u[j]] adds eta[u[j]] * place[j] to the slot of nu.
+        low, high, step = [0] * d, [0] * d, [0] * d
+        for k, c, pl in zip(u, shift, place):
+            low[k], high[k], step[k] = lo - c, hi - c, pl
         # Tighten the ranges by the weak decrease, so that every prefix
         # built below extends to a full eta.
         for k in range(d - 2, -1, -1):
@@ -172,21 +188,20 @@ def _inverse_dotted_map(
             high[k] = min(high[k], high[k - 1])
         if any(a > b for a, b in zip(low, high)):
             continue
-        # p[-1:] is empty for the first entry, whose cap is high[0] alone.
-        prefixes = [()]
-        for a, b in zip(low[:-1], high[:-1]):
-            prefixes = [p + (x,) for p in prefixes for x in range(a, min(p[-1:] + (b,)) + 1)]
-        # The last entry is added in the loop, so that a duplicate eta is
-        # freed at once instead of held in a list.
-        for p in prefixes:
-            for x in range(low[-1], min(p[-1:] + (high[-1],)) + 1):
-                eta = p + (x,)
-                eta = etas.setdefault(eta, eta)
-                nu = tuple(map(add, map(eta.__getitem__, u), shift))
-                if nu in ref:
-                    repeated.add(nu)
-                ref[nu] = (inv, eta)
-    return ref, len(repeated)
+        # A prefix is (its last entry, the slot of nu so far, the slot of
+        # eta so far); the first entry is capped by high[0] alone.
+        prefixes = [(high[0], sum(map(mul, shift, place)) - offset, -offset)]
+        for a, b, pl, epl in zip(low[:-1], high[:-1], step[:-1], place[:-1]):
+            prefixes = [(x, s + x * pl, e + x * epl) for c, s, e in prefixes for x in range(a, min(c, b) + 1)]
+        # place[-1] is 1, so the last entry x adds x to the slot of eta.
+        a, b, pl = low[-1], high[-1], step[-1]
+        for c, s, e in prefixes:
+            for x in range(a, min(c, b) + 1):
+                k = s + x * pl
+                if table[k] is not None:
+                    repeated.add(k)
+                table[k] = (inv, etas[e + x])
+    return table, len(repeated)
 
 
 def exhaustive_dotted_check(max_d: int = 5, lo: int = -4, hi: int = 6) -> CheckReport:
@@ -196,8 +211,11 @@ def exhaustive_dotted_check(max_d: int = 5, lo: int = -4, hi: int = 6) -> CheckR
     The reference, `_inverse_dotted_map`, neither sorts nor calls
     dotted_bott: no weight may be reached twice, a weight it reaches must
     survive with the degree and eta it records, and every weight it
-    never reaches must vanish.  A window whose (hi - lo + 1)^d weights
-    and d! permutations, summed over d, exceed MAX_EXHAUSTIVE_WORK raises
+    never reaches must vanish.  The reference is a dense table in the
+    order of itertools.product over the window, so the weights and their
+    slots are walked side by side and no weight is looked up.  A window
+    whose (hi - lo + 1)^d weights (the table's slots) and d!
+    permutations, summed over d, exceed MAX_EXHAUSTIVE_WORK raises
     ValueError before anything is built.
     """
     if max_d < 1 or lo > hi:
@@ -213,15 +231,14 @@ def exhaustive_dotted_check(max_d: int = 5, lo: int = -4, hi: int = 6) -> CheckR
     details: list[dict] = []
     per_d = []
     for d in range(1, max_d + 1):
-        ref, bad_multiplicity = _inverse_dotted_map(d, lo, hi)
+        table, bad_multiplicity = _inverse_dotted_map(d, lo, hi)
         if bad_multiplicity:
             details.append({"d": d, "weights_with_multiple_sorters": bad_multiplicity})
         vanishing = 0
-        for nu in itertools.product(range(lo, hi + 1), repeat=d):
+        for nu, hit in zip(itertools.product(range(lo, hi + 1), repeat=d), table, strict=True):
             out = dotted_bott(nu)
             if out.vanishes:
                 vanishing += 1
-            hit = ref.get(nu)
             if out.vanishes == (hit is None) and (out.vanishes or (out.degree, out.eta) == hit):
                 continue
             if len(details) < 20:

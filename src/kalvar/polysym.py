@@ -12,8 +12,9 @@ a result once (`PolyRing.reduce`), dropping zeros.
 
 A monomial is one int: its exponent vector packed one byte per
 variable, variable k at bits 8k, so a monomial product is one int add.
-`PolyRing.pack` and `PolyRing.unpack` are the only conversions to and
-from exponent tuples.  One byte holds exponents up to 255, and every
+`PolyRing.pack` (with `pack_many`, its unchecked form for vectors a
+caller has bounded) and `PolyRing.unpack` are the only conversions to
+and from exponent tuples.  One byte holds exponents up to 255, and every
 route that adds monomials refuses a degree over 255
 (`check_degree`) rather than carrying into the next variable.  Graded
 reverse lexicographic order on the exponent tuples fixes how a
@@ -134,6 +135,12 @@ class PolyRing:
             raise ValueError(f"exponent vector {exp!r}: packed monomials hold 0 to {MAX_DEGREE} per variable")
         return int.from_bytes(bytes(exp), "little")
 
+    def pack_many(self, exps: Iterable[Sequence[int]]) -> list[int]:
+        """`pack` for exponent vectors the caller built with this ring's
+        length and a degree `check_degree` admits, such as the multipliers
+        of a graded piece: no vector is checked on its own."""
+        return [int.from_bytes(bytes(exp), "little") for exp in exps]
+
     def unpack(self, m: int) -> tuple[int, ...]:
         """The exponent vector of the packed monomial `m`."""
         return tuple(m.to_bytes(self.nvars, "little"))
@@ -178,7 +185,12 @@ class SparsePoly:
         return max(self._degrees())
 
     def is_homogeneous(self) -> bool:
-        return len(set(self._degrees())) <= 1
+        return len(self.term_degrees()) <= 1
+
+    def term_degrees(self) -> set[int]:
+        """The total degrees of the terms, from one pass over them: none
+        for zero, one for a nonzero homogeneous polynomial."""
+        return set(self._degrees())
 
     def _degrees(self) -> Iterable[int]:
         return map(sum, map(self.ring.unpack, self.terms))

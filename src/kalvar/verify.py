@@ -256,14 +256,15 @@ class SpanEliminator:
 
 
 def _by_degree(gens: Sequence[SparsePoly]) -> dict[int, list[SparsePoly]]:
-    """The nonzero generators grouped by degree; each must be homogeneous."""
+    """The nonzero generators grouped by degree; each must be homogeneous.
+    Each generator's term degrees are read once."""
     out: dict[int, list[SparsePoly]] = {}
     for g in gens:
-        if g.is_zero():
-            continue
-        if not g.is_homogeneous():
+        degrees = g.term_degrees()
+        if len(degrees) > 1:
             raise ValueError("generators must be homogeneous")
-        out.setdefault(g.degree(), []).append(g)
+        if degrees:
+            out.setdefault(degrees.pop(), []).append(g)
     return out
 
 
@@ -275,8 +276,9 @@ def _generator_rows(
 ):
     """Yield one sparse row per product m*g, with m running over the
     monomials of the given degree.  A monomial that no earlier row used
-    gets the next free column."""
-    multipliers = list(map(gens[0].ring.pack, monomials_of_degree(nvars, multiplier_degree)))
+    gets the next free column.  The caller has checked the degree, so the
+    multipliers are packed without a check of their own."""
+    multipliers = gens[0].ring.pack_many(monomials_of_degree(nvars, multiplier_degree))
     for g in gens:
         terms = list(g.terms.items())
         for mono in multipliers:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -76,6 +77,15 @@ def reference_inverse_map(d, lo, hi):
                     repeated.add(nu)
                 ref[nu] = (inv, eta)
     return ref, len(repeated)
+
+
+def inverse_map(d, lo, hi):
+    """_inverse_dotted_map with its dense table read back as the map
+    nu -> (inv, eta) over the weights it holds, in the form
+    reference_inverse_map returns."""
+    table, repeated = _inverse_dotted_map(d, lo, hi)
+    window = itertools.product(range(lo, hi + 1), repeat=d)
+    return {nu: hit for nu, hit in zip(window, table, strict=True) if hit is not None}, repeated
 
 
 # the check-bott benchmark window: lengths 1..5 over [-4, 6]
@@ -173,6 +183,14 @@ class TestDottedBott:
     def test_empty_weight(self):
         assert dotted_bott(()) == reference_dotted(()) == BottOutcome(False, 0, ())
 
+    def test_vanishing_outcome_is_frozen(self):
+        # every vanishing weight shares one outcome, which must not change
+        out = dotted_bott((0, 1))
+        assert out is kalvar.bott._VANISHES
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.degree = 0
+        assert dotted_bott((0, 1)) == BottOutcome(True, None, None)
+
     def test_rejects_non_integer_entries(self):
         # refused, not truncated to (0, 0), which survives in degree 0
         with pytest.raises(TypeError):
@@ -243,7 +261,7 @@ class TestInverseDottedMap:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_forward_scan(self, d):
         lo, hi = -3, 4
-        hits, repeated = _inverse_dotted_map(d, lo, hi)
+        hits, repeated = inverse_map(d, lo, hi)
         assert repeated == 0
         window = set(itertools.product(range(lo, hi + 1), repeat=d))
         scan_hits, scan_vanishing = forward_scan(d, lo, hi)
@@ -251,12 +269,12 @@ class TestInverseDottedMap:
         assert window - hits.keys() == scan_vanishing
 
     def test_preimage_counts_pinned(self):
-        counts = [len(_inverse_dotted_map(d, *WIDE)[0]) for d in range(1, 6)]
+        counts = [len(inverse_map(d, *WIDE)[0]) for d in range(1, 6)]
         assert counts == [11, 111, 1030, 8826, 70254]
 
     def test_matches_reference_on_the_benchmark_window(self, wide_reference):
         for d in range(1, 6):
-            assert _inverse_dotted_map(d, *WIDE) == wide_reference[d]
+            assert inverse_map(d, *WIDE) == wide_reference[d]
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -265,21 +283,24 @@ class TestInverseDottedMap:
     )
     @pytest.mark.parametrize("d", range(1, 6))
     def test_matches_reference(self, d, lo, hi):
-        assert _inverse_dotted_map(d, lo, hi) == reference_inverse_map(d, lo, hi)
+        assert inverse_map(d, lo, hi) == reference_inverse_map(d, lo, hi)
 
     @given(st.integers(1, 5), st.integers(-7, 7), st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_property(self, d, lo, extra):
         hi = lo + extra
-        assert _inverse_dotted_map(d, lo, hi) == reference_inverse_map(d, lo, hi)
+        assert inverse_map(d, lo, hi) == reference_inverse_map(d, lo, hi)
 
     @pytest.mark.parametrize(
         "nu, wrong",
         [
             ((0, 0, 3), BottOutcome(False, 1, (1, 1, 1))),
             ((1, -2, 3), BottOutcome(False, 0, (3, -2, 1))),
+            # the first and the last slot of the table
+            ((-2, -2, -2), BottOutcome(False, 1, (-2, -2, -2))),
+            ((3, 3, 3), BottOutcome(True, None, None)),
         ],
-        ids=["wrong-degree", "vanishing-survives"],
+        ids=["wrong-degree", "vanishing-survives", "first-slot", "last-slot"],
     )
     def test_check_catches_one_wrong_weight(self, monkeypatch, nu, wrong):
         real = kalvar.bott.dotted_bott
@@ -310,8 +331,22 @@ class TestInverseDottedMap:
         assert not report.passed
         assert {"d": 3, "weights_with_multiple_sorters": 56} in report.details
 
+    @pytest.mark.parametrize("d, lo, hi", [(1, -4, 6), (3, -2, 3), (4, 0, 2), (2, 5, 5), (5, -1, 1)])
+    def test_slots_decode_by_mixed_radix(self, d, lo, hi):
+        # slot k holds the weight whose base-width digits, most
+        # significant first, are its entries minus lo
+        width = hi - lo + 1
+        table, _ = _inverse_dotted_map(d, lo, hi)
+        assert len(table) == width**d
+        ref, _ = reference_inverse_map(d, lo, hi)
+        weights = list(itertools.product(range(lo, hi + 1), repeat=d))
+        for k, hit in enumerate(table):
+            nu = tuple(lo + k // width ** (d - 1 - j) % width for j in range(d))
+            assert nu == weights[k]
+            assert hit == ref.get(nu), nu
+
     def test_one_eta_tuple_per_dominant_weight(self):
-        etas = [eta for _, eta in _inverse_dotted_map(5, *WIDE)[0].values()]
+        etas = [eta for _, eta in inverse_map(5, *WIDE)[0].values()]
         assert len({id(eta) for eta in etas}) == len(set(etas)) == 3003
 
 

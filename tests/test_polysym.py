@@ -234,6 +234,9 @@ class TestSparsePoly:
         assert (x * y + x * x).is_homogeneous()
         assert not (x * y + x).is_homogeneous()
         assert RING_ZZ.zero().is_homogeneous()
+        assert (x * y + x * x).term_degrees() == {2}
+        assert (x * y + x + 3).term_degrees() == {0, 1, 2}
+        assert RING_ZZ.zero().term_degrees() == set()
 
     @given(a=polys(RING_ZZ), b=polys(RING_ZZ), c=polys(RING_ZZ))
     @settings(max_examples=60, deadline=None)
@@ -331,6 +334,7 @@ class TestPacking:
     def test_unpack_inverts_pack(self, exp):
         ring = PolyRing(5, ZZ)
         assert ring.unpack(ring.pack(exp)) == tuple(exp)
+        assert ring.pack_many([exp, tuple(exp)]) == [ring.pack(exp)] * 2
 
     def test_pack_refuses_past_the_byte_and_wrong_length(self):
         with pytest.raises(ValueError, match="255"):

@@ -258,6 +258,14 @@ class TestMonomials:
 
 
 class TestGradedRanks:
+    def test_generators_grouped_by_degree(self):
+        ring = PolyRing(3, PrimeField(DEFAULT_MODULUS))
+        x, y, z = (ring.var(k) for k in range(3))
+        quad, cubic = x * y + z * z, x * y * z
+        assert _by_degree([quad, ring.zero(), y, cubic, y * y]) == {2: [quad, y * y], 1: [y], 3: [cubic]}
+        with pytest.raises(ValueError, match="homogeneous"):
+            _by_degree([quad, x * y + z])
+
     @pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, ALTERNATE_MODULUS])
     @pytest.mark.parametrize("d,n,degree", [(2, 4, 3), (2, 4, 4), (2, 5, 4), (3, 4, 6)])
     def test_first_touch_columns_match_grevlex_oracle(self, d, n, degree, modulus):
