@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, starmap
 from operator import add, index, lt, mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .partitions import Partition, schur_dim
-from .report import CheckReport
+from .report import CheckReport, Validated
 
 # Weights plus permutations that one exhaustive_dotted_check may walk.
 # Lengths 1..6 over an 11-value window (1,949,589) fit; --max-d 9 over
@@ -51,18 +50,22 @@ def rho(d: int) -> tuple[int, ...]:
     return tuple(range(d - 1, -1, -1))
 
 
-@dataclass(frozen=True)
-class BottOutcome:
-    """Either all cohomology vanishes, or it sits in a single degree with
-    a single dominant weight."""
-
+class _BottOutcomeFields(NamedTuple):
     vanishes: bool
     degree: int | None
     eta: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        if self.vanishes != (self.degree is None) or self.vanishes != (self.eta is None):
+
+class BottOutcome(Validated, _BottOutcomeFields):
+    """Either all cohomology vanishes, or it sits in a single degree with
+    a single dominant weight."""
+
+    __slots__ = ()
+
+    def __new__(cls, vanishes: bool, degree: int | None, eta: tuple[int, ...] | None):
+        if vanishes != (degree is None) or vanishes != (eta is None):
             raise ValueError("degree and eta must be present iff cohomology survives")
+        return tuple.__new__(cls, (vanishes, degree, eta))
 
 
 _VANISHES = BottOutcome(True, None, None)

@@ -9,12 +9,10 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-import tempfile
 from typing import Sequence
 
 from .bott import exhaustive_dotted_check
@@ -84,6 +82,8 @@ def render_json(payload: dict) -> str:
 
 
 def render_csv(payload: dict) -> str:
+    import csv  # only --format csv needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     columns = payload.get("columns")
@@ -109,6 +109,8 @@ def write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile  # only --output needs it
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kalvar-tmp-")
     try:

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .report import CheckReport
+from .report import CheckReport, Validated
 
 
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -76,15 +75,38 @@ class Integers:
         return operator.index(x)
 
 
-@dataclass(frozen=True)
 class PrimeField:
-    """Integers mod a prime p, elements stored as ints in [0, p)."""
+    """Integers mod a prime p, elements stored as ints in [0, p).
+    Immutable, and equal and hashed by p.  A slotted class rather than a
+    named tuple, since `coerce` reads p once per coefficient and a slot
+    is the faster read."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
+
+    def __repr__(self) -> str:
+        return f"PrimeField(p={self.p!r})"
+
+    def __reduce__(self):
+        return PrimeField, (self.p,)
 
     def coerce(self, x) -> int:
         return operator.index(x) % self.p
@@ -334,12 +356,18 @@ def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence]) -> li
     monomials are compiled once into one shared trie
     (`_shared_trie`); a point then costs one multiplication per trie
     node, one per term for its coefficient, and one reduction per
-    polynomial.
+    polynomial.  When every polynomial lies over one prime field GF(p),
+    each trie level is also reduced mod p, which keeps the node values
+    small and, reduction mod p being a ring map, leaves every value as
+    it was.
     """
     polys = list(polys)
     nvars = {p.ring.nvars for p in polys}
     if len(nvars) > 1:
         raise ValueError(f"polynomials in different numbers of variables: {sorted(nvars)}")
+    domains = {p.ring.domain for p in polys}
+    field = domains.pop() if len(domains) == 1 else None
+    modulus = field.p if isinstance(field, PrimeField) else 0
     levels, leaves = _shared_trie(polys)
     dots = [(p.ring.domain.coerce, tuple(p.terms.values()), leaf) for p, leaf in zip(polys, leaves)]
     out = []
@@ -349,25 +377,30 @@ def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence]) -> li
         at = point.__getitem__
         values = [1]
         for parents, variables in levels:
-            values += list(map(operator.mul, map(values.__getitem__, parents), map(at, variables)))
+            level = map(operator.mul, map(values.__getitem__, parents), map(at, variables))
+            values += [v % modulus for v in level] if modulus else list(level)
         node = values.__getitem__
         out.append([coerce(sum(map(operator.mul, coeffs, map(node, leaf)))) for coerce, coeffs, leaf in dots])
     return out
 
 
-@dataclass(frozen=True)
-class BlockLayout:
+class _BlockLayoutFields(NamedTuple):
+    d: int
+    n: int
+
+
+class BlockLayout(Validated, _BlockLayoutFields):
     """Row-major layout of the first d columns of End(V), the only ones a
     Kalman minor involves: x[i][j] (1-based, j <= d) has index
     (i-1)*d + (j-1).  The ring is k[alpha, gamma]: the top d x d block
     alpha acts on L, the bottom (n-d) x d block gamma maps L out of it."""
 
-    d: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.d < self.n:
-            raise ValueError(f"need 1 <= d < n, got d={self.d}, n={self.n}")
+    def __new__(cls, d: int, n: int):
+        if not 1 <= d < n:
+            raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
+        return tuple.__new__(cls, (d, n))
 
     def var_index(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n and 1 <= j <= self.d):
@@ -463,8 +496,8 @@ def _minors(
     The expansion works on the terms dicts of the entries and of the
     sub-minors directly, since a packed monomial product is one int add.
     The degree of a pick is bounded by the sum of its rows' largest
-    entry degrees, and a bound over 255 raises ValueError
-    (`check_degree`).
+    entry degrees, read from one table of entry degrees per call, and a
+    bound over 255 raises ValueError (`check_degree`).
     """
     coerce = ring.domain.coerce
     picks = [(tuple(rows), tuple(cols)) for rows, cols in picks]
@@ -507,8 +540,9 @@ def _minors(
             del memo[key]
         return value
 
+    degrees = [[e.degree() for e in row] for row in entries]
     for rows, cols in picks:
-        check_degree(sum(max(0, *(entries[r][c].degree() for c in cols)) for r in rows), "a minor")
+        check_degree(sum(max(0, *(degrees[r][c] for c in cols)) for r in rows), "a minor")
         count((rows, cols))
     order = sorted(range(len(picks)), key=lambda i: sorted(picks[i][0], reverse=True), reverse=True)
     values = {i: SparsePoly(ring, take(picks[i])) for i in order}

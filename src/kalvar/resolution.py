@@ -29,10 +29,9 @@ degree s (`_low_strata`).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import comb
 from operator import add, lt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .bott import _dotted_halves, bundle_cohomology, rho
 from .partitions import (
@@ -46,20 +45,25 @@ from .partitions import (
     partitions_in_box,
     skew_schur_dim,
 )
-from .report import CheckFailure, CheckReport
+from .report import CheckFailure, CheckReport, Validated
 
 
-@dataclass(frozen=True)
-class KalmanParams:
-    """Parameters (s, d, n) with 1 <= s <= d < n."""
-
+class _KalmanParamsFields(NamedTuple):
     s: int
     d: int
     n: int
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.s <= self.d < self.n):
+
+class KalmanParams(Validated, _KalmanParamsFields):
+    """Parameters (s, d, n) with 1 <= s <= d < n."""
+
+    __slots__ = ()
+
+    def __new__(cls, s: int, d: int, n: int):
+        self = tuple.__new__(cls, (s, d, n))
+        if not (1 <= s <= d < n):
             raise ValueError(f"need 1 <= s <= d < n, got {self!r}")
+        return self
 
 
 # Candidate (lam, mu) pairs that one computation may visit, summed over
@@ -68,14 +72,7 @@ class KalmanParams:
 MAX_NORMALIZATION_PAIRS = 5_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class BettiTerm:
-    """One summand of a free resolution: `multiplicity` copies of
-    A(-twist) in homological degree hom_degree, carrying the GL(L)
-    weight eta and the skew Schur functor lam^T / mu^T applied to the
-    complement.  The pair (lam, mu) it comes from fixes its skew shape
-    (`w_shape`) and, at a chain level s, its part (`classify_part`)."""
-
+class _BettiTermFields(NamedTuple):
     hom_degree: int
     twist: int
     eta: tuple[int, ...]
@@ -83,11 +80,25 @@ class BettiTerm:
     lam: Partition
     mu: Partition
 
-    def __post_init__(self) -> None:
-        if self.hom_degree < 0:
+
+class BettiTerm(Validated, _BettiTermFields):
+    """One summand of a free resolution: `multiplicity` copies of
+    A(-twist) in homological degree hom_degree, carrying the GL(L)
+    weight eta and the skew Schur functor lam^T / mu^T applied to the
+    complement.  The pair (lam, mu) it comes from fixes its skew shape
+    (`w_shape`) and, at a chain level s, its part (`classify_part`)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, hom_degree: int, twist: int, eta: tuple[int, ...], multiplicity: int, lam: Partition, mu: Partition
+    ):
+        self = tuple.__new__(cls, (hom_degree, twist, eta, multiplicity, lam, mu))
+        if hom_degree < 0:
             raise ValueError(f"negative homological degree in {self!r}")
-        if self.multiplicity <= 0:
+        if multiplicity <= 0:
             raise ValueError(f"non-positive multiplicity in {self!r}")
+        return self
 
     @property
     def w_shape(self) -> SkewShape:
@@ -95,13 +106,12 @@ class BettiTerm:
         return SkewShape(self.lam.conjugate(), self.mu.conjugate())
 
 
-@dataclass
-class BettiTable:
+class BettiTable(NamedTuple):
     """A term-level Betti table for one module."""
 
     module_id: str
     params: KalmanParams
-    terms: list[BettiTerm] = field(default_factory=list)
+    terms: list[BettiTerm]
 
     def column(self, hom_degree: int) -> list[BettiTerm]:
         return [t for t in self.terms if t.hom_degree == hom_degree]
@@ -261,8 +271,7 @@ def _closed_form_strata(k: int, d: int, n: int, twist_offset: int = 0) -> list[t
     ]
 
 
-@dataclass
-class PartIIIProfile:
+class PartIIIProfile(NamedTuple):
     """Part III terms of a normalization table plus the structural check:
     nothing below hom degree s, and the hom = s stratum matches the
     closed form.  Only the part III pairs are visited: lam of full
@@ -402,8 +411,7 @@ def chain_resolution(s: int, d: int, n: int) -> BettiTable:
     return chain
 
 
-@dataclass(frozen=True)
-class GeneratorRecord:
+class GeneratorRecord(NamedTuple):
     """One predicted family of minimal generators of the s = 1 Kalman
     ideal: `multiplicity` independent forms of the given degree, indexed
     by the pair (lam, mu) at chain level s, realized as linear
@@ -445,8 +453,7 @@ def minimal_generators(d: int, n: int) -> list[GeneratorRecord]:
     return out
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(NamedTuple):
     """Rational Hilbert series: integer numerator over (1-t)^denom_power.
     The numerator is stored sparsely as (exponent, coefficient) pairs,
     sorted by exponent, with no zero coefficient."""

@@ -9,12 +9,10 @@ check is deterministic given its configuration.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
-from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polysym import (
     PolyRing,
@@ -27,7 +25,7 @@ from .polysym import (
     is_prime,
     reduced_kalman_matrix,
 )
-from .report import CheckReport
+from .report import CheckReport, Validated
 from .resolution import (
     KalmanParams,
     chain_resolution,
@@ -40,16 +38,20 @@ ALTERNATE_MODULUS = 46337
 DEFAULT_MONOMIAL_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class PrimeFieldConfig:
+class _PrimeFieldConfigFields(NamedTuple):
+    modulus: int
+    seed: int
+
+
+class PrimeFieldConfig(Validated, _PrimeFieldConfigFields):
     """Modulus and seed for the randomized finite-field checks."""
 
-    modulus: int = DEFAULT_MODULUS
-    seed: int = 2026
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
+    def __new__(cls, modulus: int = DEFAULT_MODULUS, seed: int = 2026):
+        if not is_prime(modulus):
+            raise ValueError(f"modulus {modulus} is not prime")
+        return tuple.__new__(cls, (modulus, seed))
 
     def field(self) -> PrimeField:
         return PrimeField(self.modulus)
@@ -58,8 +60,7 @@ class PrimeFieldConfig:
         return random.Random(self.seed)
 
 
-@dataclass(frozen=True)
-class KalmanPoint:
+class KalmanPoint(NamedTuple):
     """A matrix over GF(p) carrying an eigenvector supported in the
     distinguished subspace, hence a point of the rank-drop locus."""
 
@@ -480,4 +481,4 @@ def minors_vanishing_check(
     of the locus."""
     gf = cfg.field()
     gens = [p for _, p in all_top_minors(d, n, gf) if not p.is_zero()]
-    return dataclasses.replace(vanishing_test(gens, d, n, trials, cfg), check="minor-vanishing")
+    return vanishing_test(gens, d, n, trials, cfg)._replace(check="minor-vanishing")

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -187,9 +186,14 @@ class TestDottedBott:
         # every vanishing weight shares one outcome, which must not change
         out = dotted_bott((0, 1))
         assert out is kalvar.bott._VANISHES
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             out.degree = 0
+        assert (out.vanishes, out.degree, out.eta) == (True, None, None)
         assert dotted_bott((0, 1)) == BottOutcome(True, None, None)
+        survivor = dotted_bott((1, 0))
+        with pytest.raises(AttributeError):
+            survivor.degree = 5
+        assert (survivor.vanishes, survivor.degree, survivor.eta) == (False, 0, (1, 0))
 
     def test_rejects_non_integer_entries(self):
         # refused, not truncated to (0, 0), which survives in degree 0

@@ -473,6 +473,20 @@ class TestFormatsAndOutput:
         assert outputs[0] == outputs[1]
         assert outputs[0].endswith(b"result: pass\n")
 
+    def test_import_leaves_out_dataclasses_inspect_and_csv(self):
+        # a cold start imports none of them: kalvar's records are named
+        # tuples, and csv loads only for --format csv.  -S keeps the
+        # site hooks of the interpreter from importing them first.
+        script = (
+            "import sys\n"
+            "import kalvar.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], env=src_env(), capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "[]\n"
+
     def test_runs_without_numpy(self):
         script = (
             "import sys\n"

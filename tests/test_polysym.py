@@ -665,6 +665,24 @@ class TestEvaluate:
         assert nodes(minors) == 11043
         assert sum(nodes([g]) for g in minors) == 26499
 
+    @pytest.mark.parametrize(
+        "domains",
+        [(ZZ,), (PrimeField(32003),), (PrimeField(46337),), (ZZ, PrimeField(32003)), (PrimeField(32003), PrimeField(46337))],
+        ids=["ZZ", "GF32003", "GF46337", "ZZ-and-GF32003", "GF32003-and-GF46337"],
+    )
+    def test_one_call_matches_oracle_in_every_domain(self, domains):
+        # over one prime field every trie level is reduced mod p; over ZZ
+        # and across domains nothing is reduced before each polynomial's
+        # own coerce.  Coordinates far past either prime make any
+        # reduction by the wrong modulus show in the values.
+        rng = random.Random(len(domains))
+        gens = [p for domain in domains for _, p in all_top_minors(3, 6, domain)[:12]]
+        points = [[rng.randrange(-10**12, 10**12) for _ in range(18)] for _ in range(3)]
+        values = evaluate_many(gens, points)
+        assert values == [[evaluate_oracle(g, pt) for g in gens] for pt in points]
+        assert values == [[g.evaluate(pt) for g in gens] for pt in points]
+        assert any(abs(v) > 46337 for row in values for v in row) == (ZZ in domains)
+
     def test_minors_match_oracle_over_integers(self):
         rng = random.Random(3)
         gens = self._gens(ZZ)

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from math import comb
 from operator import sub
 
@@ -398,7 +397,7 @@ class TestChainResolution:
         table = chain_resolution(s, d, n)
         for t in table.terms:
             for i in range(s):
-                extra = replace(t, hom_degree=i)
+                extra = t._replace(hom_degree=i)
                 report = chain_closed_form_check(self.corrupted(table, add=[extra]))
                 assert not report.passed, (t, i)
 
@@ -440,7 +439,7 @@ class TestChainResolution:
                         offset = (s + k - 1) * (k - s) // 2
                         for t in levels[k].terms:
                             if classify_part(t.lam, t.mu, k) == "III" and t.hom_degree == k:
-                                want[s].append(key(replace(t, twist=t.twist + offset)))
+                                want[s].append(key(t._replace(twist=t.twist + offset)))
                     got = resolution_module._low_strata(s, d, n)
                     assert got == {i: sorted(keys) for i, keys in want.items()}, (s, d, n)
 
@@ -470,7 +469,7 @@ class TestChainResolution:
             table = resolution_normalization(KalmanParams(k, d, n))
             tagged = [(t, classify_part(t.lam, t.mu, k)) for t in table.terms]
             chain = [(t, part) for t, part in tagged if part != "I"] + [
-                (replace(t, hom_degree=t.hom_degree - 1, twist=t.twist + k), "carried")
+                (t._replace(hom_degree=t.hom_degree - 1, twist=t.twist + k), "carried")
                 for t, part in chain
                 if part != "II"
             ]
@@ -717,7 +716,7 @@ class TestCancellation:
         def corrupted(params):
             table = real(params)
             if params.s == level:
-                table.terms = change(table.terms, params.s)
+                table = table._replace(terms=change(table.terms, params.s))
             return table
 
         monkeypatch.setattr(resolution_module, "resolution_normalization", corrupted)
@@ -729,7 +728,7 @@ class TestCancellation:
     def test_part_ii_twist_off_by_one_fails(self, monkeypatch):
         def shift_one(terms, s):
             i = next(i for i, t in enumerate(terms) if classify_part(t.lam, t.mu, s) == "II")
-            return terms[:i] + [replace(terms[i], twist=terms[i].twist + 1)] + terms[i + 1 :]
+            return terms[:i] + [terms[i]._replace(twist=terms[i].twist + 1)] + terms[i + 1 :]
 
         self.corrupt_level(monkeypatch, 2, shift_one)
         report = les_euler_check(3, 6)
@@ -779,7 +778,7 @@ class TestBettiTerm:
 
     def test_six_slotted_fields(self):
         term = chain_resolution(1, 2, 4).terms[0]
-        assert BettiTerm.__slots__ == ("hom_degree", "twist", "eta", "multiplicity", "lam", "mu")
+        assert BettiTerm._fields == ("hom_degree", "twist", "eta", "multiplicity", "lam", "mu")
         assert not hasattr(term, "__dict__")
 
     def test_sorted_terms_by_degree_twist_and_pair(self):

@@ -1,7 +1,6 @@
 """Tests for the finite-field verification layer: random points,
 graded rank computations, minimality and Hilbert checks."""
 
-import dataclasses
 import random
 from functools import lru_cache
 from math import comb, prod
@@ -151,7 +150,7 @@ class TestRandomPoint:
             PrimeFieldConfig(modulus=32001)
 
     def test_config_fields(self):
-        assert [f.name for f in dataclasses.fields(PrimeFieldConfig)] == ["modulus", "seed"]
+        assert PrimeFieldConfig._fields == ("modulus", "seed")
 
 
 class TestVanishing:
@@ -195,7 +194,7 @@ class TestVanishing:
             point = random_kalman_point(*args)
             drawn.append(point)
             if len(drawn) == 3:
-                point = dataclasses.replace(point, eigenvalue=(point.eigenvalue + 1) % gf.p)
+                point = point._replace(eigenvalue=(point.eigenvalue + 1) % gf.p)
             return point
 
         monkeypatch.setattr(verify, "random_kalman_point", draw)
