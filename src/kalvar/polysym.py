@@ -20,9 +20,13 @@ route that adds monomials refuses a degree over 255
 reverse lexicographic order on the exponent tuples fixes how a
 polynomial is serialized; the finite-field ranks downstream number
 their columns on first touch and do not depend on it.  Evaluation
-(`evaluate_many`) compiles the monomials of all the polynomials it is
-given into one trie of variables, shared by all of them, and walks it
-once per point.
+(`evaluate_many`) splits each monomial at the degree midpoint of the
+variables into a low and a high half, compiles the halves of all the
+polynomials it is given into one trie of variables, walks it once per
+point, and sums each polynomial as value(high) times the sum of c *
+value(low) over the terms with that high half.  Laplace expansion
+(`_minors`) bounds its work up front and refuses more than
+MAX_MINOR_PRODUCTS term products.
 """
 
 from __future__ import annotations
@@ -304,38 +308,32 @@ class SparsePoly:
         return f"SparsePoly({self})"
 
 
-def _shared_trie(polys: Sequence[SparsePoly]) -> tuple:
-    """The monomials of every polynomial compiled into one trie:
-    (levels, leaves).
+def _shared_trie(monomials: Iterable[int], nvars: int) -> tuple[list, dict[int, int]]:
+    """The monomials in `nvars` variables, and every prefix they need,
+    compiled into one trie: (levels, index), where `index` maps each
+    monomial to its node.
 
     Each monomial is read as a word in its variables, highest index
-    first, and the words of all polynomials share their prefixes.  A
-    node is a prefix monomial, so its parent drops one factor of the
-    node's lowest-index variable.  The trie is built layer by layer,
-    deepest first, on the packed monomials themselves: the lowest set
-    bit names the variable, and one subtraction gives the parent.
+    first, and the words share their prefixes.  A node is a prefix
+    monomial, so its parent drops one factor of the node's lowest-index
+    variable.  The trie is built layer by layer, deepest first, on the
+    packed monomials themselves: the lowest set bit names the variable,
+    and one subtraction gives the parent.
 
     Node 0 is the empty word.  Level t lists, for each node of degree
     t + 1, its parent node and last variable, and nodes are numbered
-    level by level, in increasing packed order within a level, so
-    evaluating one level is one pass over two lists.
-    `leaves[i]` is the node of each term of polys[i], in term order.
-    Highest index first because the gamma block holds the highest
-    indices and every term of a Kalman minor has one gamma factor per
-    row: the (4, 5) determinant needs 37,395 nodes this way, 67,059
-    lowest first, against 119,120 factors taken term by term, and the
-    84 minors of (3, 6) need 11,043 nodes in one trie, 26,499 in one
-    trie each.
+    level by level, so evaluating one level is one pass over two lists.
     """
+    monomials = list(monomials)
+    exponents = map(int.to_bytes, monomials, itertools.repeat(nvars), itertools.repeat("little"))
     layers: list[set[int]] = [{0}]
-    for p in polys:
-        for m, degree in zip(p.terms, p._degrees()):
-            while len(layers) <= degree:
-                layers.append(set())
-            layers[degree].add(m)
+    for m, degree in zip(monomials, map(sum, exponents)):
+        while len(layers) <= degree:
+            layers.append(set())
+        layers[degree].add(m)
     nodes, links = [], []  # deepest layer first
     for t in reversed(range(1, len(layers))):
-        layer = sorted(layers[t])
+        layer = list(layers[t])
         variables = [((m & -m).bit_length() - 1) >> 3 for m in layer]
         parents = [m - (1 << 8 * k) for m, k in zip(layer, variables)]
         layers[t - 1].update(parents)
@@ -343,8 +341,59 @@ def _shared_trie(polys: Sequence[SparsePoly]) -> tuple:
         links.append((parents, variables))
     nodes.append([0])
     index = {m: i for i, m in enumerate(itertools.chain.from_iterable(reversed(nodes)))}
-    levels = [([index[m] for m in parents], variables) for parents, variables in reversed(links)]
-    return levels, [[index[m] for m in p.terms] for p in polys]
+    levels = [(list(map(index.__getitem__, parents)), variables) for parents, variables in reversed(links)]
+    return levels, index
+
+
+def _split_plan(polys: Sequence[SparsePoly], nvars: int) -> tuple:
+    """The polynomials compiled for `evaluate_many`: (split, levels,
+    (coefficients, low nodes), (high nodes, group sizes), groups per
+    polynomial).
+
+    Every monomial splits into a low half, its variables below `split`,
+    and a high half, the rest: low = m & ((1 << 8 * split) - 1) and
+    high = m - low.  `split` is the first variable at which the
+    exponents of the variables below it, summed over every term of
+    every polynomial, reach half of all exponents.  Any split gives the
+    same values; the midpoint keeps both halves short.  One trie
+    (`_shared_trie`, whose `levels` are returned) holds the root and
+    every distinct low and high half.
+
+    Each polynomial's terms are grouped by high half, and the groups of
+    all the polynomials are laid end to end: group g has one high node
+    and its next `sizes[g]` terms, and polynomial i its next
+    `counts[i]` groups.  The (4, 5) determinant splits below variable
+    14, into 11,462 trie nodes and 244 groups; the 84 minors of (3, 6)
+    split below variable 9, the alpha/gamma boundary, into 617 nodes
+    and 1,398 groups.
+    """
+    terms = itertools.chain.from_iterable(p.terms for p in polys)
+    packed = b"".join(map(int.to_bytes, terms, itertools.repeat(nvars), itertools.repeat("little")))
+    totals = [sum(packed[k::nvars]) for k in range(nvars)]
+    half, below, split = sum(totals), 0, 0
+    while 2 * below < half:
+        below += totals[split]
+        split += 1
+    mask = (1 << 8 * split) - 1
+    by_poly, halves = [], set()
+    for p in polys:
+        groups: dict[int, list] = {}
+        for m, c in p.terms.items():
+            low = m & mask
+            groups.setdefault(m - low, []).append((c, low))
+            halves.add(low)
+        halves.update(groups)
+        by_poly.append(groups)
+    levels, index = _shared_trie(halves, nvars)
+    coeffs, lows, highs, sizes = [], [], [], []
+    for groups in by_poly:
+        for high, pairs in groups.items():
+            for c, low in pairs:
+                coeffs.append(c)
+                lows.append(index[low])
+            highs.append(index[high])
+            sizes.append(len(pairs))
+    return split, levels, (coeffs, lows), (highs, sizes), [len(groups) for groups in by_poly]
 
 
 def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence]) -> list[list]:
@@ -352,14 +401,19 @@ def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence]) -> li
     that polynomial's domain.
 
     All polynomials have the same number of variables, and every point
-    gives one element per variable (ValueError otherwise).  Their
-    monomials are compiled once into one shared trie
-    (`_shared_trie`); a point then costs one multiplication per trie
-    node, one per term for its coefficient, and one reduction per
-    polynomial.  When every polynomial lies over one prime field GF(p),
-    each trie level is also reduced mod p, which keeps the node values
-    small and, reduction mod p being a ring map, leaves every value as
-    it was.
+    gives one element per variable (ValueError otherwise).  Each
+    monomial splits at the degree midpoint of the variables into a low
+    and a high half, and the halves of all the polynomials are compiled
+    once into one shared trie (`_split_plan`): the baby-step/giant-step
+    idea of Paterson & Stockmeyer (SIAM J. Comput. 2, 1973) for sparse
+    polynomials.  A polynomial's value is the sum, over its high halves
+    h, of value(h) times the sum of c * value(low) over its terms with
+    high half h.  A point then costs one multiplication per trie node,
+    one per term for its coefficient, one per group for its high half,
+    and one reduction per polynomial.  When every polynomial lies over
+    one prime field GF(p), each trie level and each inner sum is also
+    reduced mod p, which keeps the values small and, reduction mod p
+    being a ring map, leaves every value as it was.
     """
     polys = list(polys)
     nvars = {p.ring.nvars for p in polys}
@@ -368,8 +422,8 @@ def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence]) -> li
     domains = {p.ring.domain for p in polys}
     field = domains.pop() if len(domains) == 1 else None
     modulus = field.p if isinstance(field, PrimeField) else 0
-    levels, leaves = _shared_trie(polys)
-    dots = [(p.ring.domain.coerce, tuple(p.terms.values()), leaf) for p, leaf in zip(polys, leaves)]
+    _, levels, (coeffs, lows), (highs, sizes), counts = _split_plan(polys, next(iter(nvars), 0))
+    finish = list(zip([p.ring.domain.coerce for p in polys], counts))
     out = []
     for point in points:
         if nvars and {len(point)} != nvars:
@@ -380,7 +434,11 @@ def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence]) -> li
             level = map(operator.mul, map(values.__getitem__, parents), map(at, variables))
             values += [v % modulus for v in level] if modulus else list(level)
         node = values.__getitem__
-        out.append([coerce(sum(map(operator.mul, coeffs, map(node, leaf)))) for coerce, coeffs, leaf in dots])
+        products = map(operator.mul, coeffs, map(node, lows))
+        inner = (sum(itertools.islice(products, k)) for k in sizes)
+        inner = [v % modulus for v in inner] if modulus else list(inner)
+        outer = map(operator.mul, map(node, highs), inner)
+        out.append([coerce(sum(itertools.islice(outer, k))) for coerce, k in finish])
     return out
 
 
@@ -479,6 +537,14 @@ class PolyMatrix:
         ])
 
 
+# Term products that one `_minors` call may take, by its up-front bound.
+# all_top_minors(4, 6) bounds at 6.5e7 and ran in 4 s and 215 MB; (4, 7)
+# bounds at 8.6e8 and took 54 s and 1.85 GB, (5, 6) at 1.0e9 ran past
+# 96 s, and (5, 7) at 4.7e13 ran past 150 s and 5 GB.  All three are
+# refused before anything is expanded.
+MAX_MINOR_PRODUCTS = 100_000_000
+
+
 def _minors(
     entries: Sequence[Sequence[SparsePoly]],
     ring: PolyRing,
@@ -498,10 +564,18 @@ def _minors(
     The degree of a pick is bounded by the sum of its rows' largest
     entry degrees, read from one table of entry degrees per call, and a
     bound over 255 raises ValueError (`check_degree`).
+
+    The size of the work is bounded up front, in the pass that counts
+    each sub-minor's uses: the products of no rows are 1, and those of a
+    pick are the sum, over its first row's entries, of the entry's term
+    count times the products of the sub-minor it multiplies.  Picks
+    whose products sum to more than MAX_MINOR_PRODUCTS raise ValueError
+    before any minor is expanded.
     """
     coerce = ring.domain.coerce
     picks = [(tuple(rows), tuple(cols)) for rows, cols in picks]
     uses: dict[tuple, int] = {}
+    products: dict[tuple, int] = {}
     memo: dict[tuple, dict[int, object]] = {}
 
     def expansion(key):
@@ -514,8 +588,11 @@ def _minors(
     def count(key):
         uses[key] = uses.get(key, 0) + 1
         if uses[key] == 1:
-            for _, _, sub in expansion(key):
-                count(sub)
+            bound = 0 if key[0] else 1
+            for _, e, sub in expansion(key):
+                bound += len(e) * count(sub)
+            products[key] = bound
+        return products[key]
 
     def take(key):
         value = memo.get(key)
@@ -541,9 +618,15 @@ def _minors(
         return value
 
     degrees = [[e.degree() for e in row] for row in entries]
+    work = 0
     for rows, cols in picks:
         check_degree(sum(max(0, *(degrees[r][c] for c in cols)) for r in rows), "a minor")
-        count((rows, cols))
+        work += count((rows, cols))
+    if work > MAX_MINOR_PRODUCTS:
+        raise ValueError(
+            f"the minors take up to {work} term products, more than the limit of "
+            f"{MAX_MINOR_PRODUCTS} (MAX_MINOR_PRODUCTS)"
+        )
     order = sorted(range(len(picks)), key=lambda i: sorted(picks[i][0], reverse=True), reverse=True)
     values = {i: SparsePoly(ring, take(picks[i])) for i in order}
     return [values[i] for i in range(len(picks))]

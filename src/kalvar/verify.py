@@ -142,9 +142,9 @@ def vanishing_test(
 
     The points are drawn first, one per trial; a point that fails its
     eigenvector check is reported as `bad_point`.  The good points are
-    then evaluated together on one trie shared by all generators
-    (`evaluate_many`), and failures are listed by trial, then by
-    generator."""
+    then evaluated together (`evaluate_many`: each monomial split at the
+    degree midpoint, the halves of all generators in one trie), and
+    failures are listed by trial, then by generator."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not generators:

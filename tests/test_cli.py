@@ -15,7 +15,7 @@ import pytest
 
 from kalvar import cli, resolution, verify
 from kalvar.bott import MAX_EXHAUSTIVE_WORK
-from kalvar.polysym import MILLER_RABIN_LIMIT
+from kalvar.polysym import MAX_MINOR_PRODUCTS, MILLER_RABIN_LIMIT
 from kalvar.report import CheckReport
 from kalvar.resolution import MAX_NORMALIZATION_PAIRS
 
@@ -197,6 +197,19 @@ class TestChecks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "255" in captured.err
+
+    def test_minors_past_the_product_limit_exit_2(self, capsys):
+        # (5, 7) bounds at 4.7e13 term products; it used to run for
+        # minutes and take gigabytes, and is refused before any expansion
+        t0 = time.monotonic()
+        assert cli.main(["check-minors", "--d", "5", "--n", "7", "--trials", "1"]) == 2
+        assert time.monotonic() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the minors take up to 47434859514720 term products, more than the limit of "
+            f"{MAX_MINOR_PRODUCTS} (MAX_MINOR_PRODUCTS)\n"
+        )
 
     def test_minimality_at_the_packed_degree_runs(self, capsys):
         code, out = run(capsys, "check-minimality", "--d", "1", "--n", "2", "--max-degree", "255")

@@ -3,6 +3,7 @@ minors, and the trace identity."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb, prod
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kalvar.polysym import (
+    MAX_MINOR_PRODUCTS,
     MILLER_RABIN_LIMIT,
     ZZ,
     BlockLayout,
@@ -18,7 +20,7 @@ from kalvar.polysym import (
     PolyRing,
     PrimeField,
     SparsePoly,
-    _shared_trie,
+    _split_plan,
     all_top_minors,
     determinant,
     evaluate_many,
@@ -566,6 +568,29 @@ class TestMinors:
         # only the rows and columns of the pick count towards the bound
         assert minor(over, (1,), (0,)) == y
 
+    @pytest.mark.parametrize(
+        "d,n,products",
+        [(2, 3, 4), (3, 6, 31920), (4, 5, 93696), (4, 6, 65324760), (4, 7, 856527912),
+         (5, 6, 1000065000), (5, 7, 47434859514720)],
+    )
+    def test_product_bound(self, monkeypatch, d, n, products):
+        # the bound is read off the error at a limit of 0, so (4, 6) is
+        # priced without being expanded: it fits the limit, (4, 7) does not
+        monkeypatch.setattr("kalvar.polysym.MAX_MINOR_PRODUCTS", 0)
+        with pytest.raises(ValueError, match=re.escape(f"up to {products} term products")):
+            all_top_minors(d, n)
+        assert (products <= MAX_MINOR_PRODUCTS) == ((d, n) not in {(4, 7), (5, 6), (5, 7)})
+
+    def test_product_bound_of_a_small_expansion(self, monkeypatch):
+        # a 2 x 2 of single terms takes 1 * 1 + 1 * 1 term products; an
+        # entry of three terms in its first row makes it 3 * 1 + 1 * 1
+        ring = PolyRing(2, ZZ)
+        x, y = ring.var(0), ring.var(1)
+        monkeypatch.setattr("kalvar.polysym.MAX_MINOR_PRODUCTS", 2)
+        assert determinant(PolyMatrix([[x, y], [y, x]])) == x * x - y * y
+        with pytest.raises(ValueError, match="up to 4 term products, more than the limit of 2 "):
+            determinant(PolyMatrix([[x + y + 1, y], [y, x]]))
+
     @pytest.mark.parametrize("domain", [ZZ, PrimeField(32003)], ids=["ZZ", "GF32003"])
     def test_term_counts(self, domain):
         assert len(determinant(reduced_kalman_matrix(4, 5, domain)).terms) == 11912
@@ -658,12 +683,23 @@ class TestEvaluate:
         assert evaluate_many(minors, points) == [[evaluate_oracle(g, pt) for g in minors] for pt in points]
 
     def test_minors_share_one_trie(self):
-        # the 84 minors of (3, 6) walk 11,043 nodes besides the root in
-        # one trie, where one trie each would walk 26,499
+        # the split is the one thing the values cannot show, since any
+        # split evaluates exactly: the 84 minors of (3, 6) split below
+        # variable 9, the alpha/gamma boundary, into 617 trie nodes
+        # besides the root and 1,398 groups, where one plan each would
+        # walk 11,060 nodes; the (4, 5) determinant splits below
+        # variable 14, into 11,462 nodes and 244 groups
+        nodes = lambda plan: sum(len(parents) for parents, _ in plan[1])
         minors = [p for _, p in all_top_minors(3, 6)]
-        nodes = lambda polys: sum(len(parents) for parents, _ in _shared_trie(polys)[0])
-        assert nodes(minors) == 11043
-        assert sum(nodes([g]) for g in minors) == 26499
+        plan = _split_plan(minors, 18)
+        assert (plan[0], nodes(plan), len(plan[3][0]), len(plan[2][0])) == (9, 617, 1398, 8346)
+        low = (1 << 8 * 9) - 1
+        assert plan[4] == [len({m - (m & low) for m in g.terms}) for g in minors]
+        assert sum(plan[3][1]) == sum(len(g.terms) for g in minors) == 8346
+        assert sum(nodes(_split_plan([g], 18)) for g in minors) == 11060
+        det = determinant(reduced_kalman_matrix(4, 5))
+        plan = _split_plan([det], 20)
+        assert (plan[0], nodes(plan), len(plan[3][0]), len(plan[2][0]), plan[4]) == (14, 11462, 244, 11912, [244])
 
     @pytest.mark.parametrize(
         "domains",
@@ -682,6 +718,53 @@ class TestEvaluate:
         assert values == [[evaluate_oracle(g, pt) for g in gens] for pt in points]
         assert values == [[g.evaluate(pt) for g in gens] for pt in points]
         assert any(abs(v) > 46337 for row in values for v in row) == (ZZ in domains)
+
+    # (variables, split, polynomials as {exponents: coefficient}): each
+    # case exercises one shape of the split
+    SPLIT_CASES = {
+        # x0 is the low half of x0*x2, x0*x3 and x0*x2*x3, and x1 of two
+        # terms, in both polynomials
+        "low-halves-shared": (4, 2, [
+            {(1, 0, 1, 0): 3, (1, 0, 0, 1): -5, (1, 0, 1, 1): 7, (0, 1, 1, 0): 2,
+             (0, 1, 0, 1): -1, (0, 0, 2, 0): 4, (1, 1, 0, 0): 6, (2, 0, 0, 0): 8},
+            {(1, 0, 0, 1): 1, (0, 1, 1, 0): -4},
+        ]),
+        # a constant term sits in the root's group beside x0^2
+        "constant-terms": (3, 2, [
+            {(0, 0, 0): 5, (2, 0, 0): 1, (0, 0, 2): -2, (1, 0, 1): 1},
+            {(0, 0, 0): -7},
+            {(0, 1, 1): 1, (0, 0, 0): 1},
+        ]),
+        # every monomial is all low half
+        "one-variable": (1, 1, [{(3,): 4, (1,): -1, (0,): 9}, {(2,): 1}]),
+        "no-variables": (0, 0, [{(): 5}, {}, {(): -3}]),
+        # the high halves are powers of the last variable alone
+        "split-on-last-variable": (3, 2, [{(0, 4, 1): 1, (1, 0, 2): 3, (0, 0, 1): -2}]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    @pytest.mark.parametrize(
+        "domains",
+        [(ZZ,), (PrimeField(32003),), (PrimeField(46337),), (ZZ, PrimeField(32003)), (PrimeField(32003), PrimeField(46337))],
+        ids=["ZZ", "GF32003", "GF46337", "ZZ-and-GF32003", "GF32003-and-GF46337"],
+    )
+    def test_split_cases_match_oracle(self, case, domains):
+        nvars, split, polys = self.SPLIT_CASES[case]
+        rings = [PolyRing(nvars, domain) for domain in domains]
+        gens = [ring.reduce({ring.pack(e): c for e, c in terms.items()}) for ring in rings for terms in polys]
+        plan = _split_plan(gens, nvars)
+        assert plan[0] == split
+        if case == "low-halves-shared":
+            group_of_term = [g for g, size in enumerate(plan[3][1]) for _ in range(size)]
+            groups_of: dict[int, set] = {}
+            for low, group in zip(plan[2][1], group_of_term):
+                groups_of.setdefault(low, set()).add(group)
+            assert max(map(len, groups_of.values())) >= 3
+        rng = random.Random(nvars)
+        points = [[rng.randrange(-10**12, 10**12) for _ in range(nvars)] for _ in range(3)]
+        values = evaluate_many(gens, points)
+        assert values == [[evaluate_oracle(g, pt) for g in gens] for pt in points]
+        assert values == [[g.evaluate(pt) for g in gens] for pt in points]
 
     def test_minors_match_oracle_over_integers(self):
         rng = random.Random(3)
