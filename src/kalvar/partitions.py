@@ -6,13 +6,15 @@ constrains a partition to at most r parts, each at most c; dimension
 counts are exact integers.  Skew tableau counts come from the
 Jacobi-Trudi determinant (Macdonald, Symmetric Functions, I.5), so their
 cost is polynomial in the shape rather than proportional to the count.
-`skew_schur_dim` is the validated entry; it picks the smaller of the h-
-and e-forms and hands the shape to `_jacobi_trudi`, which the
-normalization loop also calls directly on the form it already holds,
-with the h- and e-rows of its fixed m built once.  The partitions of a
-box and the conjugate of a shape are built once per process, on first
-use; `partitions_in_box` hands each caller a new list of the shared
-shapes.
+`skew_schur_dim` is the validated entry for one shape; it picks the
+smaller of the h- and e-forms and hands the shape to `_jacobi_trudi`.
+The normalization loop needs s_{lam^T/mu^T}(1^m) for every lam of a
+k x (n - k) box against one mu, and takes them all from one sweep per
+mu, `_skew_dims_by_beta`, keyed by lam's beta-set: the bitmask with bit
+lam_i - i + k - 1 set for each row i of lam padded to k rows
+(`_beta_mask`), k set bits among n.  The partitions of a box and the
+conjugate of a shape are built once per process, on first use;
+`partitions_in_box` hands each caller a new list of the shared shapes.
 """
 
 from __future__ import annotations
@@ -239,6 +241,55 @@ def _jacobi_trudi(outer: Sequence[int], inner: Sequence[int], coeffs: Sequence[i
     )
 
 
+def _beta_mask(parts: Sequence[int]) -> int:
+    """The beta-set key of a partition padded to k = len(parts) rows.
+    The k x (n - k) box holds one partition per k-subset of 0..n-1."""
+    k = len(parts)
+    mask = 0
+    for i, a in enumerate(parts):
+        mask |= 1 << (a - i + k - 1)
+    return mask
+
+
+def _skew_dims_by_beta(mu_pad: Sequence[int], n: int, m: int) -> dict[int, int]:
+    """s_{lam^T/mu^T}(1^m) for every lam in the k x (n - k) box at once,
+    k = len(mu_pad), keyed by lam's beta-set (`_beta_mask`); a lam that
+    does not contain mu has 0 or no entry, as has a zero dimension.
+
+    By the dual Jacobi-Trudi identity the dimension is
+    det[e_{lam_i - mu_j - i + j}(1^m)], whose row i holds
+    C(m, a_i - base_j) in column j, with a_i lam's i-th beta and
+    base_j = k - 1 + mu_j - j; the entry is nonzero only for
+    0 <= a_i - base_j <= m.  So every lam's matrix is a k-row choice of
+    the rows of one banded n x k matrix.  The sweep expands all the
+    determinants along their columns at once: after column j, `minors`
+    maps each set of used rows to its minor on the first j + 1 columns,
+    and a row a taken for column j carries the sign
+    (-1)^(j + used rows above a), rows ordered by decreasing beta.  The
+    band is walked from its top row down, so that sign flips at each
+    used row passed."""
+    k = len(mu_pad)
+    e_row = _e_row(m, m + 1)
+    minors = {0: 1}
+    for j, b in enumerate(mu_pad):
+        base = k - 1 + b - j
+        top = min(base + m, n - 1)
+        band = [(1 << a, e_row[a - base]) for a in range(top, base - 1, -1)]
+        extended: dict[int, int] = {}
+        get = extended.get
+        for used, minor in minors.items():
+            if (j + (used >> top >> 1).bit_count()) & 1:
+                minor = -minor
+            for bit, e in band:
+                if used & bit:
+                    minor = -minor
+                else:
+                    key = used | bit
+                    extended[key] = get(key, 0) + minor * e
+        minors = extended
+    return minors
+
+
 def skew_schur_dim(shape: SkewShape, m: int) -> int:
     """Number of semistandard tableaux of the skew shape with entries
     in 1..m (= dim of the skew Schur functor applied to an m-dim space).
@@ -247,8 +298,9 @@ def skew_schur_dim(shape: SkewShape, m: int) -> int:
     h_k(1^m) = C(m-1+k, k), or the dual form det[e_{lam'_i - mu'_j - i + j}]
     on the conjugates with e_k(1^m) = C(m, k); the smaller matrix is used.
     h_k = e_k = 0 for k < 0, and h_0 = e_0 = 1.  This is the public
-    entry; the normalization loop, which holds both forms of its
-    shapes, calls `_jacobi_trudi` directly.
+    entry for one shape.  The normalization loop reads the same numbers
+    from `_skew_dims_by_beta`, one table per mu, and this route is that
+    table's test oracle.
     """
     if shape.size == 0:
         return 1

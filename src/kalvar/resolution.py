@@ -20,7 +20,9 @@ at a homological degree and an internal twist.  A term keeps the pair
 II, III, or carried from a deeper chain level; `classify_part`) are
 read off that pair.  One loop, `_level_terms`, builds the terms of
 every table; it resolves each pair's dotted action by merging the
-weight's two rho-shifted halves (`bott._dotted_halves`).
+weight's two rho-shifted halves (`bott._dotted_halves`), and reads each
+pair's skew dimension from a table that one sweep per mu fills for
+every lam of the box (`partitions._skew_dims_by_beta`).
 The public route, `bundle_cohomology` and `skew_schur_dim` per pair, is
 its test oracle, and gives the chain check its expectation below
 degree s (`_low_strata`).
@@ -38,9 +40,8 @@ from .partitions import (
     Box,
     Partition,
     SkewShape,
-    _e_row,
-    _h_row,
-    _jacobi_trudi,
+    _beta_mask,
+    _skew_dims_by_beta,
     _weyl_product,
     partitions_in_box,
     skew_schur_dim,
@@ -162,40 +163,37 @@ def _level_terms(
     holds.  The bundle weight is the W-half (the negated reverse of
     mu^T, zero-padded in front to d - k) followed by lam padded to k;
     shifted by rho(d), each half is strictly decreasing and depends on
-    one shape only.  Per mu: its conjugate, its parts padded to k and
-    its shifted half `upper`.  Per lam: its conjugate, its padded parts,
-    its shifted half `lower` and which Jacobi-Trudi form is smaller.
-    Per pair: containment on the padded parts, the dotted action by
-    merging the two halves (`bott._dotted_halves`), one determinant on
-    (lam^T, mu^T) with the h-row or on (lam, mu) with the e-row (both
-    rows built once per call), and the cached Weyl product of the
-    dominant weight.
+    one shape only.  Per mu: its conjugate, its parts padded to k, its
+    shifted half `upper` and the skew dimensions s_{lam^T/mu^T}(1^(n-d))
+    of every lam of the k x (n - k) box, keyed by beta-set
+    (`partitions._skew_dims_by_beta`).  Per lam: its padded parts, its
+    beta-set and its shifted half `lower`.  Per pair: containment on the
+    padded parts, the dotted action by merging the two halves
+    (`bott._dotted_halves`), one look-up in mu's table, and the cached
+    Weyl product of the dominant weight.  Every mu's table is held while
+    the lams are visited, so that the pairs stay lam-major.
     """
-    h_row, e_row = _h_row(n - d, n), _e_row(n - d, n)
     hom_shift, twist_shift = shift
     r = rho(d)
     r_upper, r_lower = r[:d - k], r[d - k:]
     mu_data = []
     for mu in mus:
-        mu_t = mu.conjugate()
+        mu_t, mu_pad = mu.conjugate(), mu.padded(k)
         w_half = (0,) * (d - k - len(mu_t)) + tuple(-a for a in reversed(mu_t))
-        mu_data.append((mu, mu_t, mu.padded(k), tuple(map(add, w_half, r_upper))))
+        upper = tuple(map(add, w_half, r_upper))
+        mu_data.append((mu, mu_pad, upper, _skew_dims_by_beta(mu_pad, n, n - d)))
     terms = []
     for lam in lams:
-        lam_t, lam_pad = lam.conjugate(), lam.padded(k)
-        lower = tuple(map(add, lam_pad, r_lower))
+        lam_pad = lam.padded(k)
+        key, lower = _beta_mask(lam_pad), tuple(map(add, lam_pad, r_lower))
         hom_base, twist = lam.size + hom_shift, lam.size + twist_shift
-        dual = len(lam_t) > len(lam)  # the e-form on (lam, mu) has fewer rows
-        for mu, mu_t, mu_pad, upper in mu_data:
+        for mu, mu_pad, upper, skew_dims in mu_data:
             if any(map(lt, lam_pad, mu_pad)):
                 continue
             out = _dotted_halves(upper, lower)
             if out is None:
                 continue
-            if dual:
-                skew = _jacobi_trudi(lam, mu, e_row)
-            else:
-                skew = _jacobi_trudi(lam_t, mu_t, h_row)
+            skew = skew_dims.get(key)
             if skew:
                 degree, eta = out
                 mult = _weyl_product(eta, d) * skew

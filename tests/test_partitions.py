@@ -4,10 +4,10 @@ from math import comb, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kalvar.partitions import _weyl_product
+from kalvar.partitions import _beta_mask, _skew_dims_by_beta, _weyl_product
 from kalvar.partitions import (
     Box,
     Partition,
@@ -376,6 +376,78 @@ class TestSkewSchurDim:
     def test_rejects_non_contained(self):
         with pytest.raises(ValueError):
             SkewShape.of((1, 1), (2,))
+
+
+def from_betas(betas, k):
+    """The partition with k rows whose beta-set is `betas`: row i is the
+    i-th largest beta b_i, less k - 1 - i."""
+    return Partition(b - (k - 1 - i) for i, b in enumerate(sorted(betas, reverse=True)))
+
+
+def skew_dim_or_zero(lam, mu, m):
+    """s_{lam^T/mu^T}(1^m) by the public route, 0 where lam does not
+    contain mu."""
+    if not lam.contains(mu):
+        return 0
+    return skew_schur_dim(SkewShape(lam.conjugate(), mu.conjugate()), m)
+
+
+@st.composite
+def beta_tables(draw, max_n=14):
+    """(n, k, m, mu, lams): m = 1, m = n - k or one in between; mu empty
+    or drawn in the k x (n - m - k) box; lams drawn as k-subsets of
+    0..n-1 (beta-sets), each also raised row by row to contain mu."""
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(1, n - 1))
+    m = draw(st.one_of(st.just(1), st.just(n - k), st.integers(1, n - k)))
+    mu_rows = st.lists(st.integers(0, n - m - k), min_size=k, max_size=k)
+    mu = draw(st.one_of(st.just(Partition(())), mu_rows.map(lambda xs: Partition(sorted(xs, reverse=True)))))
+    drawn = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=k, max_size=k), min_size=1, max_size=8))
+    lams = []
+    for betas in drawn:
+        lam = from_betas(betas, k)
+        lams += [lam, Partition(map(max, lam.padded(k), mu.padded(k)))]
+    return n, k, m, mu, lams
+
+
+class TestSkewDimsByBeta:
+    """One sweep per mu gives s_{lam^T/mu^T}(1^m) for every lam of the
+    k x (n - k) box, keyed by beta-set; `skew_schur_dim` is its oracle."""
+
+    def test_beta_sets_are_the_k_subsets(self):
+        for n in range(1, 10):
+            for k in range(n + 1):
+                keys = sorted(_beta_mask(lam.padded(k)) for lam in partitions_in_box(Box(k, n - k)))
+                want = sorted(sum(1 << b for b in c) for c in itertools.combinations(range(n), k))
+                assert keys == want, (n, k)
+
+    def test_every_pair_of_the_grid(self):
+        # m = n - d for every d < n, mu in the k x (d - k) box, lam in the
+        # k x (n - k) box: 35,027 contained pairs, zero on all the others
+        contained = 0
+        for n in range(2, 10):
+            for d in range(1, n):
+                m = n - d
+                for k in range(1, d + 1):
+                    lams = partitions_in_box(Box(k, n - k))
+                    for mu in partitions_in_box(Box(k, d - k)):
+                        table = _skew_dims_by_beta(mu.padded(k), n, m)
+                        for lam in lams:
+                            got = table.get(_beta_mask(lam.padded(k)), 0)
+                            assert got == skew_dim_or_zero(lam, mu, m), (n, d, k, lam, mu)
+                            contained += lam.contains(mu)
+        assert contained == 35027
+
+    @given(case=beta_tables())
+    @example(case=(14, 7, 1, Partition((6, 6, 5, 3, 1)), [Partition((7, 7, 6, 4, 2, 1)), Partition((7,) * 7)]))
+    @example(case=(14, 5, 9, Partition(()), [Partition((9, 9, 4, 1, 1)), Partition(())]))
+    @example(case=(13, 6, 3, Partition(()), [Partition((7, 5, 5, 2)), Partition((1,) * 6)]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_public_route(self, case):
+        n, k, m, mu, lams = case
+        table = _skew_dims_by_beta(mu.padded(k), n, m)
+        for lam in lams:
+            assert table.get(_beta_mask(lam.padded(k)), 0) == skew_dim_or_zero(lam, mu, m), lam
 
 
 class TestCauchyTerms:

@@ -509,35 +509,40 @@ class TestChainResolution:
         assert len(weights) == 1275
         assert sorted(calls) == sorted(weights)
 
-    def test_one_conjugation_per_lam_and_mu_per_level(self, monkeypatch):
-        # the loop conjugates each enumerated shape once and hands both
-        # forms to the determinant; re-conjugating in the dual
-        # Jacobi-Trudi branch made 18,130 calls here
-        conjugations = [0]
+    def test_one_conjugation_per_mu_per_level(self, monkeypatch):
+        # the loop conjugates each mu once, for its W-half, and no lam:
+        # the skew dimensions come from mu's table, keyed by lam's
+        # beta-set.  Per lam conjugations made 463 calls at level 6
+        # here, and re-conjugating in the dual Jacobi-Trudi branch once
+        # made 18,130 in all
+        conjugated = []
         real_conjugate = Partition.conjugate
 
         def counting(self):
-            conjugations[0] += 1
+            conjugated.append(self)
             return real_conjugate(self)
 
         per_level = {}
         real_level_terms = resolution_module._level_terms
 
         def recording(k, *args):
-            before = conjugations[0]
+            before = len(conjugated)
             terms = real_level_terms(k, *args)
-            per_level[k] = per_level.get(k, 0) + conjugations[0] - before
+            per_level.setdefault(k, []).extend(conjugated[before:])
             return terms
 
         monkeypatch.setattr(Partition, "conjugate", counting)
         monkeypatch.setattr(resolution_module, "_level_terms", recording)
         d, n = 6, 12
         chain_resolution(1, d, n)
-        # level 1: every lam, and mu in the 0 x 5 box; level k > 1: lam
-        # of full length k, and mu in the (k-1) x (6-k) box
-        want = {1: comb(n, 1) + 1}
-        want.update({k: comb(n - 1, k) + comb(d - 1, k - 1) for k in range(2, d + 1)})
+        # level 1: mu in the 0 x 5 box; level k > 1: mu in the
+        # (k-1) x (6-k) box; each conjugated once, in enumeration order
+        want = {1: [Partition(())]}
+        want.update({k: partitions_in_box(Box(k - 1, d - k)) for k in range(2, d + 1)})
         assert per_level == want
+        assert {k: len(shapes) for k, shapes in per_level.items()} == {
+            k: comb(d - 1, k - 1) for k in range(1, d + 1)
+        }
 
     def test_normalization_rebuilds_no_partition(self, monkeypatch):
         params = KalmanParams(2, 4, 7)
