@@ -1,14 +1,14 @@
-"""Sparse multivariate polynomial arithmetic over the integers (ZZ) or a
-prime field GF(p), the structured matrix attached to a Kalman variety,
-its minors, and the trace-minor identity.
+"""Sparse multivariate polynomials with integer coefficients, the
+structured matrix attached to a Kalman variety, its minors, and the
+trace-minor identity.
 
 Every polynomial built here has integer coefficients and nothing
-divides, so ZZ is the exact domain; the finite-field checks build the
-same matrix directly over GF(p).  A coefficient domain is one reduction
-map, `coerce`: ZZ checks that a value is integral, `PrimeField(p)`
-reduces it mod p, and prime fields with the same modulus are the same
-domain.  Arithmetic works on plain ints and reduces each coefficient of
-a result once (`PolyRing.reduce`), dropping zeros.
+divides, so the integers are the one coefficient domain.  A prime p
+enters only where a polynomial is measured mod p: `evaluate_many` takes
+it as an argument, and the finite-field checks of `verify` reduce the
+coefficients they read.  Reduction mod p is a ring map, so reducing the
+integer minors gives the minors over GF(p).  Arithmetic works on plain
+ints and builds each result once (`PolyRing.reduce`), dropping zeros.
 
 A monomial is one int: its exponent vector packed one byte per
 variable, variable k at bits 8k, so a monomial product is one int add.
@@ -70,55 +70,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class Integers:
-    """Integer coefficients, stored as Python ints.  Coercion accepts only
-    integral values; anything else raises TypeError rather than being
-    truncated.  `ZZ` is the one instance."""
-
-    def coerce(self, x) -> int:
-        return operator.index(x)
-
-
-class PrimeField:
-    """Integers mod a prime p, elements stored as ints in [0, p).
-    Immutable, and equal and hashed by p.  A slotted class rather than a
-    named tuple, since `coerce` reads p once per coefficient and a slot
-    is the faster read."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.p == other.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p,))
-
-    def __repr__(self) -> str:
-        return f"PrimeField(p={self.p!r})"
-
-    def __reduce__(self):
-        return PrimeField, (self.p,)
-
-    def coerce(self, x) -> int:
-        return operator.index(x) % self.p
-
-
-ZZ = Integers()
-
-
 MAX_DEGREE = 255  # one byte per variable in a packed monomial
 
 
@@ -138,18 +89,17 @@ def grevlex_key(exp: tuple[int, ...]) -> tuple:
 
 
 class PolyRing:
-    """A polynomial ring: variable count, coefficient domain, and the
-    name of variable k (`x{k}` unless given)."""
+    """A polynomial ring over the integers: variable count and the name
+    of variable k (`x{k}` unless given)."""
 
-    def __init__(self, nvars: int, domain=ZZ, names: Callable[[int], str] | None = None):
+    def __init__(self, nvars: int, names: Callable[[int], str] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
-        self.domain = domain
         self.var_name = "x{}".format if names is None else names
 
     def compatible(self, other: "PolyRing") -> bool:
-        return self is other or (self.nvars == other.nvars and self.domain == other.domain)
+        return self is other or self.nvars == other.nvars
 
     def pack(self, exp: Sequence[int]) -> int:
         """The monomial with exponent vector `exp`, one byte per variable,
@@ -172,16 +122,17 @@ class PolyRing:
         return tuple(m.to_bytes(self.nvars, "little"))
 
     def reduce(self, acc: dict) -> "SparsePoly":
-        """The polynomial {packed monomial: integer} `acc` in this ring:
-        every coefficient coerced into the domain once, zeros dropped."""
-        coerce = self.domain.coerce
-        return SparsePoly(self, {e: v for e, c in acc.items() if (v := coerce(c))})
+        """The polynomial {packed monomial: integer} `acc` in this ring,
+        zero coefficients dropped.  The caller passes ints."""
+        return SparsePoly(self, {e: c for e, c in acc.items() if c})
 
     def zero(self) -> "SparsePoly":
         return SparsePoly(self, {})
 
     def const(self, c) -> "SparsePoly":
-        return self.reduce({0: c})
+        """The constant c, which must be integral (TypeError otherwise,
+        rather than a truncation)."""
+        return self.reduce({0: operator.index(c)})
 
     def one(self) -> "SparsePoly":
         return self.const(1)
@@ -281,16 +232,22 @@ class SparsePoly:
         unpack = self.ring.unpack
         return sorted(((unpack(m), c) for m, c in self.terms.items()), key=lambda t: grevlex_key(t[0]))
 
-    def evaluate(self, point: Sequence):
-        """Value at a point given as one domain element per variable: the
-        one-polynomial, one-point case of `evaluate_many`."""
-        return evaluate_many([self], [point])[0][0]
+    def evaluate(self, point: Sequence[int], p: int) -> int:
+        """Value mod p at a point given as one int per variable: the
+        one-polynomial, one-point case of `evaluate_many`.  No code in
+        this package calls it; it stays because `perfbench/child.py`
+        traces it as a layer boundary, and a traced run is compared with
+        earlier runs by its metric names."""
+        return evaluate_many([self], [point], p)[0][0]
 
     def map_domain(self, ring: PolyRing) -> "SparsePoly":
-        """Recoerce coefficients into another ring with the same nvars."""
+        """The same terms in another ring with the same nvars, such as
+        one that names its variables differently.  It stays, with no
+        caller in this package, for the reason `evaluate` does: it is a
+        traced boundary of `perfbench/child.py`."""
         if ring.nvars != self.ring.nvars:
             raise ValueError("variable count mismatch")
-        return ring.reduce(self.terms)
+        return SparsePoly(ring, self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -396,34 +353,28 @@ def _split_plan(polys: Sequence[SparsePoly], nvars: int) -> tuple:
     return split, levels, (coeffs, lows), (highs, sizes), [len(groups) for groups in by_poly]
 
 
-def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence]) -> list[list]:
-    """For each point, the value of every polynomial, each coerced into
-    that polynomial's domain.
+def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence[int]], p: int) -> list[list[int]]:
+    """For each point, the value mod p of every polynomial, in [0, p).
 
     All polynomials have the same number of variables, and every point
-    gives one element per variable (ValueError otherwise).  Each
-    monomial splits at the degree midpoint of the variables into a low
-    and a high half, and the halves of all the polynomials are compiled
-    once into one shared trie (`_split_plan`): the baby-step/giant-step
-    idea of Paterson & Stockmeyer (SIAM J. Comput. 2, 1973) for sparse
+    gives one int per variable (ValueError otherwise).  Each monomial
+    splits at the degree midpoint of the variables into a low and a
+    high half, and the halves of all the polynomials are compiled once
+    into one shared trie (`_split_plan`): the baby-step/giant-step idea
+    of Paterson & Stockmeyer (SIAM J. Comput. 2, 1973) for sparse
     polynomials.  A polynomial's value is the sum, over its high halves
     h, of value(h) times the sum of c * value(low) over its terms with
     high half h.  A point then costs one multiplication per trie node,
     one per term for its coefficient, one per group for its high half,
-    and one reduction per polynomial.  When every polynomial lies over
-    one prime field GF(p), each trie level and each inner sum is also
-    reduced mod p, which keeps the values small and, reduction mod p
-    being a ring map, leaves every value as it was.
+    and one reduction per polynomial.  Each trie level and each inner
+    sum is also reduced mod p, which keeps the values small and,
+    reduction mod p being a ring map, leaves every value as it was.
     """
     polys = list(polys)
-    nvars = {p.ring.nvars for p in polys}
+    nvars = {poly.ring.nvars for poly in polys}
     if len(nvars) > 1:
         raise ValueError(f"polynomials in different numbers of variables: {sorted(nvars)}")
-    domains = {p.ring.domain for p in polys}
-    field = domains.pop() if len(domains) == 1 else None
-    modulus = field.p if isinstance(field, PrimeField) else 0
     _, levels, (coeffs, lows), (highs, sizes), counts = _split_plan(polys, next(iter(nvars), 0))
-    finish = list(zip([p.ring.domain.coerce for p in polys], counts))
     out = []
     for point in points:
         if nvars and {len(point)} != nvars:
@@ -432,13 +383,12 @@ def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence]) -> li
         values = [1]
         for parents, variables in levels:
             level = map(operator.mul, map(values.__getitem__, parents), map(at, variables))
-            values += [v % modulus for v in level] if modulus else list(level)
+            values += [v % p for v in level]
         node = values.__getitem__
         products = map(operator.mul, coeffs, map(node, lows))
-        inner = (sum(itertools.islice(products, k)) for k in sizes)
-        inner = [v % modulus for v in inner] if modulus else list(inner)
+        inner = [sum(itertools.islice(products, k)) % p for k in sizes]
         outer = map(operator.mul, map(node, highs), inner)
-        out.append([coerce(sum(itertools.islice(outer, k))) for coerce, k in finish])
+        out.append([sum(itertools.islice(outer, k)) % p for k in counts])
     return out
 
 
@@ -469,8 +419,8 @@ class BlockLayout(Validated, _BlockLayoutFields):
         i, j = divmod(k, self.d)
         return f"x[{i + 1}][{j + 1}]"
 
-    def ring(self, domain=ZZ) -> PolyRing:
-        return PolyRing(self.n * self.d, domain, self.var_name)
+    def ring(self) -> PolyRing:
+        return PolyRing(self.n * self.d, self.var_name)
 
     def alpha(self, ring: PolyRing) -> "PolyMatrix":
         """Top-left d x d block of generic variables."""
@@ -572,7 +522,6 @@ def _minors(
     whose products sum to more than MAX_MINOR_PRODUCTS raise ValueError
     before any minor is expanded.
     """
-    coerce = ring.domain.coerce
     picks = [(tuple(rows), tuple(cols)) for rows, cols in picks]
     uses: dict[tuple, int] = {}
     products: dict[tuple, int] = {}
@@ -610,7 +559,7 @@ def _minors(
                         for eb, cb in below:
                             m = ea + eb
                             acc[m] = get(m, 0) + ca * cb
-                value = {m: v for m, c in acc.items() if (v := coerce(c))}
+                value = {m: c for m, c in acc.items() if c}
             memo[key] = value
         uses[key] -= 1
         if not uses[key]:
@@ -654,11 +603,11 @@ def minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> SparsePoly
     return _minors(m.entries, m.ring, [(rows, cols)])[0]
 
 
-def reduced_kalman_matrix(d: int, n: int, domain=ZZ) -> PolyMatrix:
+def reduced_kalman_matrix(d: int, n: int) -> PolyMatrix:
     """The stacked d(n-d) x d matrix whose block r is gamma * alpha^r,
     rows of block r homogeneous of degree r + 1."""
     layout = BlockLayout(d, n)
-    ring = layout.ring(domain)
+    ring = layout.ring()
     alpha = layout.alpha(ring)
     gamma = layout.gamma(ring)
     block = gamma
@@ -669,10 +618,10 @@ def reduced_kalman_matrix(d: int, n: int, domain=ZZ) -> PolyMatrix:
     return stacked
 
 
-def all_top_minors(d: int, n: int, domain=ZZ) -> list[tuple[tuple[int, ...], SparsePoly]]:
+def all_top_minors(d: int, n: int) -> list[tuple[tuple[int, ...], SparsePoly]]:
     """Every d x d minor of the reduced matrix with its row set, row sets
     in lexicographic order."""
-    matrix = reduced_kalman_matrix(d, n, domain)
+    matrix = reduced_kalman_matrix(d, n)
     picks = list(itertools.combinations(range(matrix.nrows), d))
     cols = range(d)
     polys = _minors(matrix.entries, matrix.ring, [(rows, cols) for rows in picks])
@@ -695,8 +644,8 @@ def trace_identity_check(d: int, i: int) -> CheckReport:
     i-th exterior power of one matrix times the determinant of another
     equals the sum over size-i row sets of the determinant after
     replacing those rows with the corresponding rows of the product.
-    Both sides have integer coefficients, so checking over ZZ is as
-    strong as checking over the rationals."""
+    Both sides have integer coefficients, so checking over the integers
+    is as strong as checking over the rationals."""
     if not 1 <= i <= d:
         raise ValueError(f"need 1 <= i <= d, got i={i}, d={d}")
 
@@ -705,7 +654,7 @@ def trace_identity_check(d: int, i: int) -> CheckReport:
         r, c = divmod(rest, d)
         return f"{'ab'[block]}[{r + 1}][{c + 1}]"
 
-    ring = PolyRing(2 * d * d, ZZ, namer)
+    ring = PolyRing(2 * d * d, namer)
     a_mat = PolyMatrix([[ring.var(r * d + c) for c in range(d)] for r in range(d)])
     alpha = PolyMatrix([[ring.var(d * d + r * d + c) for c in range(d)] for r in range(d)])
     lhs = wedge_trace(alpha, i) * determinant(a_mat)

@@ -15,8 +15,6 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .polysym import (
-    PolyRing,
-    PrimeField,
     SparsePoly,
     all_top_minors,
     check_degree,
@@ -52,9 +50,6 @@ class PrimeFieldConfig(Validated, _PrimeFieldConfigFields):
         if not is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
         return tuple.__new__(cls, (modulus, seed))
-
-    def field(self) -> PrimeField:
-        return PrimeField(self.modulus)
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
@@ -92,13 +87,13 @@ class KalmanPoint(NamedTuple):
         return tuple(out)
 
 
-def random_kalman_point(d: int, n: int, gf: PrimeField, rng: random.Random) -> KalmanPoint:
-    """Random matrix fixing a line inside the span of the first d
-    coordinates: draw the eigenvector and eigenvalue, fill every column
-    except one at random, then solve the remaining column."""
+def random_kalman_point(d: int, n: int, p: int, rng: random.Random) -> KalmanPoint:
+    """Random matrix over GF(p), p prime, fixing a line inside the span
+    of the first d coordinates: draw the eigenvector and eigenvalue,
+    fill every column except one at random, then solve the remaining
+    column."""
     if not 1 <= d < n:
         raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
-    p = gf.p
     v = [rng.randrange(p) for _ in range(d)]
     if all(c == 0 for c in v):
         v[rng.randrange(d)] = rng.randrange(1, p)
@@ -119,15 +114,15 @@ def random_kalman_point(d: int, n: int, gf: PrimeField, rng: random.Random) -> K
     )
 
 
-def _to_field(generators: Sequence[SparsePoly], gf: PrimeField, nvars: int) -> list[SparsePoly]:
-    out = []
+def _check_nvars(generators: Sequence[SparsePoly], nvars: int) -> None:
     for g in generators:
         if g.ring.nvars != nvars:
             raise ValueError(f"generator has {g.ring.nvars} variables, expected {nvars}")
-        if isinstance(g.ring.domain, PrimeField) and g.ring.domain != gf:
-            raise ValueError("generator modulus does not match configuration")
-        out.append(g if g.ring.domain == gf else g.map_domain(PolyRing(nvars, gf, g.ring.var_name)))
-    return out
+
+
+def _mod_p(g: SparsePoly, p: int) -> SparsePoly:
+    """g over GF(p): its coefficients reduced into [0, p), zeros dropped."""
+    return SparsePoly(g.ring, {m: v for m, c in g.terms.items() if (v := c % p)})
 
 
 def vanishing_test(
@@ -137,33 +132,34 @@ def vanishing_test(
     trials: int = 100,
     cfg: PrimeFieldConfig = PrimeFieldConfig(),
 ) -> CheckReport:
-    """Evaluate every generator at random points of the rank-drop locus;
-    all values must be zero.
+    """Evaluate every generator mod p at random points of the rank-drop
+    locus over GF(p); all values must be zero.
 
-    The points are drawn first, one per trial; a point that fails its
-    eigenvector check is reported as `bad_point`.  The good points are
-    then evaluated together (`evaluate_many`: each monomial split at the
-    degree midpoint, the halves of all generators in one trie), and
+    Every generator counts in `generator_count`, one that vanishes mod p
+    too.  The points are drawn first, one per trial; a point that fails
+    its eigenvector check is reported as `bad_point`.  The good points
+    are then evaluated together (`evaluate_many`: each monomial split at
+    the degree midpoint, the halves of all generators in one trie), and
     failures are listed by trial, then by generator."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not generators:
         raise ValueError("no generators to test")
-    gf = cfg.field()
+    _check_nvars(generators, n * d)
+    p = cfg.modulus
     rng = cfg.rng()
-    gens = _to_field(generators, gf, n * d)
     points = []
     for _ in range(trials):
-        point = random_kalman_point(d, n, gf, rng)
+        point = random_kalman_point(d, n, p, rng)
         points.append(None if any(point.eigen_residual()) else point.flatten())
-    values = iter(evaluate_many(gens, [coords for coords in points if coords is not None]))
+    values = iter(evaluate_many(generators, [coords for coords in points if coords is not None], p))
     failures = []
     for trial, coords in enumerate(points):
         if coords is None:
             failures.append({"kind": "bad_point", "trial": trial})
             continue
         for gi, value in enumerate(next(values)):
-            if value % gf.p != 0:
+            if value:
                 failures.append({
                     "kind": "nonvanishing",
                     "trial": trial,
@@ -174,7 +170,7 @@ def vanishing_test(
         check="random-point-vanishing",
         params={"d": d, "n": n, "trials": trials, "modulus": cfg.modulus, "seed": cfg.seed},
         details=failures[:20],
-        data={"generator_count": len(gens), "failure_count": len(failures)},
+        data={"generator_count": len(generators), "failure_count": len(failures)},
     )
 
 
@@ -330,10 +326,10 @@ def truncated_hilbert(
     if not generators:
         raise ValueError("no generators")
     nvars = generators[0].ring.nvars
-    gf = cfg.field()
-    by_degree = _by_degree(_to_field(generators, gf, nvars))
+    _check_nvars(generators, nvars)
+    by_degree = _by_degree([_mod_p(g, cfg.modulus) for g in generators])
     quotient = [
-        monomial_count(nvars, e) - _graded_ranks(by_degree, e, nvars, gf.p)[1]
+        monomial_count(nvars, e) - _graded_ranks(by_degree, e, nvars, cfg.modulus)[1]
         for e in range(max_degree + 1)
     ]
     return _lift(quotient, n, nvars)
@@ -355,7 +351,8 @@ def minimality_report(
     exact degree are absorbed on top, and the rank jump is the number of
     new generators the ideal needs there.  The ranks are taken in
     k[alpha, gamma]; `ideal_dim` is lifted to k[x], where the rank jump,
-    a count of minimal generators, is the same.
+    a count of minimal generators, is the same.  A generator that
+    vanishes mod p is dropped and not counted in `generator_count`.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
@@ -363,20 +360,17 @@ def minimality_report(
     nvars = n * d
     _capped_count(nvars, max_degree)
     check_degree(max_degree, "a graded piece")
-    gf = cfg.field()
     if generators is None:
-        gens = [p for _, p in all_top_minors(d, n, gf)]
-    else:
-        gens = _to_field(generators, gf, nvars)
-    gens = [g for g in gens if not g.is_zero()]
-    by_degree = _by_degree(gens)
+        generators = [g for _, g in all_top_minors(d, n)]
+    _check_nvars(generators, nvars)
+    by_degree = _by_degree([_mod_p(g, cfg.modulus) for g in generators])
 
     predicted: dict[int, int] = {}
     for rec in minimal_generators(d, n):
         if rec.multiplicity > 0:
             predicted[rec.degree] = predicted.get(rec.degree, 0) + rec.multiplicity
 
-    ranks = [_graded_ranks(by_degree, e, nvars, gf.p) for e in range(max_degree + 1)]
+    ranks = [_graded_ranks(by_degree, e, nvars, cfg.modulus) for e in range(max_degree + 1)]
     ideal_dims = _lift([full for _, full in ranks], n, nvars)
     per_degree = []
     failures = []
@@ -404,7 +398,7 @@ def minimality_report(
             "modulus": cfg.modulus,
         },
         details=failures,
-        data={"per_degree": per_degree, "generator_count": len(gens)},
+        data={"per_degree": per_degree, "generator_count": sum(map(len, by_degree.values()))},
     )
 
 
@@ -422,7 +416,7 @@ def truncated_hilbert_check(
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     _capped_count(n * d, max_degree)
     check_degree(max_degree, "a graded piece")
-    gens = [p for _, p in all_top_minors(d, n, cfg.field())]
+    gens = [g for _, g in all_top_minors(d, n)]
     measured = truncated_hilbert(gens, n, max_degree, cfg)
     expected = hilbert_numerator(chain_resolution(1, d, n)).expand(max_degree)
     mismatches = [
@@ -447,8 +441,7 @@ def hypersurface_check(
     determinant must be homogeneous of degree d(d+1)/2, and must vanish
     at random points of the locus."""
     n = d + 1
-    gf = cfg.field()
-    det = determinant(reduced_kalman_matrix(d, n, gf))
+    det = _mod_p(determinant(reduced_kalman_matrix(d, n)), cfg.modulus)
     expected_degree = d * (d + 1) // 2
     degree_ok = det.is_homogeneous() and det.degree() == expected_degree
     inner = vanishing_test([det], d, n, trials, cfg)
@@ -478,7 +471,8 @@ def minors_vanishing_check(
     cfg: PrimeFieldConfig = PrimeFieldConfig(),
 ) -> CheckReport:
     """All maximal minors of the stacked matrix vanish on random points
-    of the locus."""
-    gf = cfg.field()
-    gens = [p for _, p in all_top_minors(d, n, gf) if not p.is_zero()]
+    of the locus.  A minor that vanishes mod p is dropped and not
+    counted in `generator_count`."""
+    p = cfg.modulus
+    gens = [g for _, g in all_top_minors(d, n) if any(c % p for c in g.terms.values())]
     return vanishing_test(gens, d, n, trials, cfg)._replace(check="minor-vanishing")

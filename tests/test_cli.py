@@ -335,6 +335,16 @@ class TestChecks:
         by_degree = {r[0]: r for r in payload["rows"]}
         assert by_degree[3][3] == 3  # new generators in degree three
 
+    def test_minimality_at_p_2_counts_every_minor(self, capsys):
+        # none of the 20 minors of (3, 5) vanishes mod 2
+        code, out = run(
+            capsys, "--format", "json", "check-minimality",
+            "--d", "3", "--n", "5", "--max-degree", "5", "--modulus", "2",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] and payload["summary"]["generator_count"] == 20
+
     def test_check_all(self, capsys):
         code, out = run(capsys, "check-all")
         assert code == 0

@@ -1,16 +1,13 @@
-"""kalvar's records are named tuples, and `PrimeField` a slotted class.
-A record with a rule on its fields checks it on every route that builds
-one: the constructor, `_make` and `_replace`.  No record can be assigned
-to, and `CheckReport` gets a new details list and data dict per call."""
-
-import copy
-import pickle
+"""kalvar's records are named tuples.  A record with a rule on its
+fields checks it on every route that builds one: the constructor,
+`_make` and `_replace`.  No record can be assigned to, and
+`CheckReport` gets a new details list and data dict per call."""
 
 import pytest
 
 from kalvar.bott import BottOutcome, dotted_bott
 from kalvar.partitions import Partition
-from kalvar.polysym import ZZ, BlockLayout, PrimeField
+from kalvar.polysym import BlockLayout
 from kalvar.report import CheckReport
 from kalvar.resolution import (
     BettiTable,
@@ -122,21 +119,3 @@ def test_check_report_defaults_are_fresh():
     kept = [{"kind": "found"}]
     assert CheckReport("c", {}, kept).details is kept
 
-
-def test_prime_field_is_an_immutable_value():
-    gf = PrimeField(32003)
-    assert repr(gf) == "PrimeField(p=32003)"
-    assert gf == PrimeField(32003) != PrimeField(46337)
-    assert gf != ZZ and ZZ != gf
-    assert hash(gf) == hash(PrimeField(32003))
-    assert len({gf, PrimeField(32003), PrimeField(46337)}) == 2
-    with pytest.raises(AttributeError, match="cannot assign to field 'p'"):
-        gf.p = 5
-    with pytest.raises(AttributeError, match="cannot delete field 'p'"):
-        del gf.p
-    assert not hasattr(gf, "__dict__")
-    assert gf.p == 32003
-    for twin in (copy.copy(gf), copy.deepcopy(gf), pickle.loads(pickle.dumps(gf))):
-        assert twin == gf and twin.p == 32003
-    with pytest.raises(ValueError, match="^32001 is not prime$"):
-        PrimeField(32001)

@@ -12,7 +12,6 @@ from kalvar import verify
 from kalvar.polysym import (
     BlockLayout,
     PolyRing,
-    PrimeField,
     all_top_minors,
     grevlex_key,
     minor,
@@ -81,8 +80,9 @@ def grevlex_index(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
 def minor_rows_at_degree(d: int, n: int, degree: int, p: int, min_mult: int = 0):
     """Rows of the multiples m*g of the nonzero maximal minors with
     deg(m*g) equal to the degree and deg(m) at least min_mult, over the
-    full grevlex column index of that degree in the minors' ring."""
-    gens = [g for _, g in all_top_minors(d, n, PrimeField(p))]
+    full grevlex column index of that degree in the minors' ring, with
+    integer coefficients that the oracle reduces mod p."""
+    gens = [g for _, g in all_top_minors(d, n)]
     nvars = gens[0].ring.nvars
     unpack = gens[0].ring.unpack
     col_index = grevlex_index(nvars, degree)
@@ -103,35 +103,32 @@ def in_full_ring(g, d: int, n: int):
     """A polynomial of k[alpha, gamma] as an element of k[x], all n*n
     entries of x: zero exponents in columns d+1..n."""
     pad = (0,) * (n - d)
-    ring = PolyRing(n * n, g.ring.domain)
+    ring = PolyRing(n * n)
     rows = lambda exp: sum((exp[i * d:(i + 1) * d] + pad for i in range(n)), ())
     return ring.reduce({ring.pack(rows(g.ring.unpack(m))): c for m, c in g.terms.items()})
 
 
 class TestRandomPoint:
     def test_eigen_residual_zero(self):
-        gf = PrimeField(DEFAULT_MODULUS)
         rng = random.Random(3)
         for d, n in [(1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 6)]:
             for _ in range(10):
-                pt = random_kalman_point(d, n, gf, rng)
+                pt = random_kalman_point(d, n, DEFAULT_MODULUS, rng)
                 assert pt.eigen_residual() == (0,) * n
                 assert any(pt.eigenvector)
 
     def test_d1_first_column_structure(self):
         # one-dimensional distinguished subspace: first column must be
         # the eigenvalue on top of zeros
-        gf = PrimeField(101)
         rng = random.Random(7)
         for _ in range(20):
-            pt = random_kalman_point(1, 4, gf, rng)
+            pt = random_kalman_point(1, 4, 101, rng)
             col = [pt.entries[i][0] for i in range(4)]
             assert col == [pt.eigenvalue, 0, 0, 0]
 
     def test_flatten_matches_layout(self):
-        gf = PrimeField(101)
         rng = random.Random(1)
-        pt = random_kalman_point(2, 3, gf, rng)
+        pt = random_kalman_point(2, 3, 101, rng)
         flat = pt.flatten()
         layout = BlockLayout(2, 3)
         assert len(flat) == 6
@@ -141,8 +138,8 @@ class TestRandomPoint:
 
     def test_deterministic_given_seed(self):
         cfg = PrimeFieldConfig(seed=5)
-        a = random_kalman_point(2, 4, cfg.field(), cfg.rng())
-        b = random_kalman_point(2, 4, cfg.field(), cfg.rng())
+        a = random_kalman_point(2, 4, cfg.modulus, cfg.rng())
+        b = random_kalman_point(2, 4, cfg.modulus, cfg.rng())
         assert a == b
 
     def test_config_validates_modulus(self):
@@ -163,17 +160,15 @@ class TestVanishing:
         # sensitivity control: a random coordinate is not identically
         # zero on the locus, so the harness can actually fail
         layout = BlockLayout(2, 4)
-        ring = layout.ring(PrimeField(DEFAULT_MODULUS))
+        ring = layout.ring()
         x11 = ring.var(layout.var_index(1, 1))
         report = vanishing_test([x11], 2, 4, trials=20)
         assert not report.passed
         assert any(f["kind"] == "nonvanishing" for f in report.details)
 
     def test_perturbed_minor_detected(self):
-        gf = PrimeField(DEFAULT_MODULUS)
-        layout = BlockLayout(2, 4)
-        ring = layout.ring(gf)
-        good = minor(reduced := reduced_kalman_matrix(2, 4, gf), (0, 1), (0, 1))
+        ring = BlockLayout(2, 4).ring()
+        good = minor(reduced_kalman_matrix(2, 4), (0, 1), (0, 1))
         bad = good + ring.var(0) * ring.var(0)
         report = vanishing_test([bad], 2, 4, trials=20)
         assert not report.passed
@@ -184,17 +179,17 @@ class TestVanishing:
         # list what a per-trial, per-generator loop finds, in its order
         d, n, trials = 2, 4, 8
         cfg = PrimeFieldConfig(seed=31)
-        gf = cfg.field()
+        p = cfg.modulus
         layout = BlockLayout(d, n)
-        minors = [g for _, g in all_top_minors(d, n, gf)]
-        gens = [minors[0], layout.ring(gf).var(layout.var_index(2, 2)), minors[-1]]
+        minors = [g for _, g in all_top_minors(d, n)]
+        gens = [minors[0], layout.ring().var(layout.var_index(2, 2)), minors[-1]]
         drawn = []
 
         def draw(*args):
             point = random_kalman_point(*args)
             drawn.append(point)
             if len(drawn) == 3:
-                point = point._replace(eigenvalue=(point.eigenvalue + 1) % gf.p)
+                point = point._replace(eigenvalue=(point.eigenvalue + 1) % p)
             return point
 
         monkeypatch.setattr(verify, "random_kalman_point", draw)
@@ -204,7 +199,7 @@ class TestVanishing:
         drawn.clear()
         want = []
         for trial in range(trials):
-            point = draw(d, n, gf, rng)
+            point = draw(d, n, p, rng)
             if any(point.eigen_residual()):
                 want.append({"kind": "bad_point", "trial": trial})
                 continue
@@ -212,7 +207,7 @@ class TestVanishing:
             for gi, g in enumerate(gens):
                 value = sum(
                     c * prod(pow(x, e) for x, e in zip(coords, g.ring.unpack(m))) for m, c in g.terms.items()
-                ) % gf.p
+                ) % p
                 if value:
                     want.append({"kind": "nonvanishing", "trial": trial, "generator": gi, "value": value})
         assert [f["kind"] for f in want].count("bad_point") == 1
@@ -233,6 +228,56 @@ class TestVanishing:
             report = hypersurface_check(d, trials=30)
             assert report.passed, report.details[:3]
             assert report.data["degree"] == d * (d + 1) // 2
+
+
+class TestGeneratorsVanishingModP:
+    """A generator 3 * g is zero over GF(3).  `vanishing_test` counts
+    every generator it is given; the minors check, the minimality report
+    and the truncated Hilbert function drop those that vanish mod p.
+    Here g is not homogeneous, so a dropped generator that reached the
+    graded ranks would be refused there."""
+
+    P3 = PrimeFieldConfig(modulus=3)
+
+    @staticmethod
+    def quad_and_tripled():
+        quad = minor(reduced_kalman_matrix(2, 4), (0, 1), (0, 1))
+        return quad, 3 * (quad + quad.ring.var(0))
+
+    @pytest.fixture
+    def last_minor_tripled(self, monkeypatch):
+        real = verify.all_top_minors
+
+        def tripled(*args):
+            minors = real(*args)
+            return minors[:-1] + [(minors[-1][0], 3 * minors[-1][1])]
+
+        monkeypatch.setattr(verify, "all_top_minors", tripled)
+
+    def test_vanishing_test_counts_it(self):
+        quad, tripled = self.quad_and_tripled()
+        report = vanishing_test([quad, tripled], 2, 4, 5, self.P3)
+        assert report.passed
+        assert report.data["generator_count"] == 2
+
+    def test_minors_check_drops_it(self, last_minor_tripled):
+        report = minors_vanishing_check(2, 4, 5, self.P3)
+        assert report.passed
+        assert report.data["generator_count"] == 5
+
+    def test_minimality_report_drops_it(self, last_minor_tripled):
+        # the top-degree minor is redundant, so the report still passes
+        report = minimality_report(2, 4, 4, self.P3)
+        assert report.passed
+        assert report.data["generator_count"] == 5
+        quad, tripled = self.quad_and_tripled()
+        given = minimality_report(2, 4, 3, self.P3, generators=[quad, tripled])
+        assert given.data == minimality_report(2, 4, 3, self.P3, generators=[quad]).data
+        assert given.data["generator_count"] == 1
+
+    def test_truncated_hilbert_drops_it(self):
+        quad, tripled = self.quad_and_tripled()
+        assert truncated_hilbert([quad, tripled], 4, 3, self.P3) == truncated_hilbert([quad], 4, 3, self.P3)
 
 
 class TestMonomials:
@@ -258,7 +303,7 @@ class TestMonomials:
 
 class TestGradedRanks:
     def test_generators_grouped_by_degree(self):
-        ring = PolyRing(3, PrimeField(DEFAULT_MODULUS))
+        ring = PolyRing(3)
         x, y, z = (ring.var(k) for k in range(3))
         quad, cubic = x * y + z * z, x * y * z
         assert _by_degree([quad, ring.zero(), y, cubic, y * y]) == {2: [quad, y * y], 1: [y], 3: [cubic]}
@@ -268,7 +313,7 @@ class TestGradedRanks:
     @pytest.mark.parametrize("modulus", [DEFAULT_MODULUS, ALTERNATE_MODULUS])
     @pytest.mark.parametrize("d,n,degree", [(2, 4, 3), (2, 4, 4), (2, 5, 4), (3, 4, 6)])
     def test_first_touch_columns_match_grevlex_oracle(self, d, n, degree, modulus):
-        gens = [g for _, g in all_top_minors(d, n, PrimeField(modulus))]
+        gens = [g for _, g in all_top_minors(d, n)]
         got = _graded_ranks(_by_degree(gens), degree, gens[0].ring.nvars, modulus)
         want = (
             dense_rank_mod_p(minor_rows_at_degree(d, n, degree, modulus, 1), modulus),
@@ -280,7 +325,7 @@ class TestGradedRanks:
         # packed columns would collide past 255: at degree 257,
         # x0^256 x2 and x1^257 pack to the same int, and the rank of the
         # multiples of y^2 and x*z would come out one short
-        ring = PolyRing(3, PrimeField(DEFAULT_MODULUS))
+        ring = PolyRing(3)
         x, y, z = (ring.var(k) for k in range(3))
         by_degree = _by_degree([y * y, x * z])
         with pytest.raises(ValueError, match="257.*255"):
@@ -304,7 +349,7 @@ class TestGradedRanks:
         # a cubic in one of the 18 variables, at degree 9: its
         # multipliers number C(23, 6) = 100,947, but the target piece
         # has C(26, 9) monomials
-        ring = BlockLayout(3, 6).ring(PrimeField(DEFAULT_MODULUS))
+        ring = BlockLayout(3, 6).ring()
         with pytest.raises(MonomialCapExceeded) as exc:
             minimality_report(3, 6, 9, generators=[ring.var(0) ** 3])
         assert exc.value.required == comb(26, 9) == 3_124_550
@@ -335,7 +380,7 @@ class TestLift:
     @pytest.mark.parametrize("d,n,max_degree", [(2, 4, 4), (2, 5, 4), (3, 4, 6)])
     def test_matches_full_ring_ranks(self, d, n, max_degree, modulus):
         cfg = PrimeFieldConfig(modulus=modulus)
-        gens = [g for _, g in all_top_minors(d, n, cfg.field())]
+        gens = [g for _, g in all_top_minors(d, n)]
         by_degree = _by_degree([in_full_ring(g, d, n) for g in gens])
         full = [_graded_ranks(by_degree, e, n * n, modulus) for e in range(max_degree + 1)]
         report = minimality_report(d, n, max_degree, cfg)
@@ -388,8 +433,7 @@ def ideal_dims(d, n, max_degree, generators, cfg=PrimeFieldConfig()):
 class TestGradedDimension:
     def test_single_generator_dims(self):
         # the quadric times the sixteen variables of k[x] in degree 3
-        gf = PrimeField(DEFAULT_MODULUS)
-        quad = minor(reduced_kalman_matrix(2, 4, gf), (0, 1), (0, 1))
+        quad = minor(reduced_kalman_matrix(2, 4), (0, 1), (0, 1))
         assert quad.degree() == 2
         assert ideal_dims(2, 4, 3, [quad]) == [0, 1, 16]
 
@@ -406,7 +450,7 @@ class TestGradedDimension:
         assert a[2] == b[2] == 19
 
     def test_generators_of_another_ring_rejected(self):
-        x = PolyRing(16, PrimeField(DEFAULT_MODULUS)).var(0)
+        x = PolyRing(16).var(0)
         with pytest.raises(ValueError, match="generator has 16 variables, expected 8"):
             minimality_report(2, 4, 3, generators=[x])
         with pytest.raises(ValueError, match="generator has 16 variables, expected 8"):
@@ -454,8 +498,7 @@ class TestTruncatedHilbert:
     def test_detects_wrong_generators(self):
         # quadric alone does not cut out the variety, so its quotient
         # dimensions must exceed the predicted ones somewhere
-        gf = PrimeField(DEFAULT_MODULUS)
-        quad = minor(reduced_kalman_matrix(2, 4, gf), (0, 1), (0, 1))
+        quad = minor(reduced_kalman_matrix(2, 4), (0, 1), (0, 1))
         measured = truncated_hilbert([quad], 4, 3)
         assert measured != hilbert_numerator(chain_resolution(1, 2, 4)).expand(3)
 
@@ -474,9 +517,7 @@ class TestMinimality:
     def test_redundant_generator_invariance(self):
         # dropping the top-degree minor must not change the ideal: the
         # remaining five generate everything the six do
-        gf = PrimeField(DEFAULT_MODULUS)
-        ring = BlockLayout(2, 4).ring(gf)
-        gens = [p.map_domain(ring) for _, p in all_top_minors(2, 4)]
+        gens = [p for _, p in all_top_minors(2, 4)]
         lower = [g for g in gens if g.degree() < 4]
         assert len(lower) == 5
         full = minimality_report(2, 4, 4)
