@@ -4,6 +4,13 @@ Every subcommand prints a deterministic report: the same arguments
 always produce byte-identical output.  Exit status is 0 when all
 requested checks pass, 1 when any check fails, and 2 for usage or
 configuration errors.
+
+`SUBCOMMANDS` declares each subcommand once: its help, handler and
+arguments.  A call whose first argument names a subcommand builds the
+parser of that subcommand alone, since argparse hands it every later
+argument; any other call (global flags first, `--help`, no arguments,
+an unknown subcommand) builds all nine.  Help, usage and error text are
+the same either way.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Sequence
 
 from .bott import exhaustive_dotted_check
 from .partitions import Partition
-from .polysym import trace_identity_check
+from .polysym import check_minor_products, trace_identity_check, trace_identity_products
 from .report import CheckFailure, CheckReport
 from .resolution import (
     KalmanParams,
@@ -34,6 +41,8 @@ from .resolution import (
     resolution_normalization,
 )
 from .verify import (
+    DEFAULT_MODULUS,
+    DEFAULT_SEED,
     MonomialCapExceeded,
     PrimeFieldConfig,
     hypersurface_check,
@@ -255,11 +264,12 @@ def cmd_check_minors(args) -> dict:
 def cmd_check_trace(args) -> dict:
     if args.max_d < 1:
         raise ValueError(f"--max-d must be at least 1, got {args.max_d}")
-    rows = [
-        [d, i, trace_identity_check(d, i).verdict]
-        for d in range(1, args.max_d + 1)
-        for i in range(1, d + 1)
-    ]
+    grid = [(d, i) for d in range(1, args.max_d + 1) for i in range(1, d + 1)]
+    check_minor_products(
+        sum(trace_identity_products(d, i) for d, i in grid),
+        f"the minors of check-trace --max-d {args.max_d}",
+    )
+    rows = [[d, i, trace_identity_check(d, i).verdict] for d, i in grid]
     return {
         "command": "check-trace",
         "params": {"max_d": args.max_d},
@@ -347,7 +357,53 @@ def cmd_check_all(args) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
+_D = ("--d", {"type": int, "required": True})
+_N = ("--n", {"type": int, "required": True})
+_S = ("--s", {"type": int, "default": 1})
+_MODULUS = ("--modulus", {"type": int, "default": DEFAULT_MODULUS})
+
+# Every subcommand, in the order help lists them: name -> (help, handler,
+# arguments as (flag, add_argument keywords) pairs).
+SUBCOMMANDS = {
+    "resolution": ("terms of a resolution", cmd_resolution, (
+        _S, _D, _N, ("--module", {"choices": ["chain", "normalization"], "default": "chain"}),
+    )),
+    "generators": ("minimal generator families of the ideal", cmd_generators, (
+        _D, _N,
+        ("--include-empty", {"action": "store_true",
+                             "help": "keep families whose multiplicity vanishes"}),
+    )),
+    "hilbert": ("Hilbert series data of a chain module", cmd_hilbert, (
+        _S, _D, _N, ("--max-degree", {"type": int, "default": 8}),
+    )),
+    "check-bott": ("exhaustive cohomology degree check", cmd_check_bott, (
+        ("--max-d", {"type": int, "default": 4}),
+        ("--lo", {"type": int, "default": -3}),
+        ("--hi", {"type": int, "default": 4}),
+    )),
+    "check-les": ("Euler characteristic identity over a grid", cmd_check_les, (
+        ("--max-d", {"type": int, "default": 3}),
+        ("--max-n", {"type": int, "default": 6}),
+    )),
+    "check-minors": ("minors vanish at random points", cmd_check_minors, (
+        _D, _N, ("--trials", {"type": int, "default": 50}),
+        _MODULUS, ("--seed", {"type": int, "default": DEFAULT_SEED}),
+    )),
+    "check-trace": ("exterior power trace identity", cmd_check_trace, (
+        ("--max-d", {"type": int, "default": 3}),
+    )),
+    "check-minimality": ("generator counts degree by degree", cmd_check_minimality, (
+        _D, _N, ("--max-degree", {"type": int, "default": 4}), _MODULUS,
+    )),
+    "check-all": ("full consistency battery at small sizes", cmd_check_all, ()),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given `only`, of that one
+    subcommand alone.  Both print the same main usage line: it lists
+    every subcommand, so an error of the main parser's own, such as
+    unrecognized arguments after the subcommand, reads the same."""
     parser = argparse.ArgumentParser(
         prog="kalvar",
         description="Resolutions, Hilbert series, and defining equations "
@@ -356,67 +412,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=sorted(RENDERERS), default="table")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="write the report to FILE atomically instead of stdout")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("resolution", help="terms of a resolution")
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--module", choices=["chain", "normalization"], default="chain")
-    p.set_defaults(handler=cmd_resolution)
-
-    p = sub.add_parser("generators", help="minimal generator families of the ideal")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--include-empty", action="store_true",
-                   help="keep families whose multiplicity vanishes")
-    p.set_defaults(handler=cmd_generators)
-
-    p = sub.add_parser("hilbert", help="Hilbert series data of a chain module")
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=8)
-    p.set_defaults(handler=cmd_hilbert)
-
-    p = sub.add_parser("check-bott", help="exhaustive cohomology degree check")
-    p.add_argument("--max-d", type=int, default=4)
-    p.add_argument("--lo", type=int, default=-3)
-    p.add_argument("--hi", type=int, default=4)
-    p.set_defaults(handler=cmd_check_bott)
-
-    p = sub.add_parser("check-les", help="Euler characteristic identity over a grid")
-    p.add_argument("--max-d", type=int, default=3)
-    p.add_argument("--max-n", type=int, default=6)
-    p.set_defaults(handler=cmd_check_les)
-
-    p = sub.add_parser("check-minors", help="minors vanish at random points")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--modulus", type=int, default=PrimeFieldConfig().modulus)
-    p.add_argument("--seed", type=int, default=PrimeFieldConfig().seed)
-    p.set_defaults(handler=cmd_check_minors)
-
-    p = sub.add_parser("check-trace", help="exterior power trace identity")
-    p.add_argument("--max-d", type=int, default=3)
-    p.set_defaults(handler=cmd_check_trace)
-
-    p = sub.add_parser("check-minimality", help="generator counts degree by degree")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--modulus", type=int, default=PrimeFieldConfig().modulus)
-    p.set_defaults(handler=cmd_check_minimality)
-
-    p = sub.add_parser("check-all", help="full consistency battery at small sizes")
-    p.set_defaults(handler=cmd_check_all)
-
+    # Alone, a subcommand takes the metavar the full parser derives from
+    # all nine names.  The errors that would print the action's metavar
+    # in place of its dest (missing or unknown subcommand) arise only
+    # when all nine are built.
+    metavar = None if only is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in SUBCOMMANDS if only is None else [only]:
+        help_text, handler, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse hands every token after the subcommand to its parser, so
+    # a call that starts with one needs no other
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         payload = args.handler(args)

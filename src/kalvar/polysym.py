@@ -495,6 +495,42 @@ class PolyMatrix:
 MAX_MINOR_PRODUCTS = 100_000_000
 
 
+def check_minor_products(work: int, what: str) -> None:
+    """Refuse, before any minor is expanded, work bounded at more than
+    MAX_MINOR_PRODUCTS term products."""
+    if work > MAX_MINOR_PRODUCTS:
+        raise ValueError(
+            f"{what} take up to {work} term products, more than the limit of "
+            f"{MAX_MINOR_PRODUCTS} (MAX_MINOR_PRODUCTS)"
+        )
+
+
+def _count_products(
+    sizes: Sequence[Sequence[int]], picks: Sequence[tuple[tuple, tuple]]
+) -> tuple[int, dict[tuple, int]]:
+    """The counting pass of `_minors`, on the term count of each entry:
+    the term products that the (rows, cols) picks take together, each
+    shared sub-minor counted once, and the uses of every sub-minor key.
+    The products of no rows are 1, and those of a pick are the sum, over
+    its first row's entries, of the entry's term count times the
+    products of the sub-minor it multiplies."""
+    uses: dict[tuple, int] = {}
+    products: dict[tuple, int] = {}
+
+    def count(key):
+        uses[key] = uses.get(key, 0) + 1
+        if uses[key] == 1:
+            rows, cols = key
+            bound = 0 if rows else 1
+            for pos, c in enumerate(cols):
+                if size := sizes[rows[0]][c]:
+                    bound += size * count((rows[1:], cols[:pos] + cols[pos + 1:]))
+            products[key] = bound
+        return products[key]
+
+    return sum(count(pick) for pick in picks), uses
+
+
 def _minors(
     entries: Sequence[Sequence[SparsePoly]],
     ring: PolyRing,
@@ -516,32 +552,17 @@ def _minors(
     bound over 255 raises ValueError (`check_degree`).
 
     The size of the work is bounded up front, in the pass that counts
-    each sub-minor's uses: the products of no rows are 1, and those of a
-    pick are the sum, over its first row's entries, of the entry's term
-    count times the products of the sub-minor it multiplies.  Picks
-    whose products sum to more than MAX_MINOR_PRODUCTS raise ValueError
-    before any minor is expanded.
+    each sub-minor's uses (`_count_products`).  Picks whose products sum
+    to more than MAX_MINOR_PRODUCTS raise ValueError before any minor is
+    expanded.
     """
     picks = [(tuple(rows), tuple(cols)) for rows, cols in picks]
-    uses: dict[tuple, int] = {}
-    products: dict[tuple, int] = {}
+    degrees = [[e.degree() for e in row] for row in entries]
+    for rows, cols in picks:
+        check_degree(sum(max(0, *(degrees[r][c] for c in cols)) for r in rows), "a minor")
+    work, uses = _count_products([[len(e.terms) for e in row] for row in entries], picks)
+    check_minor_products(work, "the minors")
     memo: dict[tuple, dict[int, object]] = {}
-
-    def expansion(key):
-        rows, cols = key
-        for pos, c in enumerate(cols):
-            e = entries[rows[0]][c].terms
-            if e:
-                yield pos, e, (rows[1:], cols[:pos] + cols[pos + 1:])
-
-    def count(key):
-        uses[key] = uses.get(key, 0) + 1
-        if uses[key] == 1:
-            bound = 0 if key[0] else 1
-            for _, e, sub in expansion(key):
-                bound += len(e) * count(sub)
-            products[key] = bound
-        return products[key]
 
     def take(key):
         value = memo.get(key)
@@ -549,10 +570,14 @@ def _minors(
             if not key[0]:
                 value = {0: 1}
             else:
+                rows, cols = key
                 acc: dict[int, object] = {}
                 get = acc.get
-                for pos, e, sub in expansion(key):
-                    below = take(sub).items()
+                for pos, c in enumerate(cols):
+                    e = entries[rows[0]][c].terms
+                    if not e:
+                        continue
+                    below = take((rows[1:], cols[:pos] + cols[pos + 1:])).items()
                     for ea, ca in e.items():
                         if pos % 2:
                             ca = -ca
@@ -566,16 +591,6 @@ def _minors(
             del memo[key]
         return value
 
-    degrees = [[e.degree() for e in row] for row in entries]
-    work = 0
-    for rows, cols in picks:
-        check_degree(sum(max(0, *(degrees[r][c] for c in cols)) for r in rows), "a minor")
-        work += count((rows, cols))
-    if work > MAX_MINOR_PRODUCTS:
-        raise ValueError(
-            f"the minors take up to {work} term products, more than the limit of "
-            f"{MAX_MINOR_PRODUCTS} (MAX_MINOR_PRODUCTS)"
-        )
     order = sorted(range(len(picks)), key=lambda i: sorted(picks[i][0], reverse=True), reverse=True)
     values = {i: SparsePoly(ring, take(picks[i])) for i in order}
     return [values[i] for i in range(len(picks))]
@@ -639,15 +654,36 @@ def wedge_trace(m: PolyMatrix, i: int) -> SparsePoly:
     return sum(_minors(m.entries, m.ring, principal), m.ring.zero())
 
 
+def trace_identity_products(d: int, i: int) -> int:
+    """Term products that the minors of `trace_identity_check(d, i)` take
+    together, by the up-front bound of `_minors`, without building them:
+    the principal i x i minors of alpha, det A, and det A with each
+    size-i row set replaced by those rows of A * alpha, every one its
+    own `_minors` call.  An entry of A or alpha has one term, and an
+    entry of A * alpha has d."""
+    if not 1 <= i <= d:
+        raise ValueError(f"need 1 <= i <= d, got i={i}, d={d}")
+    every = tuple(range(d))
+    generic = [[1] * d for _ in every]
+    work = _count_products(generic, [(rows, rows) for rows in itertools.combinations(every, i)])[0]
+    for replaced in itertools.chain([()], itertools.combinations(every, i)):
+        sizes = [[d if r in replaced else 1] * d for r in every]
+        work += _count_products(sizes, [(every, every)])[0]
+    return work
+
+
 def trace_identity_check(d: int, i: int) -> CheckReport:
     """Verify, on fully generic symbolic matrices, that the trace of the
     i-th exterior power of one matrix times the determinant of another
     equals the sum over size-i row sets of the determinant after
     replacing those rows with the corresponding rows of the product.
     Both sides have integer coefficients, so checking over the integers
-    is as strong as checking over the rationals."""
-    if not 1 <= i <= d:
-        raise ValueError(f"need 1 <= i <= d, got i={i}, d={d}")
+    is as strong as checking over the rationals.  Minors that together
+    take more than MAX_MINOR_PRODUCTS term products
+    (`trace_identity_products`) raise ValueError before any is built."""
+    check_minor_products(
+        trace_identity_products(d, i), f"the minors of the trace identity at d={d}, i={i}"
+    )
 
     def namer(k: int) -> str:
         block, rest = divmod(k, d * d)

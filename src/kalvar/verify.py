@@ -32,6 +32,7 @@ from .resolution import (
 )
 
 DEFAULT_MODULUS = 32003
+DEFAULT_SEED = 2026
 ALTERNATE_MODULUS = 46337
 DEFAULT_MONOMIAL_CAP = 10**6
 
@@ -46,7 +47,7 @@ class PrimeFieldConfig(Validated, _PrimeFieldConfigFields):
 
     __slots__ = ()
 
-    def __new__(cls, modulus: int = DEFAULT_MODULUS, seed: int = 2026):
+    def __new__(cls, modulus: int = DEFAULT_MODULUS, seed: int = DEFAULT_SEED):
         if not is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
         return tuple.__new__(cls, (modulus, seed))

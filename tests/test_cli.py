@@ -1,6 +1,7 @@
 """Command line interface tests: payloads, formats, exit codes,
 deterministic output."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -15,7 +16,7 @@ import pytest
 
 from kalvar import cli, resolution, verify
 from kalvar.bott import MAX_EXHAUSTIVE_WORK
-from kalvar.polysym import MAX_MINOR_PRODUCTS, MILLER_RABIN_LIMIT
+from kalvar.polysym import MAX_MINOR_PRODUCTS, MILLER_RABIN_LIMIT, trace_identity_products
 from kalvar.report import CheckReport
 from kalvar.resolution import MAX_NORMALIZATION_PAIRS
 
@@ -38,6 +39,56 @@ def run(capsys, *argv) -> tuple[int, str]:
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.fixture
+def cli_text(capsys, monkeypatch):
+    """Exit code, stdout and stderr of one `cli.main` call, whether it
+    returns or argparse exits, with help wrapped at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def call(*argv) -> tuple[int, str, str]:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return call
+
+
+SUBCOMMAND_CHOICES = (
+    "{resolution,generators,hilbert,check-bott,check-les,check-minors,check-trace,"
+    "check-minimality,check-all}"
+)
+MAIN_USAGE = (
+    "usage: kalvar [-h] [--format {csv,json,table}] [--output FILE]\n"
+    f"              {SUBCOMMAND_CHOICES}\n"
+    "              ...\n"
+)
+MAIN_HELP = (
+    "\n"
+    "Resolutions, Hilbert series, and defining equations of Kalman varieties, with\n"
+    "independent consistency checks.\n"
+    "\n"
+    "positional arguments:\n"
+    f"  {SUBCOMMAND_CHOICES}\n"
+    "    resolution          terms of a resolution\n"
+    "    generators          minimal generator families of the ideal\n"
+    "    hilbert             Hilbert series data of a chain module\n"
+    "    check-bott          exhaustive cohomology degree check\n"
+    "    check-les           Euler characteristic identity over a grid\n"
+    "    check-minors        minors vanish at random points\n"
+    "    check-trace         exterior power trace identity\n"
+    "    check-minimality    generator counts degree by degree\n"
+    "    check-all           full consistency battery at small sizes\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --format {csv,json,table}\n"
+    "  --output FILE         write the report to FILE atomically instead of stdout\n"
+)
 
 
 class TestResolution:
@@ -211,6 +262,28 @@ class TestChecks:
             f"{MAX_MINOR_PRODUCTS} (MAX_MINOR_PRODUCTS)\n"
         )
 
+    def test_trace_past_the_product_limit_exits_2(self, capsys, monkeypatch):
+        # the (7, 1) to (7, 5) cases alone take 2.3e9 term products; the
+        # grid's sum, 1.07e10, is refused before any case runs
+        def no_case(d, i):
+            raise AssertionError("a check-trace case ran before the limit check")
+
+        monkeypatch.setattr(cli, "trace_identity_check", no_case)
+        t0 = time.monotonic()
+        assert cli.main(["check-trace", "--max-d", "7"]) == 2
+        assert time.monotonic() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the minors of check-trace --max-d 7 take up to 10655352354 term products, "
+            f"more than the limit of {MAX_MINOR_PRODUCTS} (MAX_MINOR_PRODUCTS)\n"
+        )
+
+    def test_trace_grid_of_max_d_6_fits_the_product_limit(self):
+        # priced, not run: the (6, i) cases take about a minute
+        grid = [(d, i) for d in range(1, 7) for i in range(1, d + 1)]
+        assert sum(trace_identity_products(d, i) for d, i in grid) == 85662335 <= MAX_MINOR_PRODUCTS
+
     def test_minimality_at_the_packed_degree_runs(self, capsys):
         code, out = run(capsys, "check-minimality", "--d", "1", "--n", "2", "--max-degree", "255")
         assert code == 0
@@ -290,14 +363,12 @@ class TestChecks:
         capsys.readouterr()
         assert counts and max(counts) <= MAX_NORMALIZATION_PAIRS
 
-    def test_minimality_has_no_seed(self, capsys):
-        # the check draws nothing at random, so it takes no seed
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["check-minimality", "--d", "2", "--n", "4", "--seed", "5"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments: --seed 5" in captured.err
+    def test_minimality_has_no_seed(self, cli_text):
+        # the check draws nothing at random, so it takes no seed; the
+        # main parser reports the leftover with its own usage line
+        assert cli_text("check-minimality", "--d", "2", "--n", "4", "--seed", "5") == (
+            2, "", MAIN_USAGE + "kalvar: error: unrecognized arguments: --seed 5\n"
+        )
 
     def test_minors(self, capsys):
         code, _ = run(capsys, "check-minors", "--d", "2", "--n", "3", "--trials", "10")
@@ -524,13 +595,113 @@ class TestFormatsAndOutput:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_unknown_subcommand_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["frobnicate"])
-        assert exc.value.code == 2
+    def test_unknown_subcommand_exit_2(self, cli_text):
+        assert cli_text("frobnicate") == (
+            2,
+            "",
+            MAIN_USAGE + "kalvar: error: argument subcommand: invalid choice: 'frobnicate' "
+            "(choose from 'resolution', 'generators', 'hilbert', 'check-bott', 'check-les', "
+            "'check-minors', 'check-trace', 'check-minimality', 'check-all')\n",
+        )
 
-    def test_missing_required_arg_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["resolution", "--d", "2"])
-        assert exc.value.code == 2
+    def test_missing_required_arg_exit_2(self, cli_text):
+        assert cli_text("resolution", "--d", "2") == (
+            2,
+            "",
+            "usage: kalvar resolution [-h] [--s S] --d D --n N\n"
+            "                         [--module {chain,normalization}]\n"
+            "kalvar resolution: error: the following arguments are required: --n\n",
+        )
 
+
+class TestHelpAndErrorText:
+    """Help and usage text, byte for byte, with stdout, stderr and the
+    exit code of each call."""
+
+    def test_help(self, cli_text):
+        assert cli_text("--help") == (0, MAIN_USAGE + MAIN_HELP, "")
+
+    def test_subcommand_help(self, cli_text):
+        assert cli_text("check-minors", "--help") == (
+            0,
+            "usage: kalvar check-minors [-h] --d D --n N [--trials TRIALS]\n"
+            "                           [--modulus MODULUS] [--seed SEED]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help         show this help message and exit\n"
+            "  --d D\n"
+            "  --n N\n"
+            "  --trials TRIALS\n"
+            "  --modulus MODULUS\n"
+            "  --seed SEED\n",
+            "",
+        )
+
+    def test_no_arguments(self, cli_text):
+        assert cli_text() == (
+            2, "", MAIN_USAGE + "kalvar: error: the following arguments are required: subcommand\n"
+        )
+
+    def test_global_flag_after_the_subcommand_exit_2(self, cli_text):
+        assert cli_text("resolution", "--d", "2", "--n", "4", "--format", "json") == (
+            2, "", MAIN_USAGE + "kalvar: error: unrecognized arguments: --format json\n"
+        )
+
+    def test_global_flag_before_the_subcommand(self, cli_text):
+        code, out, err = cli_text("--format", "json", "resolution", "--d", "2", "--n", "4")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(
+            {
+                "command": "resolution",
+                "params": {"module": "chain", "s": 1, "d": 2, "n": 4},
+                "summary": {
+                    "terms": 5,
+                    "projective_dimension": 3,
+                    "regularity": 2,
+                    "numerator": "1 - t^2 - 3*t^3 + 4*t^4 - t^5",
+                },
+                "columns": ["i", "twist", "mult", "part", "lambda", "mu", "eta"],
+                "rows": [
+                    [0, 0, 1, "II", "-", "-", "0,0"],
+                    [1, 2, 1, "III", "2", "-", "1,1"],
+                    [1, 3, 3, "carried", "1,1", "-", "1,1"],
+                    [2, 4, 4, "carried", "2,1", "-", "2,1"],
+                    [3, 5, 1, "carried", "2,2", "-", "2,2"],
+                ],
+                "passed": True,
+            },
+            indent=2,
+        ) + "\n"
+
+
+class TestParsersBuilt:
+    """A call that names its subcommand first builds the main parser and
+    that subcommand's; every other call builds all ten."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            count[0] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return count
+
+    def test_subcommand_first_builds_two(self, built, capsys):
+        assert cli.main(["check-trace", "--max-d", "1"]) == 0
+        assert built[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["--format", "json", "check-trace", "--max-d", "1"], [], ["frobnicate"]],
+        ids=["help", "global-flag-first", "no-arguments", "unknown-subcommand"],
+    )
+    def test_other_calls_build_all_ten(self, built, capsys, argv):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+        assert built[0] == 10

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kalvar import polysym
 from kalvar.polysym import (
     MAX_MINOR_PRODUCTS,
     MILLER_RABIN_LIMIT,
@@ -27,6 +28,7 @@ from kalvar.polysym import (
     minor,
     reduced_kalman_matrix,
     trace_identity_check,
+    trace_identity_products,
     wedge_trace,
 )
 from kalvar.verify import PrimeFieldConfig, minors_vanishing_check
@@ -902,6 +904,44 @@ class TestTraceIdentity:
         product = a.matmul(al)
         rhs = determinant(a.replace_rows([0], product))
         assert not (lhs - rhs).is_zero()
+
+    @pytest.mark.parametrize("d,i", [(d, i) for d in (1, 2, 3, 4) for i in range(1, d + 1)])
+    def test_products_are_those_of_its_minors(self, monkeypatch, d, i):
+        # the bound the check refuses on is the sum of the bounds that
+        # its `_minors` calls count on the matrices it builds
+        checked = []
+        real = polysym.check_minor_products
+
+        def recording(work, what):
+            checked.append((what, work))
+            real(work, what)
+
+        monkeypatch.setattr(polysym, "check_minor_products", recording)
+        assert trace_identity_check(d, i).passed
+        (first, bound), *calls = checked
+        assert first == f"the minors of the trace identity at d={d}, i={i}"
+        assert len(calls) == comb(d, i) + 2
+        assert all(what == "the minors" for what, _ in calls)
+        assert bound == trace_identity_products(d, i) == sum(work for _, work in calls)
+
+    def test_over_the_product_limit_raises_before_expanding(self, monkeypatch):
+        # (7, 4) bounds at 4.2e8 term products
+        def no_minors(*args):
+            raise AssertionError("a minor was expanded before the limit check")
+
+        monkeypatch.setattr(polysym, "_minors", no_minors)
+        assert trace_identity_products(7, 4) == 423542280
+        with pytest.raises(ValueError, match=re.escape(
+            "the minors of the trace identity at d=7, i=4 take up to 423542280 term products, "
+            f"more than the limit of {MAX_MINOR_PRODUCTS} (MAX_MINOR_PRODUCTS)"
+        )):
+            trace_identity_check(7, 4)
+
+    @pytest.mark.parametrize("d,i", [(0, 1), (2, 0), (2, 3)])
+    def test_needs_a_case(self, d, i):
+        for identity in (trace_identity_products, trace_identity_check):
+            with pytest.raises(ValueError, match="need 1 <= i <= d"):
+                identity(d, i)
 
     def test_report_shape(self):
         report = trace_identity_check(2, 2)
