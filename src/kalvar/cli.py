@@ -43,7 +43,6 @@ from .resolution import (
 from .verify import (
     DEFAULT_MODULUS,
     DEFAULT_SEED,
-    MonomialCapExceeded,
     PrimeFieldConfig,
     hypersurface_check,
     minimality_report,
@@ -435,7 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.handler(args)
-    except (ValueError, MonomialCapExceeded) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

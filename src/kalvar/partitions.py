@@ -12,9 +12,9 @@ The normalization loop needs s_{lam^T/mu^T}(1^m) for every lam of a
 k x (n - k) box against one mu, and takes them all from one sweep per
 mu, `_skew_dims_by_beta`, keyed by lam's beta-set: the bitmask with bit
 lam_i - i + k - 1 set for each row i of lam padded to k rows
-(`_beta_mask`), k set bits among n.  The partitions of a box and the
-conjugate of a shape are built once per process, on first use;
-`partitions_in_box` hands each caller a new list of the shared shapes.
+(`_beta_mask`), k set bits among n.  The partitions of a box are built
+once per process, on first use; `partitions_in_box` hands each caller a
+new list of the shared shapes.
 """
 
 from __future__ import annotations
@@ -61,13 +61,8 @@ class Partition(tuple):
         return self[i] if 0 <= i < len(self) else 0
 
     def conjugate(self) -> "Partition":
-        """Transpose the Young diagram (columns become rows).  Memoized
-        per shape, both ways: a conjugate's conjugate is the shape."""
-        conj = _CONJUGATES.get(self)
-        if conj is None:
-            conj = _trusted(tuple(sum(1 for a in self if a > j) for j in range(self.part(0))))
-            _CONJUGATES[self], _CONJUGATES[conj] = conj, self
-        return conj
+        """Transpose the Young diagram (columns become rows)."""
+        return _trusted(tuple(sum(1 for a in self if a > j) for j in range(self.part(0))))
 
     def contains(self, other: "Partition") -> bool:
         """Diagram containment: other fits inside self row by row."""
@@ -81,10 +76,6 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition{tuple(self)!r}"
-
-
-# Partition -> its conjugate, filled by Partition.conjugate.
-_CONJUGATES: dict[Partition, Partition] = {}
 
 
 def _trusted(parts: tuple[int, ...]) -> Partition:

@@ -19,20 +19,22 @@ at a homological degree and an internal twist.  A term keeps the pair
 (lam, mu) it comes from; its skew shape lam^T / mu^T and its part (I,
 II, III, or carried from a deeper chain level; `classify_part`) are
 read off that pair.  One loop, `_level_terms`, builds the terms of
-every table; it resolves each pair's dotted action by merging the
-weight's two rho-shifted halves (`bott._dotted_halves`), and reads each
-pair's skew dimension from a table that one sweep per mu fills for
-every lam of the box (`partitions._skew_dims_by_beta`).
-The public route, `bundle_cohomology` and `skew_schur_dim` per pair, is
-its test oracle, and gives the chain check its expectation below
-degree s (`_low_strata`).
+every table.  It reads each pair's skew dimension from a table that
+one sweep per mu fills for every lam of the box
+(`partitions._skew_dims_by_beta`), skips a pair whose dimension is 0,
+mu not inside lam among them, and merges the weight's two rho-shifted
+halves for the rest (`bott._dotted_halves`).  `_part_iii_terms` names
+the part III pairs of a level once.  The public route,
+`bundle_cohomology` and `skew_schur_dim` per pair, is its test oracle,
+and gives the chain check its expectation below degree s
+(`_low_strata`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import comb
-from operator import add, lt
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .bott import _dotted_halves, bundle_cohomology, rho
@@ -124,15 +126,20 @@ class BettiTable(NamedTuple):
 def normalization_pair_count(s: int, d: int, n: int) -> int:
     """Candidate (lam, mu) pairs of the normalization tables of levels
     s..d: at level k, lam ranges over the k x (n-k) box and mu over the
-    k x (d-k) box, C(n, k) * C(d, k) pairs before the containment test."""
+    k x (d-k) box, C(n, k) * C(d, k) pairs in all."""
     return sum(comb(n, k) * comb(d, k) for k in range(s, d + 1))
 
 
 def chain_pair_count(s: int, d: int, n: int) -> int:
     """Candidate (lam, mu) pairs that chain_resolution(s, d, n) visits:
-    C(n, s) * C(d-1, s-1) at level s, C(n-1, k) * C(d-1, k-1) at k > s."""
-    later = sum(comb(n - 1, k) * comb(d - 1, k - 1) for k in range(s + 1, d + 1))
+    C(n, s) * C(d-1, s-1) at level s, the part III pairs at k > s."""
+    later = sum(_part_iii_pair_count(k, d, n) for k in range(s + 1, d + 1))
     return comb(n, s) * comb(d - 1, s - 1) + later
+
+
+def _part_iii_pair_count(k: int, d: int, n: int) -> int:
+    """Candidate part III pairs of level k (`_part_iii_terms`)."""
+    return comb(n - 1, k) * comb(d - 1, k - 1)
 
 
 def les_pair_count(d: int, n: int) -> int:
@@ -155,46 +162,45 @@ def _level_terms(
     k: int, d: int, n: int, lams: Iterable[Partition], mus: Iterable[Partition],
     shift: tuple[int, int] = (0, 0),
 ) -> list[BettiTerm]:
-    """The level-k normalization terms of the pairs mu inside lam, lam
-    from `lams` and mu from `mus`, lam-major, zero multiplicities
-    dropped, with `shift` added to each (hom degree, twist).
+    """The level-k normalization terms of the pairs (lam, mu), lam from
+    `lams` and mu from `mus`, lam-major, zero multiplicities dropped,
+    with `shift` added to each (hom degree, twist).
 
     This is the one loop over the pairs, and it works on the shapes it
     holds.  The bundle weight is the W-half (the negated reverse of
     mu^T, zero-padded in front to d - k) followed by lam padded to k;
     shifted by rho(d), each half is strictly decreasing and depends on
-    one shape only.  Per mu: its conjugate, its parts padded to k, its
-    shifted half `upper` and the skew dimensions s_{lam^T/mu^T}(1^(n-d))
-    of every lam of the k x (n - k) box, keyed by beta-set
-    (`partitions._skew_dims_by_beta`).  Per lam: its padded parts, its
-    beta-set and its shifted half `lower`.  Per pair: containment on the
-    padded parts, the dotted action by merging the two halves
-    (`bott._dotted_halves`), one look-up in mu's table, and the cached
-    Weyl product of the dominant weight.  Every mu's table is held while
-    the lams are visited, so that the pairs stay lam-major.
+    one shape only.  Per mu: its conjugate, its shifted half `upper` and
+    the skew dimensions s_{lam^T/mu^T}(1^(n-d)) of every lam of the
+    k x (n - k) box, keyed by beta-set (`partitions._skew_dims_by_beta`).
+    Per lam: its padded parts, its beta-set and its shifted half
+    `lower`.  Per pair: one look-up in mu's table, the only pair filter
+    (0 or no entry where mu is not inside lam); then, for a nonzero
+    dimension, the dotted action by merging the two halves
+    (`bott._dotted_halves`) and the cached Weyl product of the dominant
+    weight.  Every mu's table is held while the lams are visited, so
+    that the pairs stay lam-major.
     """
     hom_shift, twist_shift = shift
     r = rho(d)
     r_upper, r_lower = r[:d - k], r[d - k:]
     mu_data = []
     for mu in mus:
-        mu_t, mu_pad = mu.conjugate(), mu.padded(k)
+        mu_t = mu.conjugate()
         w_half = (0,) * (d - k - len(mu_t)) + tuple(-a for a in reversed(mu_t))
         upper = tuple(map(add, w_half, r_upper))
-        mu_data.append((mu, mu_pad, upper, _skew_dims_by_beta(mu_pad, n, n - d)))
+        mu_data.append((mu, upper, _skew_dims_by_beta(mu.padded(k), n, n - d)))
     terms = []
     for lam in lams:
         lam_pad = lam.padded(k)
         key, lower = _beta_mask(lam_pad), tuple(map(add, lam_pad, r_lower))
         hom_base, twist = lam.size + hom_shift, lam.size + twist_shift
-        for mu, mu_pad, upper, skew_dims in mu_data:
-            if any(map(lt, lam_pad, mu_pad)):
+        for mu, upper, skew_dims in mu_data:
+            skew = skew_dims.get(key)
+            if not skew:
                 continue
             out = _dotted_halves(upper, lower)
-            if out is None:
-                continue
-            skew = skew_dims.get(key)
-            if skew:
+            if out is not None:
                 degree, eta = out
                 mult = _weyl_product(eta, d) * skew
                 terms.append(BettiTerm(hom_base - degree, twist, eta, mult, lam, mu))
@@ -217,6 +223,14 @@ def resolution_normalization(params: KalmanParams) -> BettiTable:
     check_pair_count(comb(n, s) * comb(d, s), f"normalization level {s} at (d, n) = ({d}, {n})")
     lams, mus = partitions_in_box(Box(s, n - s)), partitions_in_box(Box(s, d - s))
     return BettiTable("normalization", params, _level_terms(s, d, n, lams, mus))
+
+
+def _part_iii_terms(k: int, d: int, n: int, shift: tuple[int, int] = (0, 0)) -> list[BettiTerm]:
+    """The level-k terms of the part III pairs, moved by `shift`
+    (`_level_terms`): lam of full length k in the k x (n-k) box, mu in
+    the (k-1) x (d-k) box, so shorter than k."""
+    lams = [lam for lam in partitions_in_box(Box(k, n - k)) if len(lam) == k]
+    return _level_terms(k, d, n, lams, partitions_in_box(Box(k - 1, d - k)), shift)
 
 
 def classify_part(lam: Partition, mu: Partition, s: int) -> str:
@@ -272,8 +286,8 @@ def _closed_form_strata(k: int, d: int, n: int, twist_offset: int = 0) -> list[t
 class PartIIIProfile(NamedTuple):
     """Part III terms of a normalization table plus the structural check:
     nothing below hom degree s, and the hom = s stratum matches the
-    closed form.  Only the part III pairs are visited: lam of full
-    length s, mu shorter than s."""
+    closed form.  Only the part III pairs are visited
+    (`_part_iii_terms`)."""
 
     terms: list[BettiTerm]
     report: CheckReport
@@ -281,10 +295,8 @@ class PartIIIProfile(NamedTuple):
 
 def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
     s, d, n = params.s, params.d, params.n
-    pairs = comb(n - 1, s) * comb(d - 1, s - 1)
-    check_pair_count(pairs, f"part III of level {s} at (d, n) = ({d}, {n})")
-    lams = [lam for lam in partitions_in_box(Box(s, n - s)) if len(lam) == s]
-    iii = _level_terms(s, d, n, lams, partitions_in_box(Box(s - 1, d - s)))
+    check_pair_count(_part_iii_pair_count(s, d, n), f"part III of level {s} at (d, n) = ({d}, {n})")
+    iii = _part_iii_terms(s, d, n)
     details: list[dict] = []
     low = [t for t in iii if t.hom_degree < s]
     for t in low:
@@ -379,9 +391,9 @@ def chain_resolution(s: int, d: int, n: int) -> BettiTable:
     s < d, chain(s) is level s without part I plus chain(s+1) without
     part II, one hom degree lower and s twists higher, since the
     connecting map identifies part I at level s with part II at level
-    s+1.  Unrolled: level s with mu in the (s-1) x (d-s) box, and each
-    level k > s with lam of full length k and mu in the (k-1) x (d-k)
-    box, moved by (-(k-s), (s+k-1)(k-s)/2).  A term's part follows from
+    s+1.  Unrolled: level s with mu in the (s-1) x (d-s) box, and the
+    part III pairs of each level k > s (`_part_iii_terms`), moved by
+    (-(k-s), (s+k-1)(k-s)/2).  A term's part follows from
     its pair: `classify_part(t.lam, t.mu, s)` reads "II" or "III" at
     level s and "carried" at every deeper level, whose lam is longer
     than s.  Over MAX_NORMALIZATION_PAIRS such pairs raise ValueError
@@ -398,10 +410,7 @@ def chain_resolution(s: int, d: int, n: int) -> BettiTable:
     lams, mus = partitions_in_box(Box(s, n - s)), partitions_in_box(Box(s - 1, d - s))
     terms = _level_terms(s, d, n, lams, mus)
     for k in range(s + 1, d + 1):
-        lams = [lam for lam in partitions_in_box(Box(k, n - k)) if len(lam) == k]
-        mus = partitions_in_box(Box(k - 1, d - k))
-        shift = (s - k, (s + k - 1) * (k - s) // 2)
-        terms += _level_terms(k, d, n, lams, mus, shift)
+        terms += _part_iii_terms(k, d, n, (s - k, (s + k - 1) * (k - s) // 2))
     chain = BettiTable("chain", params, terms)
     report = chain_closed_form_check(chain)
     if not report.passed:

@@ -136,18 +136,20 @@ def vanishing_test(
     """Evaluate every generator mod p at random points of the rank-drop
     locus over GF(p); all values must be zero.
 
-    Every generator counts in `generator_count`, one that vanishes mod p
-    too.  The points are drawn first, one per trial; a point that fails
-    its eigenvector check is reported as `bad_point`.  The good points
-    are then evaluated together (`evaluate_many`: each monomial split at
-    the degree midpoint, the halves of all generators in one trie), and
-    failures are listed by trial, then by generator."""
+    A generator that vanishes mod p is dropped and not counted in
+    `generator_count`; ValueError if none is left.  The points are drawn
+    first, one per trial; a point that fails its eigenvector check is
+    reported as `bad_point`.  The good points are then evaluated
+    together (`evaluate_many`), and failures are listed by trial, then
+    by the generator's index in `generators`."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if not generators:
-        raise ValueError("no generators to test")
     _check_nvars(generators, n * d)
     p = cfg.modulus
+    kept = [(gi, g) for gi, g in enumerate(generators) if any(c % p for c in g.terms.values())]
+    if not kept:
+        raise ValueError("no generators to test")
+    indices, generators = zip(*kept)
     rng = cfg.rng()
     points = []
     for _ in range(trials):
@@ -159,7 +161,7 @@ def vanishing_test(
         if coords is None:
             failures.append({"kind": "bad_point", "trial": trial})
             continue
-        for gi, value in enumerate(next(values)):
+        for gi, value in zip(indices, next(values)):
             if value:
                 failures.append({
                     "kind": "nonvanishing",
@@ -175,7 +177,7 @@ def vanishing_test(
     )
 
 
-class MonomialCapExceeded(Exception):
+class MonomialCapExceeded(ValueError):
     def __init__(self, required: int, cap: int):
         super().__init__(f"degree piece needs {required} monomials, more than the limit of {cap}")
         self.required = required
@@ -472,8 +474,6 @@ def minors_vanishing_check(
     cfg: PrimeFieldConfig = PrimeFieldConfig(),
 ) -> CheckReport:
     """All maximal minors of the stacked matrix vanish on random points
-    of the locus.  A minor that vanishes mod p is dropped and not
-    counted in `generator_count`."""
-    p = cfg.modulus
-    gens = [g for _, g in all_top_minors(d, n) if any(c % p for c in g.terms.values())]
+    of the locus (`vanishing_test`)."""
+    gens = [g for _, g in all_top_minors(d, n)]
     return vanishing_test(gens, d, n, trials, cfg)._replace(check="minor-vanishing")

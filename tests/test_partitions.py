@@ -194,9 +194,9 @@ class TestPartitionsInBox:
 
 class TestConjugateMemo:
     def test_memoized_equals_recomputed(self):
-        # whether or not the memo already holds p, the shape, its second
-        # call and a fresh equal Partition all give the transpose counted
-        # cell by cell
+        # conjugate() keeps no memo: a shape, its second call and a
+        # fresh equal Partition all give the transpose counted cell by
+        # cell
         for p in partitions_in_box(Box(6, 6)):
             want = tuple(sum(1 for a in p if a > j) for j in range(p.part(0)))
             assert p.conjugate() == want

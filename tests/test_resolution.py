@@ -135,8 +135,9 @@ class TestNormalization:
 
 class TestNormalizationOracle:
     """The normalization loop against the public, validating route: box
-    pairs filtered by containment, `bundle_cohomology` on the pair's
-    pieces and `skew_schur_dim` on the conjugated skew shape."""
+    pairs filtered by containment, `skew_schur_dim` on the conjugated
+    skew shape and, where that is nonzero, `bundle_cohomology` on the
+    pair's pieces."""
 
     CASES = [
         KalmanParams(s, d, n) for n in range(2, 9) for d in range(1, n) for s in range(1, d + 1)
@@ -145,19 +146,22 @@ class TestNormalizationOracle:
     @staticmethod
     def public_route(params):
         """The terms, their skew shapes, and the bundle weight of every
-        pair visited."""
+        pair with a nonzero skew dimension."""
         s, d, n = params.s, params.d, params.n
         terms, shapes, weights = [], [], []
         for lam in partitions_in_box(Box(s, n - s)):
             for mu in partitions_in_box(Box(s, d - s)):
                 if any(mu.part(i) > lam.part(i) for i in range(s)):
                     continue
+                shape = SkewShape(lam.conjugate(), mu.conjugate())
+                skew = skew_schur_dim(shape, n - d)
+                if not skew:
+                    continue
                 weights.append(bundle_weight(lam, mu.conjugate(), s, d))
                 out, gl_mult = bundle_cohomology(lam, mu.conjugate(), s, d)
                 if out.vanishes:
                     continue
-                shape = SkewShape(lam.conjugate(), mu.conjugate())
-                mult = gl_mult * skew_schur_dim(shape, n - d)
+                mult = gl_mult * skew
                 if mult:
                     hom, twist = lam.size - out.degree, lam.size
                     terms.append(BettiTerm(hom, twist, out.eta, mult, lam, mu))
@@ -165,9 +169,10 @@ class TestNormalizationOracle:
         return terms, shapes, weights
 
     def test_terms_match_public_route(self, monkeypatch):
-        # the dotted action sees the same weights in the same order: a
-        # pair with mu outside lam has no terms (its Jacobi-Trudi
-        # determinant is 0), so only the visits show a lost containment test
+        # the dotted action sees the same weights in the same order, one
+        # per pair with a nonzero skew dimension: mu's table is the
+        # loop's only pair filter (0 or no entry where mu is not inside
+        # lam), so only the visits show a merge made for a zero dimension
         visited = []
         real = resolution_module._dotted_halves
 
@@ -496,8 +501,10 @@ class TestChainResolution:
         monkeypatch.setattr(resolution_module, "_dotted_halves", counting)
         d, n = 5, 10
         chain_resolution(1, d, n)
-        # the contained pairs that survive: outside part I at level 1,
-        # part III at every deeper level (2,547 pairs in the full levels)
+        # the contained pairs that survive, with a nonzero skew
+        # dimension: outside part I at level 1, part III at every deeper
+        # level (2,547 contained pairs in the full levels, 1,275 of them
+        # outside the cancelled parts)
         weights = [
             bundle_weight(lam, mu.conjugate(), k, d)
             for k in range(1, d + 1)
@@ -505,8 +512,9 @@ class TestChainResolution:
             for mu in partitions_in_box(Box(k, d - k))
             if all(mu.part(i) <= lam.part(i) for i in range(k))
             and classify_part(lam, mu, k) in (("II", "III") if k == 1 else ("III",))
+            and skew_schur_dim(SkewShape(lam.conjugate(), mu.conjugate()), n - d)
         ]
-        assert len(weights) == 1275
+        assert len(weights) == 989
         assert sorted(calls) == sorted(weights)
 
     def test_one_conjugation_per_mu_per_level(self, monkeypatch):

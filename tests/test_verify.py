@@ -231,11 +231,10 @@ class TestVanishing:
 
 
 class TestGeneratorsVanishingModP:
-    """A generator 3 * g is zero over GF(3).  `vanishing_test` counts
-    every generator it is given; the minors check, the minimality report
-    and the truncated Hilbert function drop those that vanish mod p.
-    Here g is not homogeneous, so a dropped generator that reached the
-    graded ranks would be refused there."""
+    """A generator 3 * g is zero over GF(3).  Every finite-field check
+    drops the generators that vanish mod p and counts only the rest in
+    `generator_count`.  Here g is not homogeneous, so a dropped
+    generator that reached the graded ranks would be refused there."""
 
     P3 = PrimeFieldConfig(modulus=3)
 
@@ -254,11 +253,18 @@ class TestGeneratorsVanishingModP:
 
         monkeypatch.setattr(verify, "all_top_minors", tripled)
 
-    def test_vanishing_test_counts_it(self):
+    def test_vanishing_test_drops_it(self):
         quad, tripled = self.quad_and_tripled()
         report = vanishing_test([quad, tripled], 2, 4, 5, self.P3)
         assert report.passed
-        assert report.data["generator_count"] == 2
+        assert report.data["generator_count"] == 1
+        # a failure names the generator by its place in the given list
+        report = vanishing_test([tripled, quad.ring.var(0) + 1], 2, 4, 5, self.P3)
+        assert report.data["generator_count"] == 1
+        assert {f["generator"] for f in report.details} == {1}
+        # a list with nothing left to evaluate is refused, not passed
+        with pytest.raises(ValueError, match="no generators to test"):
+            vanishing_test([tripled], 2, 4, 5, self.P3)
 
     def test_minors_check_drops_it(self, last_minor_tripled):
         report = minors_vanishing_check(2, 4, 5, self.P3)
@@ -355,6 +361,7 @@ class TestGradedRanks:
         assert exc.value.required == comb(26, 9) == 3_124_550
         assert exc.value.cap == 10**6
         assert "3124550" in str(exc.value) and "1000000" in str(exc.value)
+        assert isinstance(exc.value, ValueError)
 
     def test_hilbert_cap_checked_before_any_minor(self, monkeypatch):
         # check-minimality has the same test in tests/test_cli.py
