@@ -24,18 +24,23 @@ their columns on first touch and do not depend on it.  Evaluation
 variables into a low and a high half, compiles the halves of all the
 polynomials it is given into one trie of variables, walks it once per
 point, and sums each polynomial as value(high) times the sum of c *
-value(low) over the terms with that high half.  Laplace expansion
-(`_minors`) bounds its work up front and refuses more than
-MAX_MINOR_PRODUCTS term products.
+value(low) over the terms with that high half.
+
+A matrix is a plain list of rows of polynomials.  Every minor, those of
+the stacked matrix (`reduced_kalman_matrix`) and those of the trace
+identity alike, comes from one Laplace expansion (`_minors`), which
+bounds its work up front and refuses more than MAX_MINOR_PRODUCTS term
+products.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, Iterable, NamedTuple, Sequence
+from math import comb
+from typing import Callable, Iterable, Sequence
 
-from .report import CheckReport, Validated
+from .report import CheckReport
 
 
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -392,101 +397,6 @@ def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence[int]], 
     return out
 
 
-class _BlockLayoutFields(NamedTuple):
-    d: int
-    n: int
-
-
-class BlockLayout(Validated, _BlockLayoutFields):
-    """Row-major layout of the first d columns of End(V), the only ones a
-    Kalman minor involves: x[i][j] (1-based, j <= d) has index
-    (i-1)*d + (j-1).  The ring is k[alpha, gamma]: the top d x d block
-    alpha acts on L, the bottom (n-d) x d block gamma maps L out of it."""
-
-    __slots__ = ()
-
-    def __new__(cls, d: int, n: int):
-        if not 1 <= d < n:
-            raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
-        return tuple.__new__(cls, (d, n))
-
-    def var_index(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n and 1 <= j <= self.d):
-            raise ValueError(f"matrix position ({i},{j}) out of range")
-        return (i - 1) * self.d + (j - 1)
-
-    def var_name(self, k: int) -> str:
-        i, j = divmod(k, self.d)
-        return f"x[{i + 1}][{j + 1}]"
-
-    def ring(self) -> PolyRing:
-        return PolyRing(self.n * self.d, self.var_name)
-
-    def alpha(self, ring: PolyRing) -> "PolyMatrix":
-        """Top-left d x d block of generic variables."""
-        d = self.d
-        return PolyMatrix([
-            [ring.var(self.var_index(i, j)) for j in range(1, d + 1)]
-            for i in range(1, d + 1)
-        ])
-
-    def gamma(self, ring: PolyRing) -> "PolyMatrix":
-        """Bottom-left (n-d) x d block of generic variables."""
-        d, n = self.d, self.n
-        return PolyMatrix([
-            [ring.var(self.var_index(i, j)) for j in range(1, d + 1)]
-            for i in range(d + 1, n + 1)
-        ])
-
-
-class PolyMatrix:
-    """Dense matrix of SparsePoly entries."""
-
-    def __init__(self, entries: Sequence[Sequence[SparsePoly]]):
-        entries = [list(row) for row in entries]
-        if not entries or not entries[0]:
-            raise ValueError("matrix must be nonempty")
-        width = len(entries[0])
-        if any(len(row) != width for row in entries):
-            raise ValueError("ragged rows")
-        self.entries = entries
-        self.nrows = len(entries)
-        self.ncols = width
-        self.ring = entries[0][0].ring
-
-    def __getitem__(self, rc: tuple[int, int]) -> SparsePoly:
-        r, c = rc
-        return self.entries[r][c]
-
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = self.ring.zero()
-                for k in range(self.ncols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-    def stack(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-        return PolyMatrix(self.entries + other.entries)
-
-    def replace_rows(self, rows: Iterable[int], source: "PolyMatrix") -> "PolyMatrix":
-        if source.nrows != self.nrows or source.ncols != self.ncols:
-            raise ValueError("shape mismatch")
-        rows = set(rows)
-        return PolyMatrix([
-            (source.entries[i] if i in rows else self.entries[i])
-            for i in range(self.nrows)
-        ])
-
-
 # Term products that one `_minors` call may take, by its up-front bound.
 # all_top_minors(4, 6) bounds at 6.5e7 and ran in 4 s and 215 MB; (4, 7)
 # bounds at 8.6e8 and took 54 s and 1.85 GB, (5, 6) at 1.0e9 ran past
@@ -533,11 +443,11 @@ def _count_products(
 
 def _minors(
     entries: Sequence[Sequence[SparsePoly]],
-    ring: PolyRing,
     picks: Sequence[tuple[Sequence[int], Sequence[int]]],
 ) -> list[SparsePoly]:
-    """The minor on each (rows, cols) pick, in the order given, by
-    Laplace expansion along the first row of `rows`.
+    """The minor on each (rows, cols) pick of the matrix `entries`, in
+    the order given, by Laplace expansion along the first row of `rows`.
+    The minors are in the ring of the entries.
 
     A sub-minor is keyed by its remaining rows and columns, built once,
     shared by every minor that expands into it, and dropped after its
@@ -592,44 +502,42 @@ def _minors(
         return value
 
     order = sorted(range(len(picks)), key=lambda i: sorted(picks[i][0], reverse=True), reverse=True)
+    ring = entries[0][0].ring
     values = {i: SparsePoly(ring, take(picks[i])) for i in order}
     return [values[i] for i in range(len(picks))]
 
 
-def determinant(m: PolyMatrix) -> SparsePoly:
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of non-square matrix")
-    every = range(m.nrows)
-    return _minors(m.entries, m.ring, [(every, every)])[0]
+def determinant(rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
+    """The determinant of a nonempty square matrix given as its rows."""
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("determinant needs a nonempty square matrix")
+    every = range(len(rows))
+    return _minors(rows, [(every, every)])[0]
 
 
-def minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> SparsePoly:
-    """Determinant of the square submatrix on the given rows and columns
-    (0-based, each in range and none repeated), taken in the order
-    given, so swapping two rows flips the sign.  No rows and no columns
-    give one."""
-    rows, cols = tuple(rows), tuple(cols)
-    if len(rows) != len(cols):
-        raise ValueError("minor needs equally many rows and columns")
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-        raise ValueError("repeated row or column index")
-    if not all(0 <= r < m.nrows for r in rows) or not all(0 <= c < m.ncols for c in cols):
-        raise ValueError(f"row or column index out of range for a {m.nrows} x {m.ncols} matrix")
-    return _minors(m.entries, m.ring, [(rows, cols)])[0]
+def _matmul(a: Sequence[Sequence[SparsePoly]], b: Sequence[Sequence[SparsePoly]]) -> list[list[SparsePoly]]:
+    """The product of two matrices given as their rows."""
+    zero = a[0][0].ring.zero()
+    return [[sum(map(operator.mul, row, col), zero) for col in zip(*b)] for row in a]
 
 
-def reduced_kalman_matrix(d: int, n: int) -> PolyMatrix:
-    """The stacked d(n-d) x d matrix whose block r is gamma * alpha^r,
-    rows of block r homogeneous of degree r + 1."""
-    layout = BlockLayout(d, n)
-    ring = layout.ring()
-    alpha = layout.alpha(ring)
-    gamma = layout.gamma(ring)
-    block = gamma
-    stacked = gamma
+def reduced_kalman_matrix(d: int, n: int) -> list[list[SparsePoly]]:
+    """The rows of the stacked d(n-d) x d matrix whose block r is
+    gamma * alpha^r, rows of block r homogeneous of degree r + 1.
+
+    Only the first d columns of End(V) occur in a Kalman minor, so the
+    ring is k[alpha, gamma] in n * d variables: x[i][j] (1-based,
+    j <= d) is variable (i-1)*d + (j-1).  The top d x d block alpha acts
+    on L, and the bottom (n-d) x d block gamma maps L out of it."""
+    if not 1 <= d < n:
+        raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
+    ring = PolyRing(n * d, lambda k: f"x[{k // d + 1}][{k % d + 1}]")
+    x = [[ring.var(i * d + j) for j in range(d)] for i in range(n)]
+    alpha, block = x[:d], x[d:]
+    stacked = list(block)
     for _ in range(1, d):
-        block = block.matmul(alpha)
-        stacked = stacked.stack(block)
+        block = _matmul(block, alpha)
+        stacked += block
     return stacked
 
 
@@ -637,49 +545,42 @@ def all_top_minors(d: int, n: int) -> list[tuple[tuple[int, ...], SparsePoly]]:
     """Every d x d minor of the reduced matrix with its row set, row sets
     in lexicographic order."""
     matrix = reduced_kalman_matrix(d, n)
-    picks = list(itertools.combinations(range(matrix.nrows), d))
-    cols = range(d)
-    polys = _minors(matrix.entries, matrix.ring, [(rows, cols) for rows in picks])
+    picks = list(itertools.combinations(range(len(matrix)), d))
+    polys = _minors(matrix, [(rows, range(d)) for rows in picks])
     return list(zip(picks, polys))
 
 
-def wedge_trace(m: PolyMatrix, i: int) -> SparsePoly:
-    """Trace of the i-th exterior power: sum of the principal i x i
-    minors."""
-    if m.nrows != m.ncols:
-        raise ValueError("wedge trace needs a square matrix")
-    if not 0 <= i <= m.nrows:
-        raise ValueError(f"need 0 <= i <= {m.nrows}")
-    principal = [(rows, rows) for rows in itertools.combinations(range(m.nrows), i)]
-    return sum(_minors(m.entries, m.ring, principal), m.ring.zero())
+def _trace_identity_picks(d: int, i: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (rows, cols) picks of `trace_identity_check(d, i)` on the
+    3d x d matrix [A; A * alpha; alpha]: the principal i x i minors of
+    alpha, then det A, then det A with each size-i row set replaced by
+    those rows of A * alpha, row sets in lexicographic order."""
+    if not 1 <= i <= d:
+        raise ValueError(f"need 1 <= i <= d, got i={i}, d={d}")
+    every = tuple(range(d))
+    row_sets = list(itertools.combinations(every, i))
+    principal = [(tuple(2 * d + r for r in rows), rows) for rows in row_sets]
+    replaced = [(tuple(d + r if r in rows else r for r in every), every) for rows in row_sets]
+    return principal + [(every, every)] + replaced
 
 
 def trace_identity_products(d: int, i: int) -> int:
     """Term products that the minors of `trace_identity_check(d, i)` take
-    together, by the up-front bound of `_minors`, without building them:
-    the principal i x i minors of alpha, det A, and det A with each
-    size-i row set replaced by those rows of A * alpha, every one its
-    own `_minors` call.  An entry of A or alpha has one term, and an
-    entry of A * alpha has d."""
-    if not 1 <= i <= d:
-        raise ValueError(f"need 1 <= i <= d, got i={i}, d={d}")
-    every = tuple(range(d))
-    generic = [[1] * d for _ in every]
-    work = _count_products(generic, [(rows, rows) for rows in itertools.combinations(every, i)])[0]
-    for replaced in itertools.chain([()], itertools.combinations(every, i)):
-        sizes = [[d if r in replaced else 1] * d for r in every]
-        work += _count_products(sizes, [(every, every)])[0]
-    return work
+    together, by the up-front bound of `_minors`, without building them.
+    An entry of A or alpha has one term, and an entry of A * alpha has d."""
+    sizes = [[1] * d] * d + [[d] * d] * d + [[1] * d] * d
+    return _count_products(sizes, _trace_identity_picks(d, i))[0]
 
 
 def trace_identity_check(d: int, i: int) -> CheckReport:
     """Verify, on fully generic symbolic matrices, that the trace of the
-    i-th exterior power of one matrix times the determinant of another
-    equals the sum over size-i row sets of the determinant after
-    replacing those rows with the corresponding rows of the product.
+    i-th exterior power of alpha (the sum of its principal i x i minors)
+    times det A equals the sum over size-i row sets of det A after
+    replacing those rows with the corresponding rows of A * alpha.
     Both sides have integer coefficients, so checking over the integers
-    is as strong as checking over the rationals.  Minors that together
-    take more than MAX_MINOR_PRODUCTS term products
+    is as strong as checking over the rationals.  All the minors come
+    from one `_minors` call on `_trace_identity_picks(d, i)`, and minors
+    that together take more than MAX_MINOR_PRODUCTS term products
     (`trace_identity_products`) raise ValueError before any is built."""
     check_minor_products(
         trace_identity_products(d, i), f"the minors of the trace identity at d={d}, i={i}"
@@ -691,13 +592,13 @@ def trace_identity_check(d: int, i: int) -> CheckReport:
         return f"{'ab'[block]}[{r + 1}][{c + 1}]"
 
     ring = PolyRing(2 * d * d, namer)
-    a_mat = PolyMatrix([[ring.var(r * d + c) for c in range(d)] for r in range(d)])
-    alpha = PolyMatrix([[ring.var(d * d + r * d + c) for c in range(d)] for r in range(d)])
-    lhs = wedge_trace(alpha, i) * determinant(a_mat)
-    product = a_mat.matmul(alpha)
-    rhs = ring.zero()
-    for rows in itertools.combinations(range(d), i):
-        rhs = rhs + determinant(a_mat.replace_rows(rows, product))
+    a_mat = [[ring.var(r * d + c) for c in range(d)] for r in range(d)]
+    alpha = [[ring.var(d * d + r * d + c) for c in range(d)] for r in range(d)]
+    minors = _minors(a_mat + _matmul(a_mat, alpha) + alpha, _trace_identity_picks(d, i))
+    principal = comb(d, i)
+    det_a, *replaced = minors[principal:]
+    lhs = sum(minors[:principal], ring.zero()) * det_a
+    rhs = sum(replaced, ring.zero())
     diff = lhs - rhs
     details = [] if diff.is_zero() else [{"kind": "nonzero_difference", "difference": str(diff)}]
     return CheckReport(

@@ -71,7 +71,7 @@ class KalmanPoint(NamedTuple):
 
     def flatten(self) -> tuple[int, ...]:
         """Row-major coordinates of the first d columns, matching the
-        variable layout of `BlockLayout`."""
+        variable layout of `reduced_kalman_matrix`."""
         d = len(self.eigenvector)
         return tuple(itertools.chain.from_iterable(row[:d] for row in self.entries))
 
@@ -115,6 +115,12 @@ def random_kalman_point(d: int, n: int, p: int, rng: random.Random) -> KalmanPoi
     )
 
 
+def _check_trials(trials: int) -> None:
+    """Refuse fewer than one random point, before anything is built."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def _check_nvars(generators: Sequence[SparsePoly], nvars: int) -> None:
     for g in generators:
         if g.ring.nvars != nvars:
@@ -142,8 +148,7 @@ def vanishing_test(
     reported as `bad_point`.  The good points are then evaluated
     together (`evaluate_many`), and failures are listed by trial, then
     by the generator's index in `generators`."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_trials(trials)
     _check_nvars(generators, n * d)
     p = cfg.modulus
     kept = [(gi, g) for gi, g in enumerate(generators) if any(c % p for c in g.terms.values())]
@@ -323,7 +328,7 @@ def truncated_hilbert(
 ) -> list[int]:
     """Dimensions of the graded pieces of k[x]/(generators), degrees 0
     through max_degree, from ranks taken in the ring of the generators,
-    k[alpha, gamma] of `BlockLayout`, and lifted to k[x]."""
+    k[alpha, gamma] of `reduced_kalman_matrix`, and lifted to k[x]."""
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     if not generators:
@@ -443,6 +448,7 @@ def hypersurface_check(
     """For n = d + 1 the variety is a hypersurface: its defining
     determinant must be homogeneous of degree d(d+1)/2, and must vanish
     at random points of the locus."""
+    _check_trials(trials)
     n = d + 1
     det = _mod_p(determinant(reduced_kalman_matrix(d, n)), cfg.modulus)
     expected_degree = d * (d + 1) // 2
@@ -475,5 +481,6 @@ def minors_vanishing_check(
 ) -> CheckReport:
     """All maximal minors of the stacked matrix vanish on random points
     of the locus (`vanishing_test`)."""
+    _check_trials(trials)
     gens = [g for _, g in all_top_minors(d, n)]
     return vanishing_test(gens, d, n, trials, cfg)._replace(check="minor-vanishing")

@@ -15,21 +15,20 @@ from kalvar import polysym
 from kalvar.polysym import (
     MAX_MINOR_PRODUCTS,
     MILLER_RABIN_LIMIT,
-    BlockLayout,
-    PolyMatrix,
     PolyRing,
     SparsePoly,
+    _matmul,
+    _minors,
     _split_plan,
+    _trace_identity_picks,
     all_top_minors,
     determinant,
     evaluate_many,
     grevlex_key,
     is_prime,
-    minor,
     reduced_kalman_matrix,
     trace_identity_check,
     trace_identity_products,
-    wedge_trace,
 )
 from kalvar.verify import PrimeFieldConfig, minors_vanishing_check
 
@@ -58,14 +57,16 @@ def inversions(perm) -> int:
     return sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b])
 
 
-def brute_determinant(m: PolyMatrix) -> SparsePoly:
-    """Leibniz formula, used as an oracle for the cofactor expansion."""
-    k = m.nrows
-    total = m.ring.zero()
+def brute_determinant(rows: list[list[SparsePoly]]) -> SparsePoly:
+    """Leibniz formula on a square matrix given as its rows, used as an
+    oracle for the cofactor expansion."""
+    k = len(rows)
+    ring = rows[0][0].ring
+    total = ring.zero()
     for perm in itertools.permutations(range(k)):
-        term = m.ring.one()
+        term = ring.one()
         for r in range(k):
-            term = term * m.entries[r][perm[r]]
+            term = term * rows[r][perm[r]]
         total = total + term if inversions(perm) % 2 == 0 else total - term
     return total
 
@@ -179,7 +180,7 @@ def square_matrices(draw, ring):
     entries = [[draw(st.sampled_from(pool)) for _ in range(k)] for _ in range(k)]
     rows = draw(st.permutations(range(k)))
     cols = draw(st.permutations(range(k)))
-    return PolyMatrix(entries), tuple(rows), tuple(cols)
+    return entries, tuple(rows), tuple(cols)
 
 
 class TestDomains:
@@ -336,11 +337,11 @@ class TestSparsePoly:
 
     def test_map_domain_matches_native(self):
         # map_domain keeps the terms and takes the other ring's names
-        native = minor(reduced_kalman_matrix(2, 3), (0, 1), (0, 1))
+        native = determinant(reduced_kalman_matrix(2, 3))
         plain = native.map_domain(PolyRing(6))
         assert plain.terms == native.terms and plain.ring.nvars == 6
         assert str(plain) == "1*x1^1*x4^2 + -1*x0^1*x4^1*x5^1 + 1*x3^1*x4^1*x5^1 + -1*x2^1*x5^2"
-        back = plain.map_domain(BlockLayout(2, 3).ring())
+        back = plain.map_domain(reduced_kalman_matrix(2, 3)[0][0].ring)
         assert back == native and str(back) == str(native)
         with pytest.raises(ValueError, match="variable count mismatch"):
             native.map_domain(PolyRing(5))
@@ -401,57 +402,97 @@ class TestPacking:
 
 
 class TestBlockLayout:
+    """The variables of the reduced matrix: only the first d columns of
+    End(V) are variables, x[i][j] (1-based) has index (i-1)*d + (j-1),
+    alpha is rows 1..d and gamma rows d+1..n."""
+
     def test_var_indexing_row_major(self):
-        # only the first d columns are variables
-        layout = BlockLayout(2, 3)
-        assert layout.ring().nvars == 6
-        assert layout.var_index(1, 1) == 0
-        assert layout.var_index(1, 2) == 1
-        assert layout.var_index(2, 1) == 2
-        assert layout.var_index(3, 2) == 5
-        assert layout.var_name(5) == "x[3][2]"
-        with pytest.raises(ValueError, match="out of range"):
-            layout.var_index(1, 3)
+        ring = reduced_kalman_matrix(2, 3)[0][0].ring
+        assert ring.nvars == 6
+        assert [ring.var_name(k) for k in range(6)] == [
+            "x[1][1]", "x[1][2]", "x[2][1]", "x[2][2]", "x[3][1]", "x[3][2]"
+        ]
+        for d, n in [(1, 3), (3, 5), (4, 7)]:
+            ring = reduced_kalman_matrix(d, n)[0][0].ring
+            assert ring.nvars == n * d
+            for i in range(1, n + 1):
+                for j in range(1, d + 1):
+                    assert ring.var_name((i - 1) * d + (j - 1)) == f"x[{i}][{j}]"
 
     def test_blocks(self):
-        layout = BlockLayout(2, 4)
-        ring = layout.ring()
-        a = layout.alpha(ring)
-        g = layout.gamma(ring)
-        assert (a.nrows, a.ncols) == (2, 2)
-        assert (g.nrows, g.ncols) == (2, 2)
-        assert str(a[0, 0]) == "1*x[1][1]^1"
-        assert str(g[1, 0]) == "1*x[4][1]^1"
+        # block 0 is gamma itself, one variable per entry
+        m = reduced_kalman_matrix(2, 4)
+        ring = m[0][0].ring
+        assert m[:2] == [[ring.var(4), ring.var(5)], [ring.var(6), ring.var(7)]]
+        assert str(m[0][0]) == "1*x[3][1]^1"
+        assert str(m[1][0]) == "1*x[4][1]^1"
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (0, 4), (3, 1)])
+    def test_needs_1_le_d_lt_n(self, d, n):
+        with pytest.raises(ValueError, match=re.escape(f"need 1 <= d < n, got d={d}, n={n}")):
+            reduced_kalman_matrix(d, n)
+
+
+def gamma_alpha_blocks(d: int, n: int) -> list[list[list[SparsePoly]]]:
+    """gamma * alpha^r for r < d, entry by entry in the ring of the
+    reduced matrix, from the variable layout alone."""
+    ring = reduced_kalman_matrix(d, n)[0][0].ring
+    x = [[ring.var(i * d + j) for j in range(d)] for i in range(n)]
+    alpha, block = x[:d], x[d:]
+    blocks = []
+    for _ in range(d):
+        blocks.append(block)
+        block = [
+            [sum((row[k] * alpha[k][j] for k in range(d)), ring.zero()) for j in range(d)]
+            for row in block
+        ]
+    return blocks
 
 
 class TestReducedMatrix:
     def test_shape(self):
         for d, n in [(1, 3), (2, 3), (2, 4), (3, 5)]:
             m = reduced_kalman_matrix(d, n)
-            assert (m.nrows, m.ncols) == (d * (n - d), d)
+            assert len(m) == d * (n - d)
+            assert all(len(row) == d for row in m)
 
     def test_row_degrees_by_block(self):
         m = reduced_kalman_matrix(3, 5)
         for r in range(6):
             block = r // 2
             for c in range(3):
-                assert m[r, c].degree() == block + 1
-                assert m[r, c].is_homogeneous()
+                assert m[r][c].degree() == block + 1
+                assert m[r][c].is_homogeneous()
 
     def test_d1_is_first_column_tail(self):
         m = reduced_kalman_matrix(1, 3)
-        assert (m.nrows, m.ncols) == (2, 1)
-        assert str(m[0, 0]) == "1*x[2][1]^1"
-        assert str(m[1, 0]) == "1*x[3][1]^1"
+        assert (len(m), len(m[0])) == (2, 1)
+        assert str(m[0][0]) == "1*x[2][1]^1"
+        assert str(m[1][0]) == "1*x[3][1]^1"
 
     def test_second_block_is_gamma_alpha(self):
-        layout = BlockLayout(2, 4)
-        ring = layout.ring()
-        expected = layout.gamma(ring).matmul(layout.alpha(ring))
         m = reduced_kalman_matrix(2, 4)
+        ring = m[0][0].ring
+        x = lambda i, j: ring.var((i - 1) * 2 + (j - 1))
         for i in range(2):
             for j in range(2):
-                assert m[2 + i, j] == expected[i, j]
+                assert m[2 + i][j] == x(3 + i, 1) * x(1, j + 1) + x(3 + i, 2) * x(2, j + 1)
+
+    @pytest.mark.parametrize("d,n", [(1, 2), (2, 3), (3, 5), (4, 6)])
+    def test_block_r_is_gamma_alpha_to_the_r(self, d, n):
+        m = reduced_kalman_matrix(d, n)
+        for r, block in enumerate(gamma_alpha_blocks(d, n)):
+            assert m[r * (n - d):(r + 1) * (n - d)] == block, r
+
+    def test_matmul_against_manual(self):
+        ring = PolyRing(6)
+        a = [[ring.var(0), ring.var(1)], [ring.var(2), ring.var(3)]]
+        sq = _matmul(a, a)
+        assert sq[0][0] == ring.var(0) * ring.var(0) + ring.var(1) * ring.var(2)
+        assert sq[1][1] == ring.var(2) * ring.var(1) + ring.var(3) * ring.var(3)
+        # a row times a 2 x 1 column is a 1 x 1 matrix
+        col = [[ring.var(4)], [ring.var(5)]]
+        assert _matmul(a[:1], col) == [[ring.var(0) * ring.var(4) + ring.var(1) * ring.var(5)]]
 
 
 class TestMinors:
@@ -461,15 +502,15 @@ class TestMinors:
         ring = PolyRing(2)
         x, y = ring.var(0), ring.var(1)
         entry = x**11 * y**11
-        big = PolyMatrix([[entry] * 12 for _ in range(12)])
+        big = [[entry] * 12 for _ in range(12)]
         with pytest.raises(ValueError, match="264.*255"):
             determinant(big)
-        assert determinant(PolyMatrix([[entry] * 11 for _ in range(11)])).is_zero()
+        assert determinant([[entry] * 11 for _ in range(11)]).is_zero()
 
     def test_frozen_smallest_determinant(self):
         # d=2, n=3: det of the full 2x2 stacked matrix, degree 3,
         # exactly four monomials
-        p = minor(reduced_kalman_matrix(2, 3), (0, 1), (0, 1))
+        p = determinant(reduced_kalman_matrix(2, 3))
         assert p.degree() == 3
         assert p.is_homogeneous()
         assert len(p.terms) == 4
@@ -493,27 +534,28 @@ class TestMinors:
         assert determinant(m) == brute_determinant(m)
 
     def test_row_swap_flips_sign(self):
+        # rows and columns are taken in the order a pick gives them
         m = reduced_kalman_matrix(2, 4)
-        assert minor(m, (1, 0), (0, 1)) == -minor(m, (0, 1), (0, 1))
+        quad = all_top_minors(2, 4)[0][1]
+        assert determinant([m[1], m[0]]) == -determinant(m[:2]) == -quad
+        assert _minors(m, [((1, 0), (0, 1)), ((0, 1), (0, 1)), ((0, 1), (1, 0))]) == [-quad, quad, -quad]
 
-    def test_repeated_rows_rejected(self):
+    def test_repeated_rows_give_zero(self):
+        # a pick that repeats a row or a column is the determinant of a
+        # matrix with two equal rows or columns
         m = reduced_kalman_matrix(2, 4)
-        with pytest.raises(ValueError):
-            minor(m, (0, 0), (0, 1))
+        assert all(p.is_zero() for p in _minors(m, [((0, 0), (0, 1)), ((2, 3), (1, 1))]))
+        assert determinant([m[3], m[3]]).is_zero()
 
-    @pytest.mark.parametrize(
-        "rows,cols", [((-1,), (0,)), ((0,), (-2,)), ((4,), (0,)), ((0, 1), (1, 2))]
-    )
-    def test_out_of_range_index_rejected(self, rows, cols):
-        # reduced_kalman_matrix(2, 4) is 4 x 2; a negative index must not
-        # wrap around like a list index
-        m = reduced_kalman_matrix(2, 4)
-        with pytest.raises(ValueError, match="out of range"):
-            minor(m, rows, cols)
+    def test_determinant_needs_a_nonempty_square_matrix(self):
+        x, y = RING.var(0), RING.var(1)
+        for rows in ([], [[x, y]], [[x], [y]], reduced_kalman_matrix(2, 4)):
+            with pytest.raises(ValueError, match="^determinant needs a nonempty square matrix$"):
+                determinant(rows)
 
     def test_empty_minor_is_one(self):
         m = reduced_kalman_matrix(2, 4)
-        assert minor(m, (), ()) == m.ring.one()
+        assert _minors(m, [((), ())]) == [m[0][0].ring.one()]
 
     @staticmethod
     def _by_composition(d, n):
@@ -570,21 +612,21 @@ class TestMinors:
         minors = all_top_minors(d, n)
         if p is None:
             for rows, g in minors:
-                sub = PolyMatrix([[m[r, c] for c in range(d)] for r in rows])
+                sub = [[m[r][c] for c in range(d)] for r in rows]
                 assert g == brute_determinant(sub), rows
             return
         rng = random.Random(d * n)
         for _ in range(3):
             pt = [rng.randrange(p) for _ in range(n * d)]
-            values = [[evaluate_oracle(m[r, c], pt, p) for c in range(d)] for r in range(m.nrows)]
+            values = [[evaluate_oracle(e, pt, p) for e in row] for row in m]
             want = [leibniz_mod_p([values[r] for r in rows], p) for rows, _ in minors]
             assert evaluate_many([g for _, g in minors], [pt], p) == [want]
 
     def test_unsorted_rows_and_columns_match_leibniz(self):
         m = reduced_kalman_matrix(3, 5)
         for rows, cols in [((3, 0, 5), (2, 0, 1)), ((4, 1, 2), (1, 2, 0)), ((5, 3, 1), (0, 2, 1))]:
-            sub = PolyMatrix([[m[r, c] for c in cols] for r in rows])
-            assert minor(m, rows, cols) == brute_determinant(sub)
+            sub = [[m[r][c] for c in cols] for r in rows]
+            assert _minors(m, [(rows, cols)])[0] == brute_determinant(sub)
 
     @pytest.mark.parametrize("p", [None, 32003], ids=["ZZ", "GF32003"])
     @given(data=st.data())
@@ -592,14 +634,14 @@ class TestMinors:
     def test_random_matrices_match_leibniz(self, p, data):
         # exactly, or by value mod p at a point
         m, rows, cols = data.draw(square_matrices(RING))
-        shuffled = PolyMatrix([[m[r, c] for c in cols] for r in rows])
+        shuffled = [[m[r][c] for c in cols] for r in rows]
         if p is None:
             assert determinant(m) == brute_determinant(m)
-            assert minor(m, rows, cols) == brute_determinant(shuffled)
+            assert _minors(m, [(rows, cols)])[0] == brute_determinant(shuffled)
             return
         pt = data.draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3))
-        for got, sub in ((determinant(m), m), (minor(m, rows, cols), shuffled)):
-            values = [[evaluate_oracle(e, pt, p) for e in row] for row in sub.entries]
+        for got, sub in ((determinant(m), m), (_minors(m, [(rows, cols)])[0], shuffled)):
+            values = [[evaluate_oracle(e, pt, p) for e in row] for row in sub]
             assert got.evaluate(pt, p) == leibniz_mod_p(values, p)
 
     def test_exponent_limit(self):
@@ -607,16 +649,20 @@ class TestMinors:
         # reach 256 is refused instead of carrying into the next variable
         ring = PolyRing(2)
         x, y = ring.var(0), ring.var(1)
-        at_limit = PolyMatrix([[x**200, y], [y, x**55]])
+        at_limit = [[x**200, y], [y, x**55]]
         assert determinant(at_limit) == x**255 - y * y
         assert determinant(at_limit).terms[ring.pack((255, 0))] == 1
-        over = PolyMatrix([[x**200, y], [y, x**56]])
+        over = [[x**200, y], [y, x**56]]
         with pytest.raises(ValueError, match="255"):
             determinant(over)
-        with pytest.raises(ValueError, match="255"):
-            minor(PolyMatrix([[x**256]]), (0,), (0,))
+        # one entry of degree 256 packs, each exponent being at most
+        # 255, and a minor on it is refused all the same
+        wide = ring.reduce({ring.pack((200, 56)): 1})
+        with pytest.raises(ValueError, match="a minor may reach degree 256"):
+            determinant([[wide]])
         # only the rows and columns of the pick count towards the bound
-        assert minor(over, (1,), (0,)) == y
+        assert _minors(over, [((1,), (0,))]) == [y]
+        assert _minors([[wide, y], [y, x]], [((1,), (1,)), ((1,), (0,))]) == [x, y]
 
     @pytest.mark.parametrize(
         "d,n,products",
@@ -643,9 +689,9 @@ class TestMinors:
         ring = PolyRing(2)
         x, y = ring.var(0), ring.var(1)
         monkeypatch.setattr("kalvar.polysym.MAX_MINOR_PRODUCTS", 2)
-        assert determinant(PolyMatrix([[x, y], [y, x]])) == x * x - y * y
+        assert determinant([[x, y], [y, x]]) == x * x - y * y
         with pytest.raises(ValueError, match="up to 4 term products, more than the limit of 2 "):
-            determinant(PolyMatrix([[x + y + 1, y], [y, x]]))
+            determinant([[x + y + 1, y], [y, x]])
 
     @pytest.mark.parametrize("p", [None, 32003], ids=["ZZ", "GF32003"])
     def test_term_counts(self, p):
@@ -840,38 +886,52 @@ class TestEvaluate:
 
 
 class TestWedgeTrace:
+    """The trace of the i-th exterior power of alpha, the sum of its
+    principal i x i minors, from the principal picks of
+    `_trace_identity_picks`: the first C(d, i), on rows 2d.. of
+    [A; A * alpha; alpha]."""
+
     def _generic(self, d, seed_names="m"):
         ring = PolyRing(d * d, lambda k: f"{seed_names}[{k // d + 1}][{k % d + 1}]")
-        return PolyMatrix([[ring.var(r * d + c) for c in range(d)] for r in range(d)])
+        return [[ring.var(r * d + c) for c in range(d)] for r in range(d)]
+
+    @staticmethod
+    def exterior_trace(m, i):
+        d = len(m)
+        principal = _trace_identity_picks(d, i)[:comb(d, i)]
+        assert [(tuple(r - 2 * d for r in rows), cols) for rows, cols in principal] == [
+            (rows, rows) for rows in itertools.combinations(range(d), i)
+        ]
+        # only alpha's rows are read, so A and A * alpha may be anything
+        return sum(_minors(3 * m, principal), m[0][0].ring.zero())
 
     def test_extremes(self):
         m = self._generic(3)
-        assert wedge_trace(m, 0) == m.ring.one()
-        assert wedge_trace(m, 3) == determinant(m)
+        assert self.exterior_trace(m, 3) == determinant(m)
 
     def test_i1_is_trace(self):
         m = self._generic(3)
-        expected = m[0, 0] + m[1, 1] + m[2, 2]
-        assert wedge_trace(m, 1) == expected
+        expected = m[0][0] + m[1][1] + m[2][2]
+        assert self.exterior_trace(m, 1) == expected
 
     def test_generic_4x4_matches_leibniz(self):
         m = self._generic(4)
         for i in range(1, 5):
-            expected = m.ring.zero()
+            expected = m[0][0].ring.zero()
             for rows in itertools.combinations(range(4), i):
-                sub = PolyMatrix([[m[r, c] for c in rows] for r in rows])
+                sub = [[m[r][c] for c in rows] for r in rows]
                 expected = expected + brute_determinant(sub)
-            assert wedge_trace(m, i) == expected
+            assert self.exterior_trace(m, i) == expected
 
     def test_char_poly_coefficients(self):
-        # det(I*t + M) = sum_i wedge_trace(M, i) * t^(d-i), checked at
-        # integer values of t
+        # det(I*t + M) = sum_i exterior_trace(M, i) * t^(d-i), checked at
+        # integer values of t; the i = 0 coefficient is 1
         d = 3
         m = self._generic(d)
         rng = random.Random(5)
         pt = [rng.randint(-5, 5) for _ in range(d * d)]
         p = 32003
-        vals = [[m[i, j].evaluate(pt, p) for j in range(d)] for i in range(d)]
+        vals = [[m[i][j].evaluate(pt, p) for j in range(d)] for i in range(d)]
         for t in (1, 2, -3):
             shifted = [
                 [vals[i][j] + (t if i == j else 0) for j in range(d)]
@@ -882,8 +942,8 @@ class TestWedgeTrace:
                 - shifted[0][1] * (shifted[1][0] * shifted[2][2] - shifted[1][2] * shifted[2][0])
                 + shifted[0][2] * (shifted[1][0] * shifted[2][1] - shifted[1][1] * shifted[2][0])
             )
-            total = sum(
-                wedge_trace(m, i).evaluate(pt, p) * t ** (d - i) for i in range(d + 1)
+            total = t**d + sum(
+                self.exterior_trace(m, i).evaluate(pt, p) * t ** (d - i) for i in range(1, d + 1)
             )
             assert det % p == total % p
 
@@ -894,35 +954,56 @@ class TestTraceIdentity:
         report = trace_identity_check(d, i)
         assert report.passed, report.details
 
-    def test_detects_dropped_row_set(self):
-        # omitting one of the row subsets from the right side must
-        # break the identity, so a collapsed check would be caught
-        ring = PolyRing(8)
-        a = PolyMatrix([[ring.var(r * 2 + c) for c in range(2)] for r in range(2)])
-        al = PolyMatrix([[ring.var(4 + r * 2 + c) for c in range(2)] for r in range(2)])
-        lhs = wedge_trace(al, 1) * determinant(a)
-        product = a.matmul(al)
-        rhs = determinant(a.replace_rows([0], product))
-        assert not (lhs - rhs).is_zero()
+    @staticmethod
+    def _corrupted(monkeypatch, change):
+        real = polysym._trace_identity_picks
+        monkeypatch.setattr(polysym, "_trace_identity_picks", lambda d, i: change(d, real(d, i)))
+
+    CORRUPTED_CASES = [(2, 1), (3, 1), (3, 2)]
+
+    def test_detects_dropped_row_set(self, monkeypatch):
+        # omitting one of the row sets from the right side must break
+        # the identity, so a check that compared a side with itself
+        # would be caught
+        self._corrupted(monkeypatch, lambda d, picks: picks[:-1])
+        for d, i in self.CORRUPTED_CASES:
+            report = trace_identity_check(d, i)
+            assert [f["kind"] for f in report.details] == ["nonzero_difference"], (d, i)
+
+    def test_detects_a_row_taken_from_a(self, monkeypatch):
+        # the last row set's first replaced row read from A instead of
+        # A * alpha
+        def from_a(d, picks):
+            rows, cols = picks[-1]
+            first = next(k for k, r in enumerate(rows) if d <= r < 2 * d)
+            return picks[:-1] + [(rows[:first] + (rows[first] - d,) + rows[first + 1:], cols)]
+
+        self._corrupted(monkeypatch, from_a)
+        for d, i in self.CORRUPTED_CASES:
+            report = trace_identity_check(d, i)
+            assert [f["kind"] for f in report.details] == ["nonzero_difference"], (d, i)
 
     @pytest.mark.parametrize("d,i", [(d, i) for d in (1, 2, 3, 4) for i in range(1, d + 1)])
     def test_products_are_those_of_its_minors(self, monkeypatch, d, i):
-        # the bound the check refuses on is the sum of the bounds that
-        # its `_minors` calls count on the matrices it builds
-        checked = []
-        real = polysym.check_minor_products
+        # the bound the check refuses on is the bound that its one
+        # `_minors` call counts on the matrix it builds
+        checked, calls = [], []
+        real_check, real_minors = polysym.check_minor_products, polysym._minors
 
         def recording(work, what):
             checked.append((what, work))
-            real(work, what)
+            real_check(work, what)
+
+        def counting(entries, picks):
+            calls.append(picks)
+            return real_minors(entries, picks)
 
         monkeypatch.setattr(polysym, "check_minor_products", recording)
+        monkeypatch.setattr(polysym, "_minors", counting)
         assert trace_identity_check(d, i).passed
-        (first, bound), *calls = checked
-        assert first == f"the minors of the trace identity at d={d}, i={i}"
-        assert len(calls) == comb(d, i) + 2
-        assert all(what == "the minors" for what, _ in calls)
-        assert bound == trace_identity_products(d, i) == sum(work for _, work in calls)
+        assert calls == [_trace_identity_picks(d, i)]
+        bound = trace_identity_products(d, i)
+        assert checked == [(f"the minors of the trace identity at d={d}, i={i}", bound), ("the minors", bound)]
 
     def test_over_the_product_limit_raises_before_expanding(self, monkeypatch):
         # (7, 4) bounds at 4.2e8 term products
@@ -949,27 +1030,3 @@ class TestTraceIdentity:
         assert report.check == "trace-minor-identity"
         assert report.params == {"d": 2, "i": 2}
         assert report.details == []
-
-
-class TestPolyMatrix:
-    def test_matmul_against_manual(self):
-        ring = PolyRing(4)
-        a = PolyMatrix([[ring.var(0), ring.var(1)], [ring.var(2), ring.var(3)]])
-        sq = a.matmul(a)
-        assert sq[0, 0] == ring.var(0) * ring.var(0) + ring.var(1) * ring.var(2)
-
-    def test_stack_and_shapes(self):
-        ring = PolyRing(2)
-        row = PolyMatrix([[ring.var(0), ring.var(1)]])
-        stacked = row.stack(row)
-        assert (stacked.nrows, stacked.ncols) == (2, 2)
-        with pytest.raises(ValueError):
-            row.stack(PolyMatrix([[ring.var(0)]]))
-
-    def test_replace_rows(self):
-        ring = PolyRing(4)
-        a = PolyMatrix([[ring.var(0), ring.var(1)], [ring.var(2), ring.var(3)]])
-        b = a.matmul(a)
-        mixed = a.replace_rows([1], b)
-        assert mixed[0, 0] == a[0, 0]
-        assert mixed[1, 0] == b[1, 0]

@@ -7,7 +7,6 @@ import pytest
 
 from kalvar.bott import BottOutcome, dotted_bott
 from kalvar.partitions import Partition
-from kalvar.polysym import BlockLayout
 from kalvar.report import CheckReport
 from kalvar.resolution import (
     BettiTable,
@@ -29,8 +28,6 @@ INVALID = [
     (BottOutcome(False, 0, (0,)), {"degree": None}, BOTT_RULE),
     (BottOutcome(False, 0, (0,)), {"vanishes": True}, BOTT_RULE),
     (BottOutcome(True, None, None), {"eta": ()}, BOTT_RULE),
-    (BlockLayout(2, 4), {"n": 2}, "need 1 <= d < n, got d=2, n=2"),
-    (BlockLayout(2, 4), {"d": 0}, "need 1 <= d < n, got d=0, n=4"),
     (KalmanParams(1, 2, 3), {"s": 0}, "need 1 <= s <= d < n, got KalmanParams(s=0, d=2, n=3)"),
     (KalmanParams(1, 2, 3), {"n": 2}, "need 1 <= s <= d < n, got KalmanParams(s=1, d=2, n=2)"),
     (
@@ -85,7 +82,6 @@ def records():
         dotted_bott((0, 1)),
         dotted_bott((1, 0)),
         report,
-        BlockLayout(2, 4),
         params,
         TERM,
         BettiTable("chain", params, [TERM]),

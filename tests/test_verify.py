@@ -2,6 +2,7 @@
 graded rank computations, minimality and Hilbert checks."""
 
 import random
+import re
 from functools import lru_cache
 from math import comb, prod
 
@@ -10,11 +11,10 @@ import pytest
 
 from kalvar import verify
 from kalvar.polysym import (
-    BlockLayout,
     PolyRing,
     all_top_minors,
+    evaluate_many,
     grevlex_key,
-    minor,
     reduced_kalman_matrix,
 )
 from kalvar.resolution import chain_resolution, hilbert_numerator
@@ -127,14 +127,26 @@ class TestRandomPoint:
             assert col == [pt.eigenvalue, 0, 0, 0]
 
     def test_flatten_matches_layout(self):
-        rng = random.Random(1)
-        pt = random_kalman_point(2, 3, 101, rng)
-        flat = pt.flatten()
-        layout = BlockLayout(2, 3)
-        assert len(flat) == 6
-        for i in range(1, 4):
-            for j in range(1, 3):
-                assert flat[layout.var_index(i, j)] == pt.entries[i - 1][j - 1]
+        # coordinate k of the flattened point is the entry named by
+        # variable k of the reduced matrix's ring, and the reduced
+        # matrix at the point is gamma * alpha^r of the point's entries
+        p = 101
+        for d, n in [(2, 3), (2, 4), (3, 5)]:
+            pt = random_kalman_point(d, n, p, random.Random(1))
+            flat = pt.flatten()
+            m = reduced_kalman_matrix(d, n)
+            ring = m[0][0].ring
+            assert len(flat) == ring.nvars == n * d
+            for k, value in enumerate(flat):
+                i, j = map(int, re.fullmatch(r"x\[(\d+)\]\[(\d+)\]", ring.var_name(k)).groups())
+                assert value == pt.entries[i - 1][j - 1]
+            alpha = [row[:d] for row in pt.entries[:d]]
+            block = [row[:d] for row in pt.entries[d:]]
+            values = iter(evaluate_many([e for row in m for e in row], [flat], p)[0])
+            for _ in range(d):
+                for row in block:
+                    assert [next(values) for _ in range(d)] == [v % p for v in row]
+                block = [[sum(row[k] * alpha[k][j] for k in range(d)) for j in range(d)] for row in block]
 
     def test_deterministic_given_seed(self):
         cfg = PrimeFieldConfig(seed=5)
@@ -159,17 +171,16 @@ class TestVanishing:
     def test_coordinate_function_does_not_vanish(self):
         # sensitivity control: a random coordinate is not identically
         # zero on the locus, so the harness can actually fail
-        layout = BlockLayout(2, 4)
-        ring = layout.ring()
-        x11 = ring.var(layout.var_index(1, 1))
+        ring = reduced_kalman_matrix(2, 4)[0][0].ring
+        x11 = ring.var(0)
+        assert str(x11) == "1*x[1][1]^1"
         report = vanishing_test([x11], 2, 4, trials=20)
         assert not report.passed
         assert any(f["kind"] == "nonvanishing" for f in report.details)
 
     def test_perturbed_minor_detected(self):
-        ring = BlockLayout(2, 4).ring()
-        good = minor(reduced_kalman_matrix(2, 4), (0, 1), (0, 1))
-        bad = good + ring.var(0) * ring.var(0)
+        good = all_top_minors(2, 4)[0][1]
+        bad = good + good.ring.var(0) * good.ring.var(0)
         report = vanishing_test([bad], 2, 4, trials=20)
         assert not report.passed
 
@@ -180,9 +191,10 @@ class TestVanishing:
         d, n, trials = 2, 4, 8
         cfg = PrimeFieldConfig(seed=31)
         p = cfg.modulus
-        layout = BlockLayout(d, n)
         minors = [g for _, g in all_top_minors(d, n)]
-        gens = [minors[0], layout.ring().var(layout.var_index(2, 2)), minors[-1]]
+        x22 = minors[0].ring.var(3)
+        assert str(x22) == "1*x[2][2]^1"
+        gens = [minors[0], x22, minors[-1]]
         drawn = []
 
         def draw(*args):
@@ -219,6 +231,21 @@ class TestVanishing:
         with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
             vanishing_test([p for _, p in all_top_minors(2, 3)], 2, 3, trials=0)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_bad_trials_refused_before_any_minor(self, monkeypatch, trials):
+        # minors_vanishing_check(4, 6) would build 70 minors, and
+        # hypersurface_check(4) an 11,912-term determinant, first
+        def no_minors(*args):
+            raise AssertionError("a minor was built before the trials check")
+
+        monkeypatch.setattr(verify, "all_top_minors", no_minors)
+        monkeypatch.setattr(verify, "determinant", no_minors)
+        message = f"^trials must be at least 1, got {trials}$"
+        with pytest.raises(ValueError, match=message):
+            minors_vanishing_check(4, 6, trials=trials)
+        with pytest.raises(ValueError, match=message):
+            hypersurface_check(4, trials=trials)
+
     def test_no_generators_rejected(self):
         with pytest.raises(ValueError, match="no generators"):
             vanishing_test([], 2, 3, trials=5)
@@ -240,7 +267,7 @@ class TestGeneratorsVanishingModP:
 
     @staticmethod
     def quad_and_tripled():
-        quad = minor(reduced_kalman_matrix(2, 4), (0, 1), (0, 1))
+        quad = all_top_minors(2, 4)[0][1]
         return quad, 3 * (quad + quad.ring.var(0))
 
     @pytest.fixture
@@ -355,7 +382,7 @@ class TestGradedRanks:
         # a cubic in one of the 18 variables, at degree 9: its
         # multipliers number C(23, 6) = 100,947, but the target piece
         # has C(26, 9) monomials
-        ring = BlockLayout(3, 6).ring()
+        ring = reduced_kalman_matrix(3, 6)[0][0].ring
         with pytest.raises(MonomialCapExceeded) as exc:
             minimality_report(3, 6, 9, generators=[ring.var(0) ** 3])
         assert exc.value.required == comb(26, 9) == 3_124_550
@@ -440,7 +467,7 @@ def ideal_dims(d, n, max_degree, generators, cfg=PrimeFieldConfig()):
 class TestGradedDimension:
     def test_single_generator_dims(self):
         # the quadric times the sixteen variables of k[x] in degree 3
-        quad = minor(reduced_kalman_matrix(2, 4), (0, 1), (0, 1))
+        quad = all_top_minors(2, 4)[0][1]
         assert quad.degree() == 2
         assert ideal_dims(2, 4, 3, [quad]) == [0, 1, 16]
 
@@ -505,7 +532,7 @@ class TestTruncatedHilbert:
     def test_detects_wrong_generators(self):
         # quadric alone does not cut out the variety, so its quotient
         # dimensions must exceed the predicted ones somewhere
-        quad = minor(reduced_kalman_matrix(2, 4), (0, 1), (0, 1))
+        quad = all_top_minors(2, 4)[0][1]
         measured = truncated_hilbert([quad], 4, 3)
         assert measured != hilbert_numerator(chain_resolution(1, 2, 4)).expand(3)
 
