@@ -29,8 +29,8 @@ value(low) over the terms with that high half.
 A matrix is a plain list of rows of polynomials.  Every minor, those of
 the stacked matrix (`reduced_kalman_matrix`) and those of the trace
 identity alike, comes from one Laplace expansion (`_minors`), which
-bounds its work up front and refuses more than MAX_MINOR_PRODUCTS term
-products.
+refuses more than MAX_MINOR_PRODUCTS term products up front and hands
+each finished minor to its caller, who decides how long it lives.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import operator
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .report import CheckReport
 
@@ -397,7 +397,7 @@ def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence[int]], 
     return out
 
 
-# Term products that one `_minors` call may take, by its up-front bound.
+# The limit on the up-front bound of one `_minors` call, `_count_products`.
 # all_top_minors(4, 6) bounds at 6.5e7 and ran in 4 s and 215 MB; (4, 7)
 # bounds at 8.6e8 and took 54 s and 1.85 GB, (5, 6) at 1.0e9 ran past
 # 96 s, and (5, 7) at 4.7e13 ran past 150 s and 5 GB.  All three are
@@ -419,11 +419,11 @@ def _count_products(
     sizes: Sequence[Sequence[int]], picks: Sequence[tuple[tuple, tuple]]
 ) -> tuple[int, dict[tuple, int]]:
     """The counting pass of `_minors`, on the term count of each entry:
-    the term products that the (rows, cols) picks take together, each
-    shared sub-minor counted once, and the uses of every sub-minor key.
-    The products of no rows are 1, and those of a pick are the sum, over
-    its first row's entries, of the entry's term count times the
-    products of the sub-minor it multiplies."""
+    the top-level term products of the (rows, cols) picks, added at every
+    use, so a pick given twice counts twice and no sub-minor's own
+    building is counted; and the uses of every sub-minor key.  Those of
+    no rows are 1, and those of a pick are the sum, over its first row's
+    entries, of the entry's term count times those of its sub-minor."""
     uses: dict[tuple, int] = {}
     products: dict[tuple, int] = {}
 
@@ -444,16 +444,13 @@ def _count_products(
 def _minors(
     entries: Sequence[Sequence[SparsePoly]],
     picks: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> list[SparsePoly]:
-    """The minor on each (rows, cols) pick of the matrix `entries`, in
-    the order given, by Laplace expansion along the first row of `rows`.
-    The minors are in the ring of the entries.
-
-    A sub-minor is keyed by its remaining rows and columns, built once,
-    shared by every minor that expands into it, and dropped after its
-    last use.  Picks are computed highest rows first: the heaviest
-    minors sit on the highest-degree rows, so their transients peak
-    before the lighter results pile up.
+) -> Iterator[SparsePoly]:
+    """An iterator over the minor on each (rows, cols) pick of the
+    matrix `entries`, in the order given, by Laplace expansion along the
+    first row of `rows`, in the ring of the entries.  A finished minor is
+    handed out and not kept.  A sub-minor is keyed by its remaining rows
+    and columns, built once, shared by every minor that expands into it,
+    and dropped after its last use.
 
     The expansion works on the terms dicts of the entries and of the
     sub-minors directly, since a packed monomial product is one int add.
@@ -463,8 +460,8 @@ def _minors(
 
     The size of the work is bounded up front, in the pass that counts
     each sub-minor's uses (`_count_products`).  Picks whose products sum
-    to more than MAX_MINOR_PRODUCTS raise ValueError before any minor is
-    expanded.
+    to more than MAX_MINOR_PRODUCTS raise ValueError.  Both refusals are
+    raised by the call, before the iterator is returned.
     """
     picks = [(tuple(rows), tuple(cols)) for rows, cols in picks]
     degrees = [[e.degree() for e in row] for row in entries]
@@ -501,10 +498,8 @@ def _minors(
             del memo[key]
         return value
 
-    order = sorted(range(len(picks)), key=lambda i: sorted(picks[i][0], reverse=True), reverse=True)
     ring = entries[0][0].ring
-    values = {i: SparsePoly(ring, take(picks[i])) for i in order}
-    return [values[i] for i in range(len(picks))]
+    return (SparsePoly(ring, take(pick)) for pick in picks)
 
 
 def determinant(rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
@@ -512,7 +507,7 @@ def determinant(rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant needs a nonempty square matrix")
     every = range(len(rows))
-    return _minors(rows, [(every, every)])[0]
+    return next(_minors(rows, [(every, every)]))
 
 
 def _matmul(a: Sequence[Sequence[SparsePoly]], b: Sequence[Sequence[SparsePoly]]) -> list[list[SparsePoly]]:
@@ -543,25 +538,26 @@ def reduced_kalman_matrix(d: int, n: int) -> list[list[SparsePoly]]:
 
 def all_top_minors(d: int, n: int) -> list[tuple[tuple[int, ...], SparsePoly]]:
     """Every d x d minor of the reduced matrix with its row set, row sets
-    in lexicographic order."""
+    in lexicographic order.  They are built highest rows first: the
+    heaviest minors sit on the highest-degree rows, so their transients
+    peak before the lighter results pile up."""
     matrix = reduced_kalman_matrix(d, n)
-    picks = list(itertools.combinations(range(len(matrix)), d))
-    polys = _minors(matrix, [(rows, range(d)) for rows in picks])
-    return list(zip(picks, polys))
+    picks = sorted(itertools.combinations(range(len(matrix)), d), key=lambda rows: rows[::-1], reverse=True)
+    return sorted(zip(picks, _minors(matrix, [(rows, range(d)) for rows in picks])))
 
 
 def _trace_identity_picks(d: int, i: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (rows, cols) picks of `trace_identity_check(d, i)` on the
-    3d x d matrix [A; A * alpha; alpha]: the principal i x i minors of
-    alpha, then det A, then det A with each size-i row set replaced by
-    those rows of A * alpha, row sets in lexicographic order."""
+    3d x d matrix [A; A * alpha; alpha], in the order it adds them up:
+    det A, the principal i x i minors of alpha, then det A with each
+    size-i row set replaced by those rows of A * alpha, lexicographically."""
     if not 1 <= i <= d:
         raise ValueError(f"need 1 <= i <= d, got i={i}, d={d}")
     every = tuple(range(d))
     row_sets = list(itertools.combinations(every, i))
     principal = [(tuple(2 * d + r for r in rows), rows) for rows in row_sets]
     replaced = [(tuple(d + r if r in rows else r for r in every), every) for rows in row_sets]
-    return principal + [(every, every)] + replaced
+    return [(every, every)] + principal + replaced
 
 
 def trace_identity_products(d: int, i: int) -> int:
@@ -578,9 +574,10 @@ def trace_identity_check(d: int, i: int) -> CheckReport:
     times det A equals the sum over size-i row sets of det A after
     replacing those rows with the corresponding rows of A * alpha.
     Both sides have integer coefficients, so checking over the integers
-    is as strong as checking over the rationals.  All the minors come
-    from one `_minors` call on `_trace_identity_picks(d, i)`, and minors
-    that together take more than MAX_MINOR_PRODUCTS term products
+    is as strong as checking over the rationals.  The minors come from one
+    `_minors` call on `_trace_identity_picks(d, i)`, added up as they come
+    (det A times the trace last), one row-replaced determinant alive at a
+    time; more than MAX_MINOR_PRODUCTS term products in all
     (`trace_identity_products`) raise ValueError before any is built."""
     check_minor_products(
         trace_identity_products(d, i), f"the minors of the trace identity at d={d}, i={i}"
@@ -595,10 +592,10 @@ def trace_identity_check(d: int, i: int) -> CheckReport:
     a_mat = [[ring.var(r * d + c) for c in range(d)] for r in range(d)]
     alpha = [[ring.var(d * d + r * d + c) for c in range(d)] for r in range(d)]
     minors = _minors(a_mat + _matmul(a_mat, alpha) + alpha, _trace_identity_picks(d, i))
-    principal = comb(d, i)
-    det_a, *replaced = minors[principal:]
-    lhs = sum(minors[:principal], ring.zero()) * det_a
-    rhs = sum(replaced, ring.zero())
+    det_a = next(minors)
+    trace = sum(itertools.islice(minors, comb(d, i)), ring.zero())
+    rhs = sum(minors, ring.zero())
+    lhs = trace * det_a
     diff = lhs - rhs
     details = [] if diff.is_zero() else [{"kind": "nonzero_difference", "difference": str(diff)}]
     return CheckReport(

@@ -260,11 +260,15 @@ class SpanEliminator:
         return False
 
 
-def _by_degree(gens: Sequence[SparsePoly]) -> dict[int, list[SparsePoly]]:
-    """The nonzero generators grouped by degree; each must be homogeneous.
-    Each generator's term degrees are read once."""
+def _by_degree_mod_p(gens: list[SparsePoly], nvars: int, p: int) -> dict[int, list[SparsePoly]]:
+    """The graded checks' intake: the nonzero generators over GF(p), each
+    homogeneous in `nvars` variables, by degree in the order given.  It
+    replaces gens[k] by its reduction as it reads it, so `gens` must be a
+    list of the caller's own; an integer generator it alone held is freed."""
+    _check_nvars(gens, nvars)
     out: dict[int, list[SparsePoly]] = {}
-    for g in gens:
+    for k in range(len(gens)):
+        gens[k] = g = _mod_p(gens[k], p)
         degrees = g.term_degrees()
         if len(degrees) > 1:
             raise ValueError("generators must be homogeneous")
@@ -327,15 +331,15 @@ def truncated_hilbert(
     cfg: PrimeFieldConfig = PrimeFieldConfig(),
 ) -> list[int]:
     """Dimensions of the graded pieces of k[x]/(generators), degrees 0
-    through max_degree, from ranks taken in the ring of the generators,
-    k[alpha, gamma] of `reduced_kalman_matrix`, and lifted to k[x]."""
+    through max_degree, from ranks over GF(p) of a reduced copy of the
+    generators (`_by_degree_mod_p`) in k[alpha, gamma], lifted to k[x]."""
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
+    generators = list(generators)
     if not generators:
         raise ValueError("no generators")
     nvars = generators[0].ring.nvars
-    _check_nvars(generators, nvars)
-    by_degree = _by_degree([_mod_p(g, cfg.modulus) for g in generators])
+    by_degree = _by_degree_mod_p(generators, nvars, cfg.modulus)
     quotient = [
         monomial_count(nvars, e) - _graded_ranks(by_degree, e, nvars, cfg.modulus)[1]
         for e in range(max_degree + 1)
@@ -360,7 +364,8 @@ def minimality_report(
     new generators the ideal needs there.  The ranks are taken in
     k[alpha, gamma]; `ideal_dim` is lifted to k[x], where the rank jump,
     a count of minimal generators, is the same.  A generator that
-    vanishes mod p is dropped and not counted in `generator_count`.
+    vanishes mod p is dropped and not counted in `generator_count`.  The
+    minors, or a copy of a given list, are reduced in place (`_by_degree_mod_p`).
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
@@ -368,10 +373,8 @@ def minimality_report(
     nvars = n * d
     _capped_count(nvars, max_degree)
     check_degree(max_degree, "a graded piece")
-    if generators is None:
-        generators = [g for _, g in all_top_minors(d, n)]
-    _check_nvars(generators, nvars)
-    by_degree = _by_degree([_mod_p(g, cfg.modulus) for g in generators])
+    generators = [g for _, g in all_top_minors(d, n)] if generators is None else list(generators)
+    by_degree = _by_degree_mod_p(generators, nvars, cfg.modulus)
 
     predicted: dict[int, int] = {}
     for rec in minimal_generators(d, n):

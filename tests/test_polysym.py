@@ -4,6 +4,7 @@ minors, and the trace identity."""
 import itertools
 import random
 import re
+import sys
 from fractions import Fraction
 from math import comb, prod
 
@@ -17,6 +18,7 @@ from kalvar.polysym import (
     MILLER_RABIN_LIMIT,
     PolyRing,
     SparsePoly,
+    _count_products,
     _matmul,
     _minors,
     _split_plan,
@@ -538,7 +540,7 @@ class TestMinors:
         m = reduced_kalman_matrix(2, 4)
         quad = all_top_minors(2, 4)[0][1]
         assert determinant([m[1], m[0]]) == -determinant(m[:2]) == -quad
-        assert _minors(m, [((1, 0), (0, 1)), ((0, 1), (0, 1)), ((0, 1), (1, 0))]) == [-quad, quad, -quad]
+        assert list(_minors(m, [((1, 0), (0, 1)), ((0, 1), (0, 1)), ((0, 1), (1, 0))])) == [-quad, quad, -quad]
 
     def test_repeated_rows_give_zero(self):
         # a pick that repeats a row or a column is the determinant of a
@@ -555,7 +557,7 @@ class TestMinors:
 
     def test_empty_minor_is_one(self):
         m = reduced_kalman_matrix(2, 4)
-        assert _minors(m, [((), ())]) == [m[0][0].ring.one()]
+        assert list(_minors(m, [((), ())])) == [m[0][0].ring.one()]
 
     @staticmethod
     def _by_composition(d, n):
@@ -626,7 +628,7 @@ class TestMinors:
         m = reduced_kalman_matrix(3, 5)
         for rows, cols in [((3, 0, 5), (2, 0, 1)), ((4, 1, 2), (1, 2, 0)), ((5, 3, 1), (0, 2, 1))]:
             sub = [[m[r][c] for c in cols] for r in rows]
-            assert _minors(m, [(rows, cols)])[0] == brute_determinant(sub)
+            assert list(_minors(m, [(rows, cols)])) == [brute_determinant(sub)]
 
     @pytest.mark.parametrize("p", [None, 32003], ids=["ZZ", "GF32003"])
     @given(data=st.data())
@@ -637,10 +639,10 @@ class TestMinors:
         shuffled = [[m[r][c] for c in cols] for r in rows]
         if p is None:
             assert determinant(m) == brute_determinant(m)
-            assert _minors(m, [(rows, cols)])[0] == brute_determinant(shuffled)
+            assert list(_minors(m, [(rows, cols)])) == [brute_determinant(shuffled)]
             return
         pt = data.draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3))
-        for got, sub in ((determinant(m), m), (_minors(m, [(rows, cols)])[0], shuffled)):
+        for got, sub in ((determinant(m), m), (next(_minors(m, [(rows, cols)])), shuffled)):
             values = [[evaluate_oracle(e, pt, p) for e in row] for row in sub]
             assert got.evaluate(pt, p) == leibniz_mod_p(values, p)
 
@@ -660,9 +662,12 @@ class TestMinors:
         wide = ring.reduce({ring.pack((200, 56)): 1})
         with pytest.raises(ValueError, match="a minor may reach degree 256"):
             determinant([[wide]])
+        # the call refuses a pick before its result is iterated
+        with pytest.raises(ValueError, match="a minor may reach degree 256"):
+            _minors(over, [((1,), (0,)), ((0, 1), (0, 1))])
         # only the rows and columns of the pick count towards the bound
-        assert _minors(over, [((1,), (0,))]) == [y]
-        assert _minors([[wide, y], [y, x]], [((1,), (1,)), ((1,), (0,))]) == [x, y]
+        assert list(_minors(over, [((1,), (0,))])) == [y]
+        assert list(_minors([[wide, y], [y, x]], [((1,), (1,)), ((1,), (0,))])) == [x, y]
 
     @pytest.mark.parametrize(
         "d,n,products",
@@ -692,6 +697,14 @@ class TestMinors:
         assert determinant([[x, y], [y, x]]) == x * x - y * y
         with pytest.raises(ValueError, match="up to 4 term products, more than the limit of 2 "):
             determinant([[x + y + 1, y], [y, x]])
+
+    def test_a_pick_counts_at_every_use(self):
+        # a 3 x 3 of single terms takes 3 * 2 products at its top level;
+        # the same pick given twice counts twice, though it is built once
+        sizes = [[1] * 3] * 3
+        pick = ((0, 1, 2), (0, 1, 2))
+        assert _count_products(sizes, [pick])[0] == 6
+        assert _count_products(sizes, [pick, pick])[0] == 12
 
     @pytest.mark.parametrize("p", [None, 32003], ids=["ZZ", "GF32003"])
     def test_term_counts(self, p):
@@ -888,7 +901,7 @@ class TestEvaluate:
 class TestWedgeTrace:
     """The trace of the i-th exterior power of alpha, the sum of its
     principal i x i minors, from the principal picks of
-    `_trace_identity_picks`: the first C(d, i), on rows 2d.. of
+    `_trace_identity_picks`: the C(d, i) after det A, on rows 2d.. of
     [A; A * alpha; alpha]."""
 
     def _generic(self, d, seed_names="m"):
@@ -898,7 +911,7 @@ class TestWedgeTrace:
     @staticmethod
     def exterior_trace(m, i):
         d = len(m)
-        principal = _trace_identity_picks(d, i)[:comb(d, i)]
+        principal = _trace_identity_picks(d, i)[1:1 + comb(d, i)]
         assert [(tuple(r - 2 * d for r in rows), cols) for rows, cols in principal] == [
             (rows, rows) for rows in itertools.combinations(range(d), i)
         ]
@@ -1004,6 +1017,32 @@ class TestTraceIdentity:
         assert calls == [_trace_identity_picks(d, i)]
         bound = trace_identity_products(d, i)
         assert checked == [(f"the minors of the trace identity at d={d}, i={i}", bound), ("the minors", bound)]
+
+    @pytest.mark.parametrize("d,i", [(3, 1), (3, 2), (4, 2)])
+    def test_adds_each_minor_up_as_it_comes(self, monkeypatch, d, i):
+        # whenever the check asks for its next minor, every earlier one
+        # but det A is held by nothing but `given`.  SparsePoly has no
+        # weakref slot, so the references are counted; getrefcount also
+        # counts its own argument
+        real = polysym._minors
+        given, alive = [], []
+
+        class Watched:
+            def __init__(self, minors):
+                self.minors = minors
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                alive.append([k for k in range(1, len(given)) if sys.getrefcount(given[k]) > 2])
+                given.append(next(self.minors))
+                return given[-1]
+
+        monkeypatch.setattr(polysym, "_minors", lambda entries, picks: Watched(real(entries, picks)))
+        assert trace_identity_check(d, i).passed
+        assert len(given) == len(_trace_identity_picks(d, i))
+        assert alive == [[]] * (len(given) + 1)
 
     def test_over_the_product_limit_raises_before_expanding(self, monkeypatch):
         # (7, 4) bounds at 4.2e8 term products
