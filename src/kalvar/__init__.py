@@ -2,105 +2,3 @@
 equations, and independent finite-field verification."""
 
 __version__ = "0.1.0"
-
-from .partitions import (
-    Box,
-    Partition,
-    SkewShape,
-    partitions_in_box,
-    schur_dim,
-    skew_schur_dim,
-)
-from .bott import (
-    BottOutcome,
-    bundle_cohomology,
-    bundle_weight,
-    dotted_bott,
-    exhaustive_dotted_check,
-    rho,
-)
-from .report import CheckFailure, CheckReport
-from .resolution import (
-    BettiTable,
-    BettiTerm,
-    GeneratorRecord,
-    HilbertSeries,
-    KalmanParams,
-    chain_resolution,
-    f0_check,
-    hilbert_numerator,
-    les_euler_check,
-    minimal_generators,
-    part_iii_profile,
-    pd_and_reg,
-    resolution_normalization,
-)
-from .polysym import (
-    PolyRing,
-    SparsePoly,
-    all_top_minors,
-    determinant,
-    evaluate_many,
-    reduced_kalman_matrix,
-    trace_identity_check,
-)
-from .verify import (
-    KalmanPoint,
-    MonomialCapExceeded,
-    PrimeFieldConfig,
-    hypersurface_check,
-    minimality_report,
-    minors_vanishing_check,
-    random_kalman_point,
-    truncated_hilbert,
-    truncated_hilbert_check,
-    vanishing_test,
-)
-
-__all__ = [
-    "Box",
-    "Partition",
-    "SkewShape",
-    "partitions_in_box",
-    "schur_dim",
-    "skew_schur_dim",
-    "BottOutcome",
-    "bundle_cohomology",
-    "bundle_weight",
-    "dotted_bott",
-    "exhaustive_dotted_check",
-    "rho",
-    "CheckFailure",
-    "CheckReport",
-    "BettiTable",
-    "BettiTerm",
-    "GeneratorRecord",
-    "HilbertSeries",
-    "KalmanParams",
-    "chain_resolution",
-    "f0_check",
-    "hilbert_numerator",
-    "les_euler_check",
-    "minimal_generators",
-    "part_iii_profile",
-    "pd_and_reg",
-    "resolution_normalization",
-    "PolyRing",
-    "SparsePoly",
-    "all_top_minors",
-    "determinant",
-    "evaluate_many",
-    "reduced_kalman_matrix",
-    "trace_identity_check",
-    "KalmanPoint",
-    "MonomialCapExceeded",
-    "PrimeFieldConfig",
-    "hypersurface_check",
-    "minimality_report",
-    "minors_vanishing_check",
-    "random_kalman_point",
-    "truncated_hilbert",
-    "truncated_hilbert_check",
-    "vanishing_test",
-    "__version__",
-]

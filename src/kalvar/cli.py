@@ -152,6 +152,20 @@ def _report_payload(command: str, report: CheckReport, rows_key: str | None = No
     return payload
 
 
+def _grid_payload(command: str, params: dict, columns: list[str], grid: list[tuple], check) -> dict:
+    """The payload of `check` run once per case of `grid`: one row per
+    case, its verdict last."""
+    rows = [[*case, check(*case).verdict] for case in grid]
+    return {
+        "command": command,
+        "params": params,
+        "summary": {"cases": len(rows)},
+        "columns": columns + ["verdict"],
+        "rows": rows,
+        "passed": all(r[-1] == "pass" for r in rows),
+    }
+
+
 def cmd_resolution(args) -> dict:
     if args.module == "chain":
         table = chain_resolution(args.s, args.d, args.n)
@@ -241,15 +255,8 @@ def cmd_check_les(args) -> dict:
         sum(les_pair_count(d, n) for d, n in grid),
         f"check-les --max-d {args.max_d} --max-n {args.max_n}",
     )
-    rows = [[d, n, les_euler_check(d, n).verdict] for d, n in grid]
-    return {
-        "command": "check-les",
-        "params": {"max_d": args.max_d, "max_n": args.max_n},
-        "summary": {"cases": len(rows)},
-        "columns": ["d", "n", "verdict"],
-        "rows": rows,
-        "passed": all(r[2] == "pass" for r in rows),
-    }
+    params = {"max_d": args.max_d, "max_n": args.max_n}
+    return _grid_payload("check-les", params, ["d", "n"], grid, les_euler_check)
 
 
 def cmd_check_minors(args) -> dict:
@@ -268,15 +275,7 @@ def cmd_check_trace(args) -> dict:
         sum(trace_identity_products(d, i) for d, i in grid),
         f"the minors of check-trace --max-d {args.max_d}",
     )
-    rows = [[d, i, trace_identity_check(d, i).verdict] for d, i in grid]
-    return {
-        "command": "check-trace",
-        "params": {"max_d": args.max_d},
-        "summary": {"cases": len(rows)},
-        "columns": ["d", "i", "verdict"],
-        "rows": rows,
-        "passed": all(r[2] == "pass" for r in rows),
-    }
+    return _grid_payload("check-trace", {"max_d": args.max_d}, ["d", "i"], grid, trace_identity_check)
 
 
 def cmd_check_minimality(args) -> dict:
@@ -311,8 +310,8 @@ def cmd_check_all(args) -> dict:
     for d in range(1, 5):
         for n in range(d + 1, 7):
             for s in range(1, min(d, 2) + 1):
-                profile = part_iii_profile(KalmanParams(s, d, n))
-                add("bottom-stratum", {"s": s, "d": d, "n": n}, profile.report.passed)
+                report = part_iii_profile(KalmanParams(s, d, n))
+                add("bottom-stratum", {"s": s, "d": d, "n": n}, report.passed)
 
     for d in range(1, 5):
         for n in range(d + 1, 7):

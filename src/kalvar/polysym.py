@@ -240,16 +240,16 @@ class SparsePoly:
     def evaluate(self, point: Sequence[int], p: int) -> int:
         """Value mod p at a point given as one int per variable: the
         one-polynomial, one-point case of `evaluate_many`.  No code in
-        this package calls it; it stays because `perfbench/child.py`
-        traces it as a layer boundary, and a traced run is compared with
-        earlier runs by its metric names."""
+        this package calls it.  It stays while `LAYERS` in
+        `perfbench/child.py` traces it and `test_boundary_is_a_callable_in_src`
+        pins it there, and goes with the next change of those layers."""
         return evaluate_many([self], [point], p)[0][0]
 
     def map_domain(self, ring: PolyRing) -> "SparsePoly":
         """The same terms in another ring with the same nvars, such as
-        one that names its variables differently.  It stays, with no
-        caller in this package, for the reason `evaluate` does: it is a
-        traced boundary of `perfbench/child.py`."""
+        one that names its variables differently.  It has no caller in
+        this package, and stays and goes with `evaluate`: it is a traced
+        boundary of `perfbench/child.py`, pinned by the same test."""
         if ring.nvars != self.ring.nvars:
             raise ValueError("variable count mismatch")
         return SparsePoly(ring, self.terms)

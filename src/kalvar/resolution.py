@@ -283,17 +283,11 @@ def _closed_form_strata(k: int, d: int, n: int, twist_offset: int = 0) -> list[t
     ]
 
 
-class PartIIIProfile(NamedTuple):
-    """Part III terms of a normalization table plus the structural check:
-    nothing below hom degree s, and the hom = s stratum matches the
-    closed form.  Only the part III pairs are visited
+def part_iii_profile(params: KalmanParams) -> CheckReport:
+    """The structural check of the part III terms of a normalization
+    table: nothing below hom degree s, and the hom = s stratum matches
+    the closed form.  Only the part III pairs are visited
     (`_part_iii_terms`)."""
-
-    terms: list[BettiTerm]
-    report: CheckReport
-
-
-def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
     s, d, n = params.s, params.d, params.n
     check_pair_count(_part_iii_pair_count(s, d, n), f"part III of level {s} at (d, n) = ({d}, {n})")
     iii = _part_iii_terms(s, d, n)
@@ -318,13 +312,12 @@ def part_iii_profile(params: KalmanParams) -> PartIIIProfile:
                 "want": [list(map(repr, w)) for w in want],
             }
         )
-    report = CheckReport(
+    return CheckReport(
         check="part-iii-profile",
         params={"s": s, "d": d, "n": n},
         details=details,
         data={"terms": len(iii)},
     )
-    return PartIIIProfile(iii, report)
 
 
 def chain_closed_form_check(chain: BettiTable) -> CheckReport:

@@ -65,10 +65,6 @@ class KalmanPoint(NamedTuple):
     eigenvalue: int
     modulus: int
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
     def flatten(self) -> tuple[int, ...]:
         """Row-major coordinates of the first d columns, matching the
         variable layout of `reduced_kalman_matrix`."""
@@ -78,7 +74,7 @@ class KalmanPoint(NamedTuple):
     def eigen_residual(self) -> tuple[int, ...]:
         """phi . vhat - t . vhat mod p; all zeros for a valid point."""
         p = self.modulus
-        n = self.n
+        n = len(self.entries)
         d = len(self.eigenvector)
         vhat = list(self.eigenvector) + [0] * (n - d)
         out = []

@@ -45,8 +45,8 @@ def test_criterion_02_low_degree_vanishing():
         for s in range(1, min(3, d) + 1):
             for n in range(d + 1, 9):
                 params = KalmanParams(s, d, n)
-                profile = part_iii_profile(params)
-                assert profile.report.passed, (s, d, n, profile.report.details[:3])
+                report = part_iii_profile(params)
+                assert report.passed, (s, d, n, report.details[:3])
                 # direct statement on the pairs themselves: full-height
                 # outer shape keeps the homological degree |lam| minus
                 # the cohomology degree at s or above

@@ -554,6 +554,7 @@ class TestFormatsAndOutput:
             ("check-trace", "--max-d", "2"),
             ("check-bott", "--max-d", "3", "--lo", "-2", "--hi", "3"),
             ("check-les", "--max-d", "3", "--max-n", "6"),
+            ("check-all",),
         ],
     )
     def test_output_independent_of_hash_seed(self, argv):

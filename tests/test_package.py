@@ -1,29 +1,29 @@
-"""The package's public names: every exported name resolves, so a name
-deleted from a module cannot linger in `kalvar.__all__`.  The report
-every check returns keeps only what the check found.  The packed
-monomial format stays inside `kalvar.polysym`, and the prediction and
-measurement routes do not import each other."""
+"""The package names nothing of its own: each object has one name,
+`kalvar.<module>.<name>`.  The report every check returns keeps only
+what the check found.  The packed monomial format stays inside
+`kalvar.polysym`, and the prediction and measurement routes neither
+import each other nor load each other at run time."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import kalvar
 from kalvar.report import CheckReport
+from test_cli import src_env
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in kalvar.__all__ if not hasattr(kalvar, name)]
-    assert not missing
-    assert len(set(kalvar.__all__)) == len(kalvar.__all__)
-
-
-def test_star_import():
-    namespace: dict = {}
-    exec("from kalvar import *", namespace)
-    assert set(kalvar.__all__) <= set(namespace)
+def loaded_by(module: str) -> set[str]:
+    """The kalvar modules that a fresh interpreter holds after importing
+    `module` alone.  -S keeps the site hooks of the interpreter from
+    importing anything first."""
+    script = f"import sys, {module}\nprint(*sorted(m for m in sys.modules if m.startswith('kalvar.')))"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=src_env(), capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
 
 
 def test_check_report_fields():
@@ -72,3 +72,14 @@ def test_the_two_routes_import_nothing_from_each_other():
     for module in ("partitions", "bott", "resolution"):
         assert not imports(module) & {"polysym", "verify"}, module
     assert not imports("polysym") & {"partitions", "bott", "resolution", "verify"}
+
+
+@pytest.mark.parametrize("module", ["partitions", "bott", "resolution"])
+def test_the_prediction_route_loads_no_measurement_module(module):
+    # the import test above reads the source; this one runs it, so a
+    # package that imports every module first would fail here
+    assert not loaded_by(f"kalvar.{module}") & {"kalvar.polysym", "kalvar.verify"}
+
+
+def test_polysym_loads_only_itself_and_the_report():
+    assert loaded_by("kalvar.polysym") == {"kalvar.polysym", "kalvar.report"}

@@ -14,7 +14,6 @@ from kalvar.resolution import (
     GeneratorRecord,
     HilbertSeries,
     KalmanParams,
-    PartIIIProfile,
 )
 from kalvar.verify import KalmanPoint, PrimeFieldConfig
 
@@ -85,7 +84,6 @@ def records():
         params,
         TERM,
         BettiTable("chain", params, [TERM]),
-        PartIIIProfile([TERM], report),
         GeneratorRecord(1, EMPTY, EMPTY, 1, 1, (1,)),
         HilbertSeries(((0, 1),), 4),
         PrimeFieldConfig(),

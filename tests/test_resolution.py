@@ -32,6 +32,7 @@ from kalvar.resolution import (
     les_euler_check,
     minimal_generators,
     normalization_pair_count,
+    _part_iii_terms,
     part_iii_profile,
     pd_and_reg,
     resolution_normalization,
@@ -298,23 +299,23 @@ class TestPartIII:
         for s in range(1, 3):
             for d in range(s, 4):
                 for n in range(d + 1, 7):
-                    profile = part_iii_profile(KalmanParams(s, d, n))
-                    assert profile.report.passed, profile.report.details
+                    report = part_iii_profile(KalmanParams(s, d, n))
+                    assert report.passed, report.details
 
     def test_s1_d2_n3_terms_all_killed_by_thin_complement(self):
         # the only candidate carries a 2-cell column on a 1-dim space
-        profile = part_iii_profile(KalmanParams(1, 2, 3))
-        assert profile.terms == []
-        assert profile.report.passed
+        assert _part_iii_terms(1, 2, 3) == []
+        assert part_iii_profile(KalmanParams(1, 2, 3)).passed
 
     def test_s1_d2_n4_terms(self):
-        profile = part_iii_profile(KalmanParams(1, 2, 4))
-        assert [(t.hom_degree, t.twist, t.multiplicity) for t in profile.terms] == [(1, 2, 1)]
-        assert profile.terms[0].eta == (1, 1)
+        terms = _part_iii_terms(1, 2, 4)
+        assert [(t.hom_degree, t.twist, t.multiplicity) for t in terms] == [(1, 2, 1)]
+        assert terms[0].eta == (1, 1)
 
     def test_terms_are_the_part_iii_terms_of_the_full_level(self):
         # the profile visits only the part III pairs; the full table,
-        # filtered by classify_part, is its oracle
+        # filtered by classify_part, is its oracle, and the profile
+        # counts them
         for n in range(2, 9):
             for d in range(1, n):
                 for s in range(1, d + 1):
@@ -324,13 +325,13 @@ class TestPartIII:
                         for t in resolution_normalization(params).terms
                         if classify_part(t.lam, t.mu, s) == "III"
                     ]
-                    assert part_iii_profile(params).terms == want, params
+                    assert _part_iii_terms(s, d, n) == want, params
+                    assert part_iii_profile(params).data == {"terms": len(want)}, params
 
     def test_bottom_stratum_never_below_s(self):
         for s in range(1, 4):
             for n in range(5, 8):
-                profile = part_iii_profile(KalmanParams(s, 4, n))
-                assert all(t.hom_degree >= s for t in profile.terms)
+                assert all(t.hom_degree >= s for t in _part_iii_terms(s, 4, n))
 
 
 class TestChainResolution:
