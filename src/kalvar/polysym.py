@@ -18,13 +18,13 @@ and from exponent tuples.  One byte holds exponents up to 255, and every
 route that adds monomials refuses a degree over 255
 (`check_degree`) rather than carrying into the next variable.  Graded
 reverse lexicographic order on the exponent tuples fixes how a
-polynomial is serialized; the finite-field ranks downstream number
-their columns on first touch and do not depend on it.  Evaluation
+polynomial is serialized; the finite-field ranks downstream key their
+columns by packed monomial and do not depend on it.  Evaluation
 (`evaluate_many`) splits each monomial at the degree midpoint of the
 variables into a low and a high half, compiles the halves of all the
-polynomials it is given into one trie of variables, walks it once per
-point, and sums each polynomial as value(high) times the sum of c *
-value(low) over the terms with that high half.
+polynomials into one trie of variables in ascending packed order,
+walks it in one pass per point, and sums each polynomial as value(high)
+times the sum of c * value(low) over the terms with that high half.
 
 A matrix is a plain list of rows of polynomials.  Every minor, those of
 the stacked matrix (`reduced_kalman_matrix`) and those of the trace
@@ -270,45 +270,32 @@ class SparsePoly:
         return f"SparsePoly({self})"
 
 
-def _shared_trie(monomials: Iterable[int], nvars: int) -> tuple[list, dict[int, int]]:
-    """The monomials in `nvars` variables, and every prefix they need,
-    compiled into one trie: (levels, index), where `index` maps each
-    monomial to its node.
+def _shared_trie(monomials: Iterable[int]) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """The monomials, and every prefix they need, compiled into one
+    trie: (links, index), where `index` maps each monomial to its node.
 
     Each monomial is read as a word in its variables, highest index
     first, and the words share their prefixes.  A node is a prefix
     monomial, so its parent drops one factor of the node's lowest-index
-    variable.  The trie is built layer by layer, deepest first, on the
-    packed monomials themselves: the lowest set bit names the variable,
-    and one subtraction gives the parent.
-
-    Node 0 is the empty word.  Level t lists, for each node of degree
-    t + 1, its parent node and last variable, and nodes are numbered
-    level by level, so evaluating one level is one pass over two lists.
+    variable: the lowest set bit of the packed node names the variable,
+    and one subtraction gives the parent, a smaller int.  So the nodes
+    are numbered in ascending packed order, node 0 is the empty word,
+    and every parent comes before its children.  `links` holds the
+    (parent node, variable) of nodes 1, 2, ... in that order, and one
+    pass over it values every node.
     """
-    monomials = list(monomials)
-    exponents = map(int.to_bytes, monomials, itertools.repeat(nvars), itertools.repeat("little"))
-    layers: list[set[int]] = [{0}]
-    for m, degree in zip(monomials, map(sum, exponents)):
-        while len(layers) <= degree:
-            layers.append(set())
-        layers[degree].add(m)
-    nodes, links = [], []  # deepest layer first
-    for t in reversed(range(1, len(layers))):
-        layer = list(layers[t])
-        variables = [((m & -m).bit_length() - 1) >> 3 for m in layer]
-        parents = [m - (1 << 8 * k) for m, k in zip(layer, variables)]
-        layers[t - 1].update(parents)
-        nodes.append(layer)
-        links.append((parents, variables))
-    nodes.append([0])
-    index = {m: i for i, m in enumerate(itertools.chain.from_iterable(reversed(nodes)))}
-    levels = [(list(map(index.__getitem__, parents)), variables) for parents, variables in reversed(links)]
-    return levels, index
+    lowest = {0: 0}  # each node's lowest-index variable, a placeholder for the root
+    for m in monomials:
+        while m not in lowest:
+            lowest[m] = k = ((m & -m).bit_length() - 1) >> 3
+            m -= 1 << 8 * k
+    nodes = sorted(lowest)
+    index = {m: i for i, m in enumerate(nodes)}
+    return [(index[m - (1 << 8 * lowest[m])], lowest[m]) for m in nodes[1:]], index
 
 
 def _split_plan(polys: Sequence[SparsePoly], nvars: int) -> tuple:
-    """The polynomials compiled for `evaluate_many`: (split, levels,
+    """The polynomials compiled for `evaluate_many`: (split, links,
     (coefficients, low nodes), (high nodes, group sizes), groups per
     polynomial).
 
@@ -316,10 +303,10 @@ def _split_plan(polys: Sequence[SparsePoly], nvars: int) -> tuple:
     and a high half, the rest: low = m & ((1 << 8 * split) - 1) and
     high = m - low.  `split` is the first variable at which the
     exponents of the variables below it, summed over every term of
-    every polynomial, reach half of all exponents.  Any split gives the
-    same values; the midpoint keeps both halves short.  One trie
-    (`_shared_trie`, whose `levels` are returned) holds the root and
-    every distinct low and high half.
+    every polynomial, reach half of all exponents; they are summed one
+    polynomial at a time.  Any split gives the same values; the midpoint
+    keeps both halves short.  One trie (`_shared_trie`, whose `links`
+    are returned) holds the root and every distinct low and high half.
 
     Each polynomial's terms are grouped by high half, and the groups of
     all the polynomials are laid end to end: group g has one high node
@@ -329,9 +316,10 @@ def _split_plan(polys: Sequence[SparsePoly], nvars: int) -> tuple:
     split below variable 9, the alpha/gamma boundary, into 617 nodes
     and 1,398 groups.
     """
-    terms = itertools.chain.from_iterable(p.terms for p in polys)
-    packed = b"".join(map(int.to_bytes, terms, itertools.repeat(nvars), itertools.repeat("little")))
-    totals = [sum(packed[k::nvars]) for k in range(nvars)]
+    totals = [0] * nvars
+    for poly in polys:
+        packed = b"".join(map(int.to_bytes, poly.terms, itertools.repeat(nvars), itertools.repeat("little")))
+        totals = [t + sum(packed[k::nvars]) for k, t in enumerate(totals)]
     half, below, split = sum(totals), 0, 0
     while 2 * below < half:
         below += totals[split]
@@ -346,7 +334,7 @@ def _split_plan(polys: Sequence[SparsePoly], nvars: int) -> tuple:
             halves.add(low)
         halves.update(groups)
         by_poly.append(groups)
-    levels, index = _shared_trie(halves, nvars)
+    links, index = _shared_trie(halves)
     coeffs, lows, highs, sizes = [], [], [], []
     for groups in by_poly:
         for high, pairs in groups.items():
@@ -355,7 +343,7 @@ def _split_plan(polys: Sequence[SparsePoly], nvars: int) -> tuple:
                 lows.append(index[low])
             highs.append(index[high])
             sizes.append(len(pairs))
-    return split, levels, (coeffs, lows), (highs, sizes), [len(groups) for groups in by_poly]
+    return split, links, (coeffs, lows), (highs, sizes), [len(groups) for groups in by_poly]
 
 
 def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence[int]], p: int) -> list[list[int]]:
@@ -371,24 +359,23 @@ def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence[int]], 
     h, of value(h) times the sum of c * value(low) over its terms with
     high half h.  A point then costs one multiplication per trie node,
     one per term for its coefficient, one per group for its high half,
-    and one reduction per polynomial.  Each trie level and each inner
-    sum is also reduced mod p, which keeps the values small and,
+    and one reduction per polynomial.  Each trie node's value and each
+    inner sum is also reduced mod p, which keeps the values small and,
     reduction mod p being a ring map, leaves every value as it was.
     """
     polys = list(polys)
     nvars = {poly.ring.nvars for poly in polys}
     if len(nvars) > 1:
         raise ValueError(f"polynomials in different numbers of variables: {sorted(nvars)}")
-    _, levels, (coeffs, lows), (highs, sizes), counts = _split_plan(polys, next(iter(nvars), 0))
+    _, links, (coeffs, lows), (highs, sizes), counts = _split_plan(polys, next(iter(nvars), 0))
     out = []
     for point in points:
         if nvars and {len(point)} != nvars:
             raise ValueError("point has wrong length")
-        at = point.__getitem__
         values = [1]
-        for parents, variables in levels:
-            level = map(operator.mul, map(values.__getitem__, parents), map(at, variables))
-            values += [v % p for v in level]
+        append = values.append
+        for parent, k in links:
+            append(values[parent] * point[k] % p)
         node = values.__getitem__
         products = map(operator.mul, coeffs, map(node, lows))
         inner = [sum(itertools.islice(products, k)) % p for k in sizes]

@@ -199,32 +199,25 @@ def _capped_count(nvars: int, degree: int) -> int:
 
 def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, in lexicographically
-    descending order.  Callers use them as multipliers, and a rank does
-    not depend on their order; serialization sorts by grevlex itself."""
-    count = _capped_count(nvars, degree)
-    out: list[tuple[int, ...]] = []
-    exp = [0] * nvars
-
-    def fill(pos: int, remaining: int) -> None:
-        if pos == nvars - 1:
-            exp[pos] = remaining
-            out.append(tuple(exp))
-            exp[pos] = 0
-            return
-        for e in range(remaining, -1, -1):
-            exp[pos] = e
-            fill(pos + 1, remaining - e)
-        exp[pos] = 0
-
-    fill(0, degree)
-    assert len(out) == count
+    descending order: one per multiset of `degree` variables, in the
+    order `itertools.combinations_with_replacement` lists them.  Callers
+    use them as multipliers, and a rank does not depend on their order;
+    serialization sorts by grevlex itself."""
+    _capped_count(nvars, degree)
+    out = []
+    for variables in itertools.combinations_with_replacement(range(nvars), degree):
+        exp = [0] * nvars
+        for k in variables:
+            exp[k] += 1
+        out.append(tuple(exp))
     return out
 
 
 class SpanEliminator:
     """Incremental sparse row reduction over GF(p).  Rows are dicts
-    {column index: coefficient}; pivot rows are normalized to lead
-    coefficient one and kept as absorbed."""
+    {column: coefficient} with int columns, each row led by its smallest
+    column; pivot rows are normalized to lead coefficient one and kept
+    as absorbed."""
 
     def __init__(self, p: int):
         self.p = p
@@ -273,34 +266,31 @@ def _by_degree_mod_p(gens: list[SparsePoly], nvars: int, p: int) -> dict[int, li
     return out
 
 
-def _generator_rows(
-    gens: Sequence[SparsePoly],
-    multiplier_degree: int,
-    nvars: int,
-    col_index: dict[int, int],
-):
+def _generator_rows(gens: Sequence[SparsePoly], multiplier_degree: int, nvars: int):
     """Yield one sparse row per product m*g, with m running over the
-    monomials of the given degree.  A monomial that no earlier row used
-    gets the next free column.  The caller has checked the degree, so the
+    monomials of the given degree: the terms of m*g keyed by their
+    packed monomials.  The caller has checked the degree, so the
     multipliers are packed without a check of their own."""
     multipliers = gens[0].ring.pack_many(monomials_of_degree(nvars, multiplier_degree))
     for g in gens:
         terms = list(g.terms.items())
         for mono in multipliers:
-            yield {col_index.setdefault(m + mono, len(col_index)): c for m, c in terms}
+            yield {m + mono: c for m, c in terms}
 
 
 def _graded_ranks(by_degree: dict[int, list[SparsePoly]], degree: int, nvars: int, p: int) -> tuple[int, int]:
     """Ranks over GF(p) of the degree piece spanned by the proper
     multiples m*g (deg m >= 1) of the generators, and of the piece
-    spanned by all their multiples.  A degree over 255 raises
-    ValueError, since the packed columns would collide."""
+    spanned by all their multiples.  The rows' columns are the packed
+    monomials of the piece, so each pivot leads with its smallest
+    packed monomial; a rank does not depend on the column order.  A
+    degree over 255 raises ValueError, since the packed columns would
+    collide."""
     check_degree(degree, "a graded piece")
-    col_index: dict[int, int] = {}
     elim = SpanEliminator(p)
 
     def absorb(q: int) -> None:
-        for row in _generator_rows(by_degree[q], degree - q, nvars, col_index):
+        for row in _generator_rows(by_degree[q], degree - q, nvars):
             elim.absorb(row)
 
     for q in by_degree:
@@ -328,16 +318,22 @@ def truncated_hilbert(
 ) -> list[int]:
     """Dimensions of the graded pieces of k[x]/(generators), degrees 0
     through max_degree, from ranks over GF(p) of a reduced copy of the
-    generators (`_by_degree_mod_p`) in k[alpha, gamma], lifted to k[x]."""
+    generators in k[alpha, gamma], lifted to k[x] (`_hilbert_of_own`)."""
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     generators = list(generators)
     if not generators:
         raise ValueError("no generators")
-    nvars = generators[0].ring.nvars
-    by_degree = _by_degree_mod_p(generators, nvars, cfg.modulus)
+    return _hilbert_of_own(generators, n, max_degree, cfg.modulus)
+
+
+def _hilbert_of_own(gens: list[SparsePoly], n: int, max_degree: int, p: int) -> list[int]:
+    """`truncated_hilbert` of a nonempty list the caller owns: each
+    generator is reduced mod p in place (`_by_degree_mod_p`)."""
+    nvars = gens[0].ring.nvars
+    by_degree = _by_degree_mod_p(gens, nvars, p)
     quotient = [
-        monomial_count(nvars, e) - _graded_ranks(by_degree, e, nvars, cfg.modulus)[1]
+        monomial_count(nvars, e) - _graded_ranks(by_degree, e, nvars, p)[1]
         for e in range(max_degree + 1)
     ]
     return _lift(quotient, n, nvars)
@@ -423,8 +419,7 @@ def truncated_hilbert_check(
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     _capped_count(n * d, max_degree)
     check_degree(max_degree, "a graded piece")
-    gens = [g for _, g in all_top_minors(d, n)]
-    measured = truncated_hilbert(gens, n, max_degree, cfg)
+    measured = _hilbert_of_own([g for _, g in all_top_minors(d, n)], n, max_degree, cfg.modulus)
     expected = hilbert_numerator(chain_resolution(1, d, n)).expand(max_degree)
     mismatches = [
         {"degree": e, "measured": m, "expected": x}

@@ -21,6 +21,7 @@ from kalvar.polysym import (
     _count_products,
     _matmul,
     _minors,
+    _shared_trie,
     _split_plan,
     _trace_identity_picks,
     all_top_minors,
@@ -804,7 +805,7 @@ class TestEvaluate:
         # besides the root and 1,398 groups, where one plan each would
         # walk 11,060 nodes; the (4, 5) determinant splits below
         # variable 14, into 11,462 nodes and 244 groups
-        nodes = lambda plan: sum(len(parents) for parents, _ in plan[1])
+        nodes = lambda plan: len(plan[1])
         minors = [p for _, p in all_top_minors(3, 6)]
         plan = _split_plan(minors, 18)
         assert (plan[0], nodes(plan), len(plan[3][0]), len(plan[2][0])) == (9, 617, 1398, 8346)
@@ -815,6 +816,23 @@ class TestEvaluate:
         det = determinant(reduced_kalman_matrix(4, 5))
         plan = _split_plan([det], 20)
         assert (plan[0], nodes(plan), len(plan[3][0]), len(plan[2][0]), plan[4]) == (14, 11462, 244, 11912, [244])
+
+    def test_every_parent_precedes_its_node(self):
+        # the nodes are numbered in ascending packed order, and each link
+        # steps up by one factor of its variable, the node's lowest
+        minors = [g for _, g in all_top_minors(3, 6)]
+        det = determinant(reduced_kalman_matrix(4, 5))
+        for polys, split in ((minors, 9), ([det], 14)):
+            low = (1 << 8 * split) - 1
+            halves = {h for g in polys for m in g.terms for h in (m & low, m - (m & low))}
+            links, index = _shared_trie(halves)
+            nodes = sorted(index, key=index.__getitem__)
+            assert nodes == sorted(index) and nodes[0] == 0 and halves <= index.keys()
+            assert len(links) == len(nodes) - 1
+            for node, (parent, k) in enumerate(links, 1):
+                assert parent < node
+                assert nodes[node] - nodes[parent] == 1 << 8 * k
+                assert nodes[parent] & ((1 << 8 * k) - 1) == 0
 
     # The moduli each case below measures by, one evaluation per modulus;
     # "ZZ" is EXACT, past every value, so its values lift to the integers.
@@ -828,7 +846,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("moduli", sorted(MODULI))
     def test_one_call_matches_oracle_in_every_domain(self, moduli):
-        # every trie level is reduced mod p.  Coordinates far past either
+        # every trie node is reduced mod p.  Coordinates far past either
         # small prime make any reduction by the wrong modulus show in the
         # values, and mod EXACT they are the exact integers.
         moduli = self.MODULI[moduli]
