@@ -20,11 +20,11 @@ route that adds monomials refuses a degree over 255
 reverse lexicographic order on the exponent tuples fixes how a
 polynomial is serialized; the finite-field ranks downstream key their
 columns by packed monomial and do not depend on it.  Evaluation
-(`evaluate_many`) splits each monomial at the degree midpoint of the
-variables into a low and a high half, compiles the halves of all the
-polynomials into one trie of variables in ascending packed order,
-walks it in one pass per point, and sums each polynomial as value(high)
-times the sum of c * value(low) over the terms with that high half.
+(`evaluate_many`) splits each monomial into a low and a high half at
+the variable that keeps the distinct halves few, compiles the halves of
+all the polynomials into one trie of variables in ascending packed
+order, walks it in one pass per point, and sums each polynomial as the
+sum of c * value(low) * value(high) over its terms.
 
 A matrix is a plain list of rows of polynomials.  Every minor, those of
 the stacked matrix (`reduced_kalman_matrix`) and those of the trace
@@ -294,93 +294,111 @@ def _shared_trie(monomials: Iterable[int]) -> tuple[list[tuple[int, int]], dict[
     return [(index[m - (1 << 8 * lowest[m])], lowest[m]) for m in nodes[1:]], index
 
 
-def _split_plan(polys: Sequence[SparsePoly], nvars: int) -> tuple:
-    """The polynomials compiled for `evaluate_many`: (split, links,
-    (coefficients, low nodes), (high nodes, group sizes), groups per
-    polynomial).
+def _terms(polys: Sequence[SparsePoly]) -> Iterator[int]:
+    return itertools.chain.from_iterable(p.terms for p in polys)
 
-    Every monomial splits into a low half, its variables below `split`,
-    and a high half, the rest: low = m & ((1 << 8 * split) - 1) and
-    high = m - low.  `split` is the first variable at which the
-    exponents of the variables below it, summed over every term of
-    every polynomial, reach half of all exponents; they are summed one
-    polynomial at a time.  Any split gives the same values; the midpoint
-    keeps both halves short.  One trie (`_shared_trie`, whose `links`
-    are returned) holds the root and every distinct low and high half.
 
-    Each polynomial's terms are grouped by high half, and the groups of
-    all the polynomials are laid end to end: group g has one high node
-    and its next `sizes[g]` terms, and polynomial i its next
-    `counts[i]` groups.  The (4, 5) determinant splits below variable
-    14, into 11,462 trie nodes and 244 groups; the 84 minors of (3, 6)
-    split below variable 9, the alpha/gamma boundary, into 617 nodes
-    and 1,398 groups.
+def _masks(nvars: int, split: int) -> tuple[int, int]:
+    """The masks of the low and high halves at `split`, nonnegative to keep `&` fast."""
+    low = (1 << 8 * split) - 1
+    return low, ((1 << 8 * nvars) - 1) ^ low
+
+
+def _cut(nvars: int, split: int, lows: Iterable[int], highs: Iterable[int]) -> tuple[set[int], set[int]]:
+    """The distinct low halves of `lows` and high halves of `highs` at
+    `split`: monomials, or halves cut at a later and an earlier split."""
+    low, high = _masks(nvars, split)
+    return set(map(low.__and__, lows)), set(map(high.__and__, highs))
+
+
+def _plan_at(polys: Sequence[SparsePoly], nvars: int, split: int, halves: tuple | None = None) -> tuple:
+    """The polynomials compiled for `evaluate_many` at `split`: (split,
+    links, one (coefficients, low nodes, high nodes) per polynomial).
+
+    One trie (`_shared_trie`) holds the root and the distinct halves at
+    `split` (`halves`, if the caller has cut them).  Each term has one
+    coefficient, read from its polynomial, one low node and one high
+    node.  Each node list is an `operator.itemgetter`, built in one
+    C-level pass, that gathers a point's node values for every term in
+    one call.  It ends with the root's index twice, since an itemgetter
+    of one index returns a bare value and one of none cannot be made.
     """
-    totals = [0] * nvars
-    for poly in polys:
-        packed = b"".join(map(int.to_bytes, poly.terms, itertools.repeat(nvars), itertools.repeat("little")))
-        totals = [t + sum(packed[k::nvars]) for k, t in enumerate(totals)]
-    half, below, split = sum(totals), 0, 0
-    while 2 * below < half:
-        below += totals[split]
-        split += 1
-    mask = (1 << 8 * split) - 1
-    by_poly, halves = [], set()
-    for p in polys:
-        groups: dict[int, list] = {}
-        for m, c in p.terms.items():
-            low = m & mask
-            groups.setdefault(m - low, []).append((c, low))
-            halves.add(low)
-        halves.update(groups)
-        by_poly.append(groups)
-    links, index = _shared_trie(halves)
-    coeffs, lows, highs, sizes = [], [], [], []
-    for groups in by_poly:
-        for high, pairs in groups.items():
-            for c, low in pairs:
-                coeffs.append(c)
-                lows.append(index[low])
-            highs.append(index[high])
-            sizes.append(len(pairs))
-    return split, links, (coeffs, lows), (highs, sizes), [len(groups) for groups in by_poly]
+    if halves is None:
+        halves = _cut(nvars, split, _terms(polys), _terms(polys))
+    links, index = _shared_trie(itertools.chain(*halves))
+    node = index.__getitem__
+    low, high = _masks(nvars, split)
+    return split, links, [
+        (
+            p.terms.values(),
+            operator.itemgetter(*map(node, map(low.__and__, p.terms)), 0, 0),
+            operator.itemgetter(*map(node, map(high.__and__, p.terms)), 0, 0),
+        )
+        for p in polys
+    ]
+
+
+def _split_plan(polys: Sequence[SparsePoly], nvars: int) -> tuple:
+    """The polynomials compiled for `evaluate_many` (`_plan_at`) at a
+    split that keeps the distinct halves few.
+
+    A monomial's low half holds its variables below the split, and its
+    high half the rest.  Any split gives the same values, but the split
+    sets the size of the trie, which a point walks node by node.  As
+    the split rises, the distinct low halves only grow in number and
+    the distinct high halves only shrink, so the counts cross once.
+    From the middle variable the search steps toward the crossing,
+    cutting one side's halves from the terms and the other's from the
+    step before, and takes the split on either side of it with fewer
+    halves (the first reached on a tie): within twice the fewest of any
+    split.  The (4, 5) determinant splits below variable 10, into 4,865
+    trie nodes (11,462 at the exponent midpoint, 14); the 84 minors of
+    (3, 6) below variable 9, the alpha/gamma boundary, into 617.
+    """
+    split = nvars // 2
+    here = _cut(nvars, split, _terms(polys), _terms(polys))
+    up = len(here[0]) < len(here[1])
+    for step in range(split + 1, nvars + 1) if up else range(split - 1, -1, -1):
+        there = _cut(nvars, step, _terms(polys), here[1]) if up else _cut(nvars, step, here[0], _terms(polys))
+        crossed = (len(there[0]) < len(there[1])) != up
+        if not crossed or sum(map(len, there)) < sum(map(len, here)):
+            split, here = step, there
+        if crossed:
+            break
+    return _plan_at(polys, nvars, split, here)
 
 
 def evaluate_many(polys: Sequence[SparsePoly], points: Iterable[Sequence[int]], p: int) -> list[list[int]]:
     """For each point, the value mod p of every polynomial, in [0, p).
 
     All polynomials have the same number of variables, and every point
-    gives one int per variable (ValueError otherwise).  Each monomial
-    splits at the degree midpoint of the variables into a low and a
-    high half, and the halves of all the polynomials are compiled once
-    into one shared trie (`_split_plan`): the baby-step/giant-step idea
-    of Paterson & Stockmeyer (SIAM J. Comput. 2, 1973) for sparse
-    polynomials.  A polynomial's value is the sum, over its high halves
-    h, of value(h) times the sum of c * value(low) over its terms with
-    high half h.  A point then costs one multiplication per trie node,
-    one per term for its coefficient, one per group for its high half,
-    and one reduction per polynomial.  Each trie node's value and each
-    inner sum is also reduced mod p, which keeps the values small and,
-    reduction mod p being a ring map, leaves every value as it was.
+    gives one int per variable (ValueError otherwise, raised before any
+    plan is compiled).  Each monomial splits into a low and a high half,
+    and the halves of all the polynomials are compiled once into one
+    shared trie (`_split_plan` picks the split), the baby-step/giant-step
+    idea of Paterson & Stockmeyer (SIAM J. Comput. 2, 1973) for sparse
+    polynomials.  A polynomial's value is the sum, over its terms, of
+    c * value(low) * value(high).  A point costs one Python-level step
+    per trie node, whose value is reduced mod p (a ring map, so no value
+    changes), and C-level passes that multiply twice per term and reduce
+    once per polynomial.
     """
-    polys = list(polys)
+    polys, points = list(polys), list(points)
     nvars = {poly.ring.nvars for poly in polys}
     if len(nvars) > 1:
         raise ValueError(f"polynomials in different numbers of variables: {sorted(nvars)}")
-    _, links, (coeffs, lows), (highs, sizes), counts = _split_plan(polys, next(iter(nvars), 0))
-    out = []
+    if nvars and any({len(point)} != nvars for point in points):
+        raise ValueError("point has wrong length")
+    _, links, terms = _split_plan(polys, next(iter(nvars), 0))
+    out, mul = [], operator.mul
     for point in points:
-        if nvars and {len(point)} != nvars:
-            raise ValueError("point has wrong length")
         values = [1]
         append = values.append
         for parent, k in links:
             append(values[parent] * point[k] % p)
-        node = values.__getitem__
-        products = map(operator.mul, coeffs, map(node, lows))
-        inner = [sum(itertools.islice(products, k)) % p for k in sizes]
-        outer = map(operator.mul, map(node, highs), inner)
-        out.append([sum(itertools.islice(outer, k)) % p for k in counts])
+        out.append([
+            sum(map(mul, map(mul, coeffs, lows(values)), highs(values))) % p for coeffs, lows, highs in terms
+        ])
     return out
 
 

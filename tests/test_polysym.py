@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb, prod
 
@@ -21,6 +22,7 @@ from kalvar.polysym import (
     _count_products,
     _matmul,
     _minors,
+    _plan_at,
     _shared_trie,
     _split_plan,
     _trace_identity_picks,
@@ -102,6 +104,19 @@ def evaluate_oracle(poly: SparsePoly, point, p: int | None = None) -> int:
                 acc = step(acc * pow(point[k], e))
         total = step(total + acc)
     return total
+
+
+def plan_terms(plan) -> list[tuple[list, list, list]]:
+    """Each polynomial's (coefficients, low nodes, high nodes) in a plan
+    of `_plan_at`, as lists: each node getter reads the node numbers off
+    the nodes themselves, less the two root entries after the last term."""
+    nodes = range(len(plan[1]) + 1)
+    return [(list(coeffs), list(lows(nodes))[:-2], list(highs(nodes))[:-2]) for coeffs, lows, highs in plan[2]]
+
+
+def forced_split(split: int):
+    """A stand-in for `_split_plan` that compiles every plan at `split`."""
+    return lambda polys, nvars: _plan_at(polys, nvars, split)
 
 
 def reduced(terms: dict, p: int | None) -> dict:
@@ -731,6 +746,21 @@ def families(draw):
     return [out[i] for i in order]
 
 
+@st.composite
+def sparse_families(draw):
+    """A ring of zero to four variables, so that constant and
+    one-variable cases come up, and one to four sparse polynomials in
+    it with coefficients up to 10^6, sometimes with a constant among
+    them."""
+    ring = PolyRing(draw(st.integers(0, 4)))
+    exponents = st.lists(st.integers(0, 5), min_size=ring.nvars, max_size=ring.nvars)
+    terms = st.dictionaries(exponents.map(tuple), st.integers(-10**6, 10**6), max_size=6)
+    out = [ring.reduce({ring.pack(e): c for e, c in t.items()}) for t in draw(st.lists(terms, min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        out.append(ring.const(draw(st.integers(-9, 9))))
+    return ring, out
+
+
 class TestEvaluateMany:
     @given(
         polys=families(),
@@ -770,6 +800,17 @@ class TestEvaluateMany:
         with pytest.raises(ValueError, match="wrong length"):
             x.evaluate([1, 2, 3, 4], 32003)
 
+    def test_bad_point_refused_before_the_plan(self, monkeypatch):
+        # every point's length is checked before the plan is compiled,
+        # which for the minors of (4, 6) takes seconds
+        def compile_plan(polys, nvars):
+            raise AssertionError("the plan was compiled before the points were checked")
+
+        monkeypatch.setattr(polysym, "_split_plan", compile_plan)
+        x = RING.var(0)
+        with pytest.raises(ValueError, match="wrong length"):
+            evaluate_many([x, x * x], iter([[1, 2, 3], [4, 5, 6], [1, 2]]), 32003)
+
     def test_different_variable_counts_rejected(self):
         with pytest.raises(ValueError, match="different numbers of variables"):
             evaluate_many([RING.var(0), PolyRing(2).var(0)], [[1, 2, 3]], 32003)
@@ -802,27 +843,68 @@ class TestEvaluate:
         # the split is the one thing the values cannot show, since any
         # split evaluates exactly: the 84 minors of (3, 6) split below
         # variable 9, the alpha/gamma boundary, into 617 trie nodes
-        # besides the root and 1,398 groups, where one plan each would
-        # walk 11,060 nodes; the (4, 5) determinant splits below
-        # variable 14, into 11,462 nodes and 244 groups
+        # besides the root, where one plan each would walk 10,020 nodes;
+        # the (4, 5) determinant splits below variable 10, into 4,865
+        # nodes, where the exponent midpoint (variable 14) gave 11,462
         nodes = lambda plan: len(plan[1])
         minors = [p for _, p in all_top_minors(3, 6)]
         plan = _split_plan(minors, 18)
-        assert (plan[0], nodes(plan), len(plan[3][0]), len(plan[2][0])) == (9, 617, 1398, 8346)
+        assert (plan[0], nodes(plan), len(plan[2])) == (9, 617, 84)
+        monomials = [0]  # each node's monomial, read off the links
+        for parent, k in plan[1]:
+            monomials.append(monomials[parent] + (1 << 8 * k))
         low = (1 << 8 * 9) - 1
-        assert plan[4] == [len({m - (m & low) for m in g.terms}) for g in minors]
-        assert sum(plan[3][1]) == sum(len(g.terms) for g in minors) == 8346
-        assert sum(nodes(_split_plan([g], 18)) for g in minors) == 11060
+        for g, (coeffs, lows, highs) in zip(minors, plan_terms(plan), strict=True):
+            assert coeffs == list(g.terms.values())
+            assert [monomials[node] for node in lows] == [m & low for m in g.terms]
+            assert [monomials[node] for node in highs] == [m - (m & low) for m in g.terms]
+        assert sum(len(coeffs) for coeffs, _, _ in plan_terms(plan)) == 8346
+        assert sum(nodes(_split_plan([g], 18)) for g in minors) == 10020
         det = determinant(reduced_kalman_matrix(4, 5))
         plan = _split_plan([det], 20)
-        assert (plan[0], nodes(plan), len(plan[3][0]), len(plan[2][0]), plan[4]) == (14, 11462, 244, 11912, [244])
+        assert (plan[0], nodes(plan), len(plan[2])) == (10, 4865, 1)
+        assert nodes(_plan_at([det], 20, 14)) == 11462
+        assert [len(c) for c, _, _ in plan_terms(plan)] == [11912]
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 5), (3, 6), (4, 5)])
+    def test_split_trie_no_larger_than_at_the_midpoint(self, d, n):
+        # the former rule split where the exponents of the variables
+        # below, summed over every term, reach half of all exponents
+        minors = [g for _, g in all_top_minors(d, n)]
+        nvars = n * d
+        exps = [e for g in minors for e in map(g.ring.unpack, g.terms)]
+        totals = [sum(e[k] for e in exps) for k in range(nvars)]
+        midpoint = next(s for s in range(nvars + 1) if 2 * sum(totals[:s]) >= sum(totals))
+        assert len(_split_plan(minors, nvars)[1]) <= len(_plan_at(minors, nvars, midpoint)[1])
+
+    def test_plan_holds_each_term_once(self):
+        # one coefficient, one low node and one high node per term, and
+        # the compile's peak stays under 64 bytes a term (153 when every
+        # term was held as a (coefficient, low half) tuple beside the flat
+        # lists)
+        minors = [g for _, g in all_top_minors(3, 6)]
+        terms = sum(len(g.terms) for g in minors)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            plan = _split_plan(minors, 18)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * terms
+        nodes = range(len(plan[1]) + 1)
+        for g, (coeffs, lows, highs) in zip(minors, plan[2], strict=True):
+            assert len(coeffs) == len(g.terms)
+            assert lows(nodes)[-2:] == highs(nodes)[-2:] == (0, 0)
+            assert len(lows(nodes)) == len(highs(nodes)) == len(g.terms) + 2
 
     def test_every_parent_precedes_its_node(self):
         # the nodes are numbered in ascending packed order, and each link
         # steps up by one factor of its variable, the node's lowest
         minors = [g for _, g in all_top_minors(3, 6)]
         det = determinant(reduced_kalman_matrix(4, 5))
-        for polys, split in ((minors, 9), ([det], 14)):
+        for polys, split in ((minors, 9), ([det], 10), ([det], 14)):
             low = (1 << 8 * split) - 1
             halves = {h for g in polys for m in g.terms for h in (m & low, m - (m & low))}
             links, index = _shared_trie(halves)
@@ -862,7 +944,7 @@ class TestEvaluate:
             assert values == [[g.evaluate(pt, p) for g in gens] for pt in points]
 
     # (variables, split, polynomials as {exponents: coefficient}): each
-    # case exercises one shape of the split
+    # case forces the split at which it exercises one shape of the plan
     SPLIT_CASES = {
         # x0 is the low half of x0*x2, x0*x3 and x0*x2*x3, and x1 of two
         # terms, in both polynomials
@@ -871,7 +953,8 @@ class TestEvaluate:
              (0, 1, 0, 1): -1, (0, 0, 2, 0): 4, (1, 1, 0, 0): 6, (2, 0, 0, 0): 8},
             {(1, 0, 0, 1): 1, (0, 1, 1, 0): -4},
         ]),
-        # a constant term sits in the root's group beside x0^2
+        # a constant term has the root for both halves, and x0^2 the
+        # root for its high half
         "constant-terms": (3, 2, [
             {(0, 0, 0): 5, (2, 0, 0): 1, (0, 0, 2): -2, (1, 0, 1): 1},
             {(0, 0, 0): -7},
@@ -890,20 +973,34 @@ class TestEvaluate:
         nvars, split, polys = self.SPLIT_CASES[case]
         ring = PolyRing(nvars)
         gens = [ring.reduce({ring.pack(e): c for e, c in terms.items()}) for terms in polys]
-        plan = _split_plan(gens, nvars)
-        assert plan[0] == split
         if case == "low-halves-shared":
-            group_of_term = [g for g, size in enumerate(plan[3][1]) for _ in range(size)]
-            groups_of: dict[int, set] = {}
-            for low, group in zip(plan[2][1], group_of_term):
-                groups_of.setdefault(low, set()).add(group)
-            assert max(map(len, groups_of.values())) >= 3
+            lows = [node for _, low_nodes, _ in plan_terms(_plan_at(gens, nvars, split)) for node in low_nodes]
+            assert max(map(lows.count, lows)) >= 3
         rng = random.Random(nvars)
         points = [[rng.randrange(-10**12, 10**12) for _ in range(nvars)] for _ in range(3)]
         for p in self.MODULI[moduli]:
-            values = evaluate_many(gens, points, p)
-            assert values == [[evaluate_oracle(g, pt, p) for g in gens] for pt in points]
-            assert values == [[g.evaluate(pt, p) for g in gens] for pt in points]
+            want = [[evaluate_oracle(g, pt, p) for g in gens] for pt in points]
+            assert evaluate_many(gens, points, p) == want
+            assert [[g.evaluate(pt, p) for g in gens] for pt in points] == want
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(polysym, "_split_plan", forced_split(split))
+                assert evaluate_many(gens, points, p) == want
+
+    @given(family=sparse_families(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_split_matches_oracle(self, family, data):
+        # any split gives the same values, mod either prime and, mod
+        # EXACT, over the integers
+        ring, gens = family
+        coordinates = st.lists(st.integers(-10**4, 10**4), min_size=ring.nvars, max_size=ring.nvars)
+        points = data.draw(st.lists(coordinates, min_size=1, max_size=3))
+        exact = [[evaluate_oracle(g, pt) for g in gens] for pt in points]
+        for split in range(ring.nvars + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(polysym, "_split_plan", forced_split(split))
+                for p in (32003, 46337):
+                    assert evaluate_many(gens, points, p) == [[evaluate_oracle(g, pt, p) for g in gens] for pt in points]
+                assert [[lift(v) for v in row] for row in evaluate_many(gens, points, EXACT)] == exact
 
     def test_minors_match_oracle_over_integers(self):
         rng = random.Random(3)
