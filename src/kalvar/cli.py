@@ -6,21 +6,24 @@ requested checks pass, 1 when any check fails, and 2 for usage or
 configuration errors.
 
 `SUBCOMMANDS` declares each subcommand once: its help, handler and
-arguments.  A call whose first argument names a subcommand builds the
-parser of that subcommand alone, since argparse hands it every later
-argument; any other call (global flags first, `--help`, no arguments,
-an unknown subcommand) builds all nine.  Help, usage and error text are
-the same either way.
+arguments; `_GLOBAL_OPTIONS` declares the flags that come before it.
+A call in the strict form (`_strict_args`) is read straight from these
+tables, and argparse is never imported.  argparse reads every other
+call, so it writes all help, usage and error text.  Such a call whose
+first argument names a subcommand builds the parser of that subcommand
+alone, since argparse hands it every later argument; any other
+(`--help`, no arguments, an unknown subcommand, a global flag first)
+builds all nine.  Help, usage and error text are the same either way.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from .bott import exhaustive_dotted_check
 from .partitions import Partition
@@ -49,6 +52,9 @@ from .verify import (
     minors_vanishing_check,
     truncated_hilbert_check,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _p(p: Sequence[int]) -> str:
@@ -397,19 +403,28 @@ SUBCOMMANDS = {
 }
 
 
+# The options of the main parser, declared like a subcommand's arguments.
+_GLOBAL_OPTIONS = (
+    ("--format", {"choices": sorted(RENDERERS), "default": "table"}),
+    ("--output", {"metavar": "FILE", "default": None,
+                  "help": "write the report to FILE atomically instead of stdout"}),
+)
+
+
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or, given `only`, of that one
     subcommand alone.  Both print the same main usage line: it lists
     every subcommand, so an error of the main parser's own, such as
     unrecognized arguments after the subcommand, reads the same."""
+    import argparse  # only a call outside the strict form needs it
+
     parser = argparse.ArgumentParser(
         prog="kalvar",
         description="Resolutions, Hilbert series, and defining equations "
         "of Kalman varieties, with independent consistency checks.",
     )
-    parser.add_argument("--format", choices=sorted(RENDERERS), default="table")
-    parser.add_argument("--output", metavar="FILE", default=None,
-                        help="write the report to FILE atomically instead of stdout")
+    for flag, keywords in _GLOBAL_OPTIONS:
+        parser.add_argument(flag, **keywords)
     # Alone, a subcommand takes the metavar the full parser derives from
     # all nine names.  The errors that would print the action's metavar
     # in place of its dest (missing or unknown subcommand) arise only
@@ -425,12 +440,65 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _strict_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The attributes argparse would set for `argv` when `argv` has the
+    strict form, read straight from `_GLOBAL_OPTIONS` and `SUBCOMMANDS`;
+    None otherwise.  The strict form: `--format X` and `--output FILE`,
+    each at most once, then a subcommand, then its own flags, each
+    spelled in full and given at most once.  A value is the next token,
+    and starts with "-" only as "-" and decimal digits: argparse's
+    negative number, since no kalvar option looks like one.  `type` and
+    `choices` apply as declared, and every required flag must be given.
+    All else (help, abbreviations, `--flag=value`, repeats, `--`, global
+    flags after the subcommand, every error) is left to argparse."""
+    flags = dict(_GLOBAL_OPTIONS)
+    given = {}
+    name = None
+    tokens = iter(argv)
+    for token in tokens:
+        keywords = flags.pop(token, None)
+        if keywords is None:
+            if name is not None or token not in SUBCOMMANDS:
+                return None
+            name = token
+            flags = dict(SUBCOMMANDS[name][2])
+        elif keywords.get("action") == "store_true":
+            given[token] = True
+        else:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not value[1:].isdecimal():
+                return None
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+            given[token] = value
+    if name is None:
+        return None
+    _, handler, arguments = SUBCOMMANDS[name]
+    values = {"subcommand": name, "handler": handler}
+    for flag, keywords in (*_GLOBAL_OPTIONS, *arguments):
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        values[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse hands every token after the subcommand to its parser, so
-    # a call that starts with one needs no other
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
-    args = parser.parse_args(argv)
+    # a call in the strict form needs no parser.  argparse hands every
+    # token after the subcommand to its parser, so any other call that
+    # starts with one needs that parser alone
+    args = _strict_args(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
     try:
         payload = args.handler(args)
     except ValueError as exc:

@@ -242,10 +242,12 @@ def _beta_mask(parts: Sequence[int]) -> int:
     return mask
 
 
-def _skew_dims_by_beta(mu_pad: Sequence[int], n: int, m: int) -> dict[int, int]:
-    """s_{lam^T/mu^T}(1^m) for every lam in the k x (n - k) box at once,
-    k = len(mu_pad), keyed by lam's beta-set (`_beta_mask`); a lam that
-    does not contain mu has 0 or no entry, as has a zero dimension.
+def _skew_dims_by_beta(mu_pad: Sequence[int], n: int, m: int, rows: int = -1) -> dict[int, int]:
+    """s_{lam^T/mu^T}(1^m) at once for every lam in the k x (n - k) box
+    whose beta-set lies inside the bitmask `rows` (by default every
+    lam), k = len(mu_pad), keyed by lam's beta-set (`_beta_mask`); a
+    lam that does not contain mu has 0 or no entry, as has a zero
+    dimension.
 
     By the dual Jacobi-Trudi identity the dimension is
     det[e_{lam_i - mu_j - i + j}(1^m)], whose row i holds
@@ -258,14 +260,16 @@ def _skew_dims_by_beta(mu_pad: Sequence[int], n: int, m: int) -> dict[int, int]:
     and a row a taken for column j carries the sign
     (-1)^(j + used rows above a), rows ordered by decreasing beta.  The
     band is walked from its top row down, so that sign flips at each
-    used row passed."""
+    used row passed.  A row outside `rows` is left out of every band:
+    no key that holds it is built, and no other entry changes, since a
+    row that is never used never flips a sign."""
     k = len(mu_pad)
     e_row = _e_row(m, m + 1)
     minors = {0: 1}
     for j, b in enumerate(mu_pad):
         base = k - 1 + b - j
         top = min(base + m, n - 1)
-        band = [(1 << a, e_row[a - base]) for a in range(top, base - 1, -1)]
+        band = [(1 << a, e_row[a - base]) for a in range(top, base - 1, -1) if rows >> a & 1]
         extended: dict[int, int] = {}
         get = extended.get
         for used, minor in minors.items():

@@ -20,7 +20,7 @@ at a homological degree and an internal twist.  A term keeps the pair
 II, III, or carried from a deeper chain level; `classify_part`) are
 read off that pair.  One loop, `_level_terms`, builds the terms of
 every table.  It reads each pair's skew dimension from a table that
-one sweep per mu fills for every lam of the box
+one sweep per mu fills for every lam of the box on its lams' beta rows
 (`partitions._skew_dims_by_beta`), skips a pair whose dimension is 0,
 mu not inside lam among them, and merges the weight's two rho-shifted
 halves for the rest (`bott._dotted_halves`).  `_part_iii_terms` names
@@ -170,11 +170,14 @@ def _level_terms(
     holds.  The bundle weight is the W-half (the negated reverse of
     mu^T, zero-padded in front to d - k) followed by lam padded to k;
     shifted by rho(d), each half is strictly decreasing and depends on
-    one shape only.  Per mu: its conjugate, its shifted half `upper` and
-    the skew dimensions s_{lam^T/mu^T}(1^(n-d)) of every lam of the
-    k x (n - k) box, keyed by beta-set (`partitions._skew_dims_by_beta`).
-    Per lam: its padded parts, its beta-set and its shifted half
-    `lower`.  Per pair: one look-up in mu's table, the only pair filter
+    one shape only.  Per lam: its padded parts, its beta-set and its
+    shifted half `lower`.  Per mu: its conjugate, its shifted half
+    `upper` and the skew dimensions s_{lam^T/mu^T}(1^(n-d)) keyed by
+    beta-set (`partitions._skew_dims_by_beta`), for the lams of the
+    k x (n - k) box whose beta rows all occur among the lams given: when
+    each has full length k, as in part III, no beta-set holds row 0 and
+    the table leaves out every lam shorter than k.
+    Per pair: one look-up in mu's table, the only pair filter
     (0 or no entry where mu is not inside lam); then, for a nonzero
     dimension, the dotted action by merging the two halves
     (`bott._dotted_halves`) and the cached Weyl product of the dominant
@@ -184,16 +187,21 @@ def _level_terms(
     hom_shift, twist_shift = shift
     r = rho(d)
     r_upper, r_lower = r[:d - k], r[d - k:]
+    lam_data = []
+    rows = 0
+    for lam in lams:
+        lam_pad = lam.padded(k)
+        key = _beta_mask(lam_pad)
+        rows |= key
+        lam_data.append((lam, key, tuple(map(add, lam_pad, r_lower))))
     mu_data = []
     for mu in mus:
         mu_t = mu.conjugate()
         w_half = (0,) * (d - k - len(mu_t)) + tuple(-a for a in reversed(mu_t))
         upper = tuple(map(add, w_half, r_upper))
-        mu_data.append((mu, upper, _skew_dims_by_beta(mu.padded(k), n, n - d)))
+        mu_data.append((mu, upper, _skew_dims_by_beta(mu.padded(k), n, n - d, rows)))
     terms = []
-    for lam in lams:
-        lam_pad = lam.padded(k)
-        key, lower = _beta_mask(lam_pad), tuple(map(add, lam_pad, r_lower))
+    for lam, key, lower in lam_data:
         hom_base, twist = lam.size + hom_shift, lam.size + twist_shift
         for mu, upper, skew_dims in mu_data:
             skew = skew_dims.get(key)

@@ -70,6 +70,15 @@ CALLS = [
     "check-minors --d 2 --n 4 --modulus 318665857834031151167461",
     "frobnicate",
     "--help",
+    # inputs that only argparse reads: its own errors, a negative value
+    # and a subcommand's help
+    "check-trace --max-d x",
+    "check-minors --n 4",
+    "check-les --max 3",
+    "check-les --max-d=2",
+    "check-trace --max-d 1 --max-d 2",
+    "check-bott --max-d 2 --lo -2 --hi 1",
+    "check-minors --help",
     # the report written to a file
     "--output {out} check-minimality --d 2 --n 4 --max-degree 4",
     "--format json --output {out} hilbert --d 3 --n 6",

@@ -2,23 +2,28 @@
 deterministic output."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kalvar import cli, resolution, verify
 from kalvar.bott import MAX_EXHAUSTIVE_WORK
 from kalvar.polysym import MAX_MINOR_PRODUCTS, MILLER_RABIN_LIMIT, trace_identity_products
 from kalvar.report import CheckReport
 from kalvar.resolution import MAX_NORMALIZATION_PAIRS
+from record_corpus import CALLS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -676,8 +681,9 @@ class TestHelpAndErrorText:
 
 
 class TestParsersBuilt:
-    """A call that names its subcommand first builds the main parser and
-    that subcommand's; every other call builds all ten."""
+    """A call in the strict form builds no parser.  Any other call that
+    names its subcommand first builds the main parser and that
+    subcommand's; every other call builds all ten."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -691,13 +697,22 @@ class TestParsersBuilt:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         return count
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check-trace", "--max-d", "1"], ["--format", "json", "--output", os.devnull, "check-trace", "--max-d", "1"]],
+        ids=["subcommand-first", "global-flags-first"],
+    )
+    def test_strict_call_builds_none(self, built, capsys, argv):
+        assert cli.main(argv) == 0
+        assert built[0] == 0
+
     def test_subcommand_first_builds_two(self, built, capsys):
-        assert cli.main(["check-trace", "--max-d", "1"]) == 0
+        assert cli.main(["check-trace", "--max-d=1"]) == 0
         assert built[0] == 2
 
     @pytest.mark.parametrize(
         "argv",
-        [["--help"], ["--format", "json", "check-trace", "--max-d", "1"], [], ["frobnicate"]],
+        [["--help"], ["--format=json", "check-trace", "--max-d", "1"], [], ["frobnicate"]],
         ids=["help", "global-flag-first", "no-arguments", "unknown-subcommand"],
     )
     def test_other_calls_build_all_ten(self, built, capsys, argv):
@@ -706,3 +721,126 @@ class TestParsersBuilt:
         except SystemExit:
             pass
         assert built[0] == 10
+
+
+def parsed_by_argparse(argv: list[str]) -> dict | None:
+    """vars() of the namespace the full parser returns for `argv`, or
+    None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def strict_matches_argparse(argv: list[str]) -> bool:
+    """The strict form declines `argv` or returns exactly argparse's
+    attributes; where argparse exits it declines."""
+    strict = cli._strict_args(argv)
+    return strict is None or vars(strict) == parsed_by_argparse(argv)
+
+
+GLOBAL_FLAGS = dict(cli._GLOBAL_OPTIONS)
+VALUES = ["-1.5", "x", "json", "chain", "", "-", "-x", "--", "-0"]
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """Global flags, then a subcommand (or an unknown name, or none),
+    then flags.  Most tokens are well formed: each declared flag at most
+    once, spelled in full, with an int or one of its choices.  The rest
+    are abbreviated flags, --flag=3, -h, --help, --, a missing value, a
+    value from VALUES, a repeated flag or a global flag after the
+    subcommand."""
+
+    # every draw of 0 picks the well formed token, since hypothesis
+    # shrinks towards it
+    def option(flag: str, keywords: dict) -> list[str]:
+        kind = draw(st.integers(0, 15))
+        if kind == 11:
+            return [flag[:draw(st.integers(2, len(flag) - 1))]]
+        if kind == 12:
+            return [flag + "=3"]
+        if kind == 13:
+            return [draw(st.sampled_from(["-h", "--help", "--"]))]
+        if keywords.get("action") == "store_true" or kind == 14:
+            return [flag]
+        if kind == 15:
+            return [flag, draw(st.sampled_from(VALUES))]
+        if "choices" in keywords:
+            return [flag, draw(st.sampled_from(keywords["choices"]))]
+        return [flag, str(draw(st.integers(-20, 20)))]
+
+    def options(flags: dict) -> list[str]:
+        chosen = [flag for flag in draw(st.permutations(list(flags))) if draw(st.integers(0, 3)) < 3]
+        if flags and draw(st.integers(0, 5)) == 5:
+            chosen.insert(draw(st.integers(0, len(chosen))), draw(st.sampled_from(list(flags))))
+        return [token for flag in chosen for token in option(flag, flags[flag])]
+
+    name = draw(st.sampled_from([*cli.SUBCOMMANDS, "frobnicate", ""]))
+    own = dict(cli.SUBCOMMANDS[name][2]) if name in cli.SUBCOMMANDS else {}
+    tail = options({**own, **GLOBAL_FLAGS} if draw(st.integers(0, 5)) == 5 else own)
+    return options(GLOBAL_FLAGS) + ([name] if name else []) + tail
+
+
+class TestStrictForm:
+    """`cli._strict_args` against argparse, its oracle: where it reads a
+    call it returns exactly the attributes argparse sets, and it
+    declines every call argparse refuses."""
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_corpus_call_matches_argparse(self, call):
+        assert strict_matches_argparse(shlex.split(call))
+
+    def test_corpus_calls_left_to_argparse(self):
+        declined = [call for call in CALLS if cli._strict_args(shlex.split(call)) is None]
+        assert declined == [
+            "frobnicate",
+            "--help",
+            "check-trace --max-d x",
+            "check-minors --n 4",
+            "check-les --max 3",
+            "check-les --max-d=2",
+            "check-trace --max-d 1 --max-d 2",
+            "check-minors --help",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-les", "--max-d", "2", "--max", "3"],
+            ["check-trace", "--max-d", "-x"],
+            ["--output", "-x", "check-all"],
+            ["check-trace", "--max-d", "-1.5"],
+            ["resolution", "--d", "2"],
+            ["resolution", "--d", "2", "--n", "4", "--module", "chains"],
+            ["--format", "xml", "check-all"],
+            ["--format", "json"],
+            ["check-all", "--format", "json"],
+            ["--format", "json", "--format", "csv", "check-all"],
+            ["check-trace", "--", "--max-d", "1"],
+            ["check-trace", "--max-d"],
+            ["check-all", "check-all"],
+        ],
+    )
+    def test_declines(self, argv):
+        assert cli._strict_args(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-bott", "--max-d", "2", "--lo", "-2", "--hi", "1"],
+            ["--output", "-3", "--format", "csv", "generators", "--include-empty", "--n", "4", "--d", "2"],
+            ["--output", "", "check-all"],
+            ["resolution", "--module", "normalization", "--s", "2", "--d", "3", "--n", "5"],
+        ],
+    )
+    def test_reads(self, argv):
+        strict = cli._strict_args(argv)
+        assert strict is not None
+        assert vars(strict) == parsed_by_argparse(argv)
+
+    @settings(max_examples=400, deadline=None)
+    @given(cli_argvs())
+    def test_generated_call_matches_argparse(self, argv):
+        assert strict_matches_argparse(argv)

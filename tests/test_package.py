@@ -26,6 +26,39 @@ def loaded_by(module: str) -> set[str]:
     return set(proc.stdout.split())
 
 
+def argparse_modules_after(calls: list[list[str]]) -> set[str]:
+    """Which of argparse and the gettext and locale it imports a fresh
+    interpreter holds after `kalvar.cli.main` has run each of `calls`,
+    under -S as in `loaded_by`."""
+    script = (
+        "import io, sys\n"
+        "import kalvar.cli\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"for argv in {calls!r}:\n"
+        "    try:\n"
+        "        kalvar.cli.main(argv)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "sys.stdout = out\n"
+        "print(*sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=src_env(), capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_a_strict_call_loads_no_argparse():
+    # the strict form is read off the subcommand table, so neither the
+    # import of kalvar.cli nor a well-formed call in any format loads
+    # argparse, gettext or locale
+    assert argparse_modules_after([]) == set()
+    strict = [["--format", fmt, "check-trace", "--max-d", "1"] for fmt in ("table", "json", "csv")]
+    assert argparse_modules_after(strict) == set()
+
+
+def test_help_loads_argparse():
+    assert "argparse" in argparse_modules_after([["--help"]])
+
+
 def test_check_report_fields():
     assert CheckReport._fields == ("check", "params", "details", "data")
 

@@ -438,6 +438,25 @@ class TestSkewDimsByBeta:
                             contained += lam.contains(mu)
         assert contained == 35027
 
+    def test_full_length_lams_leave_out_row_0(self):
+        # the lams of part III have full length k, so no beta-set of
+        # theirs holds row 0: the sweep restricted to their rows builds no
+        # entry of a shorter lam and gives every full-length key the
+        # entry of the whole box
+        for n in range(3, 11):
+            for d in range(2, n):
+                for k in range(2, d + 1):
+                    keys = [_beta_mask(lam.padded(k)) for lam in partitions_in_box(Box(k, n - k)) if len(lam) == k]
+                    rows = 0
+                    for key in keys:
+                        rows |= key
+                    assert rows == (1 << n) - 2, (n, k)
+                    for mu in partitions_in_box(Box(k - 1, d - k)):
+                        whole = _skew_dims_by_beta(mu.padded(k), n, n - d)
+                        table = _skew_dims_by_beta(mu.padded(k), n, n - d, rows)
+                        assert table == {key: v for key, v in whole.items() if not key & 1}, (n, d, k, mu)
+                        assert all(table.get(key) == whole.get(key) for key in keys)
+
     @given(case=beta_tables())
     @example(case=(14, 7, 1, Partition((6, 6, 5, 3, 1)), [Partition((7, 7, 6, 4, 2, 1)), Partition((7,) * 7)]))
     @example(case=(14, 5, 9, Partition(()), [Partition((9, 9, 4, 1, 1)), Partition(())]))
