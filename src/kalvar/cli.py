@@ -9,11 +9,8 @@ configuration errors.
 arguments; `_GLOBAL_OPTIONS` declares the flags that come before it.
 A call in the strict form (`_strict_args`) is read straight from these
 tables, and argparse is never imported.  argparse reads every other
-call, so it writes all help, usage and error text.  Such a call whose
-first argument names a subcommand builds the parser of that subcommand
-alone, since argparse hands it every later argument; any other
-(`--help`, no arguments, an unknown subcommand, a global flag first)
-builds all nine.  Help, usage and error text are the same either way.
+call with the parser of all nine subcommands, so it writes all help,
+usage and error text.
 """
 
 from __future__ import annotations
@@ -411,11 +408,8 @@ _GLOBAL_OPTIONS = (
 )
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given `only`, of that one
-    subcommand alone.  Both print the same main usage line: it lists
-    every subcommand, so an error of the main parser's own, such as
-    unrecognized arguments after the subcommand, reads the same."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     import argparse  # only a call outside the strict form needs it
 
     parser = argparse.ArgumentParser(
@@ -425,14 +419,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     )
     for flag, keywords in _GLOBAL_OPTIONS:
         parser.add_argument(flag, **keywords)
-    # Alone, a subcommand takes the metavar the full parser derives from
-    # all nine names.  The errors that would print the action's metavar
-    # in place of its dest (missing or unknown subcommand) arise only
-    # when all nine are built.
-    metavar = None if only is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-    for name in SUBCOMMANDS if only is None else [only]:
-        help_text, handler, arguments = SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, handler, arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
@@ -493,12 +481,9 @@ def _strict_args(argv: Sequence[str]) -> SimpleNamespace | None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a call in the strict form needs no parser.  argparse hands every
-    # token after the subcommand to its parser, so any other call that
-    # starts with one needs that parser alone
-    args = _strict_args(argv)
+    args = _strict_args(argv)  # a call in the strict form needs no parser
     if args is None:
-        args = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         payload = args.handler(args)
     except ValueError as exc:

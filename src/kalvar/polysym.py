@@ -541,14 +541,24 @@ def reduced_kalman_matrix(d: int, n: int) -> list[list[SparsePoly]]:
     return stacked
 
 
+def top_minors(
+    matrix: Sequence[Sequence[SparsePoly]], row_sets: Iterable[tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], SparsePoly]]:
+    """The maximal minors of a matrix with more rows than columns, such
+    as the reduced matrix, on the given row sets (each sorted), each with
+    its row set, row sets in lexicographic order.  They are built highest
+    rows first: the heaviest minors sit on the highest-degree rows, so
+    their transients peak before the lighter results pile up."""
+    cols = range(len(matrix[0]))
+    picks = sorted(row_sets, key=lambda rows: rows[::-1], reverse=True)
+    return sorted(zip(picks, _minors(matrix, [(rows, cols) for rows in picks])))
+
+
 def all_top_minors(d: int, n: int) -> list[tuple[tuple[int, ...], SparsePoly]]:
     """Every d x d minor of the reduced matrix with its row set, row sets
-    in lexicographic order.  They are built highest rows first: the
-    heaviest minors sit on the highest-degree rows, so their transients
-    peak before the lighter results pile up."""
+    in lexicographic order (`top_minors`)."""
     matrix = reduced_kalman_matrix(d, n)
-    picks = sorted(itertools.combinations(range(len(matrix)), d), key=lambda rows: rows[::-1], reverse=True)
-    return sorted(zip(picks, _minors(matrix, [(rows, range(d)) for rows in picks])))
+    return top_minors(matrix, itertools.combinations(range(len(matrix)), d))
 
 
 def _trace_identity_picks(d: int, i: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

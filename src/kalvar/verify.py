@@ -3,6 +3,12 @@ variety, graded linear algebra on spans of generator multiples, and the
 checks that compare those measurements against the resolution
 predictions.
 
+The graded checks build only the maximal minors of degree at most the
+degree they reach, and price their work from the row degrees before
+any minor is built (MAX_GRADED_WORK).  The stacked matrix evaluated by
+numbers (`stacked_matrix_mod_p`, `det_mod_p`) proves the other minors
+nonzero mod p, so `generator_count` still counts them all.
+
 All randomness flows through an explicitly seeded generator and every
 check is deterministic given its configuration.
 """
@@ -10,8 +16,9 @@ check is deterministic given its configuration.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple, Sequence
 
 from .polysym import (
@@ -22,6 +29,7 @@ from .polysym import (
     evaluate_many,
     is_prime,
     reduced_kalman_matrix,
+    top_minors,
 )
 from .report import CheckReport, Validated
 from .resolution import (
@@ -189,21 +197,16 @@ def monomial_count(nvars: int, degree: int) -> int:
     return comb(nvars - 1 + degree, degree)
 
 
-def _capped_count(nvars: int, degree: int) -> int:
-    """`monomial_count`, raising MonomialCapExceeded over the cap."""
-    count = monomial_count(nvars, degree)
-    if count > DEFAULT_MONOMIAL_CAP:
-        raise MonomialCapExceeded(count, DEFAULT_MONOMIAL_CAP)
-    return count
-
-
 def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, in lexicographically
     descending order: one per multiset of `degree` variables, in the
     order `itertools.combinations_with_replacement` lists them.  Callers
     use them as multipliers, and a rank does not depend on their order;
-    serialization sorts by grevlex itself."""
-    _capped_count(nvars, degree)
+    serialization sorts by grevlex itself.  More than DEFAULT_MONOMIAL_CAP
+    of them raise MonomialCapExceeded, from the closed-form count."""
+    count = monomial_count(nvars, degree)
+    if count > DEFAULT_MONOMIAL_CAP:
+        raise MonomialCapExceeded(count, DEFAULT_MONOMIAL_CAP)
     out = []
     for variables in itertools.combinations_with_replacement(range(nvars), degree):
         exp = [0] * nvars
@@ -247,6 +250,147 @@ class SpanEliminator:
                 else:
                     r.pop(col, None)
         return False
+
+
+def det_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """The determinant mod p, in [0, p), of a square matrix of ints given
+    as its rows, by Gaussian elimination over GF(p), p prime."""
+    m = [[v % p for v in row] for row in rows]
+    size = len(m)
+    det = 1
+    for k in range(size):
+        piv = next((i for i in range(k, size) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        top = m[k]
+        det = det * top[k] % p
+        inv = pow(top[k], p - 2, p)
+        for row in m[k + 1:]:
+            if f := row[k] * inv % p:
+                for j in range(k + 1, size):
+                    row[j] = (row[j] - f * top[j]) % p
+    return det
+
+
+def stacked_matrix_mod_p(d: int, n: int, point: Sequence[int], p: int) -> list[list[int]]:
+    """The rows of the stacked matrix of `reduced_kalman_matrix` at a
+    point of GF(p)^{nd}, given as one int per variable in the same
+    layout, by numbers: gamma * alpha^b mod p for b = 0, ..., d - 1."""
+    x = [[v % p for v in point[i * d:(i + 1) * d]] for i in range(n)]
+    alpha, block = list(zip(*x[:d])), x[d:]
+    stacked = list(block)
+    for _ in range(1, d):
+        block = [[sum(map(operator.mul, row, col)) % p for col in alpha] for row in block]
+        stacked += block
+    return stacked
+
+
+# Seeded uniform points at which `_uncertified` reads the unread minors.
+# One point certifies nearly every minor at a large prime.  At p = 2 a
+# nonzero minor reads zero more often: 16 points left 298 of the 3,003
+# minors of (5, 8) unproven and 128 left none, at (4, 8) 115 and none.
+CERTIFICATE_POINTS = 128
+
+
+def _uncertified(
+    d: int, n: int, row_sets: list[tuple[int, ...]], cfg: PrimeFieldConfig
+) -> list[tuple[int, ...]]:
+    """The row sets whose maximal minor reads zero at each of up to
+    CERTIFICATE_POINTS seeded uniform points of GF(p)^{nd}.  A minor's
+    value at x is det M(x)[R] mod p (`stacked_matrix_mod_p`, `det_mod_p`),
+    and reducing its integer coefficients mod p is a ring map, so a
+    nonzero value proves the minor nonzero mod p.  A minor that reads
+    zero everywhere may still be nonzero mod p; the caller builds it."""
+    p, rng = cfg.modulus, cfg.rng()
+    for _ in range(CERTIFICATE_POINTS):
+        if not row_sets:
+            break
+        m = stacked_matrix_mod_p(d, n, [rng.randrange(p) for _ in range(n * d)], p)
+        row_sets = [rows for rows in row_sets if not det_mod_p([m[r] for r in rows], p)]
+    return row_sets
+
+
+# The limit on the up-front bound of a graded check's work, in steps: a
+# term of a Macaulay row m*g is one step, and `_minor_work` prices each
+# pick of the minors at d^3 more.  check-minimality --d 4 --n 6
+# --max-degree 10 bounds at 5.3e7.  (4, 7) to degree 10 bounds at 7.0e8
+# and (5, 8) to 10 at 4.2e8; both are refused before any minor is built.
+MAX_GRADED_WORK = 100_000_000
+
+
+def _check_graded_work(work: int, what: str) -> None:
+    """Refuse work bounded at more than MAX_GRADED_WORK steps."""
+    if work > MAX_GRADED_WORK:
+        raise ValueError(
+            f"{what} take up to {work} steps, more than the limit of {MAX_GRADED_WORK} (MAX_GRADED_WORK)"
+        )
+
+
+def _row_terms(terms_by_degree: dict[int, int], nvars: int, max_degree: int) -> int:
+    """Terms of the Macaulay rows that the graded ranks of degrees 0
+    through max_degree absorb, given the terms of the generators of each
+    degree q: each is multiplied, over the pieces of degrees q through
+    max_degree, by the C(nvars + max_degree - q, max_degree - q)
+    monomials of degree at most max_degree - q."""
+    return sum(
+        terms * comb(nvars + max_degree - q, max_degree - q)
+        for q, terms in terms_by_degree.items()
+        if q <= max_degree
+    )
+
+
+def _minor_work(d: int, n: int, max_degree: int) -> int:
+    """An up-front bound on the steps of a graded check of the maximal
+    minors to max_degree, from the row degrees alone, with no matrix or
+    minor built: d^3 for each of the C(d(n-d), d) picks (its degree,
+    and for `minimality_report` its determinant at a point), plus the
+    row terms (`_row_terms`) of the picks of degree at most max_degree.
+    Row r has degree r // (n - d) + 1, so a pick's degree is the sum
+    over its rows.  An entry of block b, gamma * alpha^b, sums d^b
+    monomials, so a pick of degree q has at most d! * d^(q - d) terms:
+    the bound of `_count_products` at those entry sizes.  The picks of
+    each degree are counted block by block, never listed."""
+    m = n - d
+    work = comb(d * m, d) * d**3
+    if work > MAX_GRADED_WORK:
+        return work
+    # (rows taken, their degree) -> picks, over the blocks so far, kept
+    # only while the rows still to take can come from later blocks
+    ways = {(0, 0): 1}
+    for b in range(min(d, max_degree - d + 1)):
+        step: dict[tuple[int, int], int] = {}
+        for (k, q), count in ways.items():
+            for c in range(min(m, d - k) + 1):
+                key = (k + c, q + c * (b + 1))
+                if key[1] + (d - key[0]) * (b + 2) <= max_degree:
+                    step[key] = step.get(key, 0) + count * comb(m, c)
+        ways = step
+    terms = {q: count * factorial(d) * d ** (q - d) for (k, q), count in ways.items() if k == d}
+    return work + _row_terms(terms, n * d, max_degree)
+
+
+def _picks_to_degree(d: int, n: int, max_degree: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The row sets of the maximal minors of degree at most max_degree,
+    which a graded check to max_degree reads, and those of the others,
+    each in lexicographic order, after `_minor_work` is checked.  A
+    generator above max_degree changes no rank at or below it."""
+    check_degree(max_degree, "a graded piece")
+    _check_graded_work(
+        _minor_work(d, n, max_degree), f"the graded ranks of the minors at d={d}, n={n} to degree {max_degree}"
+    )
+    read, unread = [], []
+    for rows in itertools.combinations(range(d * (n - d)), d):
+        (read if sum(r // (n - d) + 1 for r in rows) <= max_degree else unread).append(rows)
+    return read, unread
+
+
+def _build(d: int, n: int, row_sets: list[tuple[int, ...]]) -> list[SparsePoly]:
+    """The integer minors on the row sets, in lexicographic order
+    (`top_minors`); for no row sets, neither they nor the matrix."""
+    return [g for _, g in top_minors(reduced_kalman_matrix(d, n), row_sets)] if row_sets else []
 
 
 def _by_degree_mod_p(gens: list[SparsePoly], nvars: int, p: int) -> dict[int, list[SparsePoly]]:
@@ -302,6 +446,18 @@ def _graded_ranks(by_degree: dict[int, list[SparsePoly]], degree: int, nvars: in
     return from_lower, elim.rank
 
 
+def _ranks_to(
+    by_degree: dict[int, list[SparsePoly]], max_degree: int, nvars: int, p: int
+) -> list[tuple[int, int]]:
+    """`_graded_ranks` of degrees 0 through max_degree.  A degree over
+    255, or more than MAX_GRADED_WORK row terms (`_row_terms` of the
+    generators' own terms), is refused before the first rank."""
+    check_degree(max_degree, "a graded piece")
+    terms = {q: sum(len(g.terms) for g in gens) for q, gens in by_degree.items()}
+    _check_graded_work(_row_terms(terms, nvars, max_degree), f"the graded ranks to degree {max_degree}")
+    return [_graded_ranks(by_degree, e, nvars, p) for e in range(max_degree + 1)]
+
+
 def _lift(dims: Sequence[int], n: int, nvars: int) -> list[int]:
     """Graded dimensions of an ideal or quotient of an nvars-variable
     ring S', degrees 0 up, carried to S = k[x].  S is S' with m more
@@ -324,19 +480,15 @@ def truncated_hilbert(
     generators = list(generators)
     if not generators:
         raise ValueError("no generators")
-    return _hilbert_of_own(generators, n, max_degree, cfg.modulus)
+    return _hilbert_of_own(generators, n, generators[0].ring.nvars, max_degree, cfg.modulus)
 
 
-def _hilbert_of_own(gens: list[SparsePoly], n: int, max_degree: int, p: int) -> list[int]:
-    """`truncated_hilbert` of a nonempty list the caller owns: each
-    generator is reduced mod p in place (`_by_degree_mod_p`)."""
-    nvars = gens[0].ring.nvars
-    by_degree = _by_degree_mod_p(gens, nvars, p)
-    quotient = [
-        monomial_count(nvars, e) - _graded_ranks(by_degree, e, nvars, p)[1]
-        for e in range(max_degree + 1)
-    ]
-    return _lift(quotient, n, nvars)
+def _hilbert_of_own(gens: list[SparsePoly], n: int, nvars: int, max_degree: int, p: int) -> list[int]:
+    """`truncated_hilbert` of a list of generators in nvars variables
+    that the caller owns: each is reduced mod p in place
+    (`_by_degree_mod_p`)."""
+    ranks = _ranks_to(_by_degree_mod_p(gens, nvars, p), max_degree, nvars, p)
+    return _lift([monomial_count(nvars, e) - full for e, (_, full) in enumerate(ranks)], n, nvars)
 
 
 def minimality_report(
@@ -355,17 +507,30 @@ def minimality_report(
     exact degree are absorbed on top, and the rank jump is the number of
     new generators the ideal needs there.  The ranks are taken in
     k[alpha, gamma]; `ideal_dim` is lifted to k[x], where the rank jump,
-    a count of minimal generators, is the same.  A generator that
-    vanishes mod p is dropped and not counted in `generator_count`.  The
-    minors, or a copy of a given list, are reduced in place (`_by_degree_mod_p`).
+    a count of minimal generators, is the same.
+
+    Of the maximal minors, only those of degree at most max_degree are
+    built (`_picks_to_degree`, which refuses first a degree over 255 or
+    work bounded past MAX_GRADED_WORK).  `generator_count` counts every
+    maximal minor that is nonzero mod p: the built ones that are, and
+    the others as a certificate proves them (`_uncertified`); a minor it
+    leaves unproven is built and reduced as well.  A given list of
+    generators is read whole, and its work is bounded by the terms of
+    its own rows (`_ranks_to`).  A generator that vanishes mod p is
+    dropped and not counted.  The minors, or a copy of a given list, are
+    reduced in place (`_by_degree_mod_p`).
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     params = KalmanParams(1, d, n)
     nvars = n * d
-    _capped_count(nvars, max_degree)
-    check_degree(max_degree, "a graded piece")
-    generators = [g for _, g in all_top_minors(d, n)] if generators is None else list(generators)
+    if generators is None:
+        read, unread = _picks_to_degree(d, n, max_degree)
+        uncertified = _uncertified(d, n, unread, cfg)
+        generators = _build(d, n, read + uncertified)
+        certified = len(unread) - len(uncertified)
+    else:
+        generators, certified = list(generators), 0
     by_degree = _by_degree_mod_p(generators, nvars, cfg.modulus)
 
     predicted: dict[int, int] = {}
@@ -373,7 +538,7 @@ def minimality_report(
         if rec.multiplicity > 0:
             predicted[rec.degree] = predicted.get(rec.degree, 0) + rec.multiplicity
 
-    ranks = [_graded_ranks(by_degree, e, nvars, cfg.modulus) for e in range(max_degree + 1)]
+    ranks = _ranks_to(by_degree, max_degree, nvars, cfg.modulus)
     ideal_dims = _lift([full for _, full in ranks], n, nvars)
     per_degree = []
     failures = []
@@ -401,7 +566,7 @@ def minimality_report(
             "modulus": cfg.modulus,
         },
         details=failures,
-        data={"per_degree": per_degree, "generator_count": sum(map(len, by_degree.values()))},
+        data={"per_degree": per_degree, "generator_count": certified + sum(map(len, by_degree.values()))},
     )
 
 
@@ -414,12 +579,14 @@ def truncated_hilbert_check(
     """Measure the quotient's graded dimensions by rank computations and
     compare against the expansion of the rational series obtained from
     the resolution.  Degree 0 holds for any proper ideal, so at least
-    degree 1 is compared."""
+    degree 1 is compared.  Only the maximal minors of degree at most
+    max_degree are built, after the refusals of `_picks_to_degree`: the
+    others change no dimension at or below it."""
     if max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
-    _capped_count(n * d, max_degree)
-    check_degree(max_degree, "a graded piece")
-    measured = _hilbert_of_own([g for _, g in all_top_minors(d, n)], n, max_degree, cfg.modulus)
+    KalmanParams(1, d, n)
+    read, _ = _picks_to_degree(d, n, max_degree)
+    measured = _hilbert_of_own(_build(d, n, read), n, n * d, max_degree, cfg.modulus)
     expected = hilbert_numerator(chain_resolution(1, d, n)).expand(max_degree)
     mismatches = [
         {"degree": e, "measured": m, "expected": x}

@@ -52,6 +52,7 @@ CALLS = [
     "resolution --s 2 --d 3 --n 5 --module normalization",
     "generators --d 3 --n 6 --include-empty",
     "check-minors --d 2 --n 4 --trials 5 --seed 7",
+    "check-minimality --d 4 --n 6 --max-degree 8",
     # refusals, each before any work
     "resolution --d 3 --n 3",
     "generators --d 4 --n 2",
@@ -61,7 +62,7 @@ CALLS = [
     "check-les --max-d 0",
     "check-trace --max-d 0",
     "check-minimality --d 1 --n 3 --max-degree 256",
-    "check-minimality --d 3 --n 6 --max-degree 9",
+    "check-minimality --d 4 --n 7 --max-degree 12",
     "check-minors --d 5 --n 7 --trials 1",
     "check-trace --max-d 7",
     "check-bott --max-d 9 --lo -10 --hi 10",

@@ -104,8 +104,11 @@ def test_criterion_06_generator_minimality():
         (3, 5): {4: 2, 5: 2, 6: 4},
         (2, 6): {2: 6, 3: 10},
         (3, 6): {3: 1, 4: 8, 5: 8, 6: 10},
+        (4, 6): {6: 1, 7: 3, 8: 4},
+        (4, 7): {5: 3, 6: 9, 7: 18},
+        (5, 7): {9: 2},
     }
-    depth = {(2, 4): 4, (2, 5): 4, (3, 4): 6, (3, 5): 6, (2, 6): 4, (3, 6): 6}
+    depth = {(2, 4): 4, (2, 5): 4, (3, 4): 6, (3, 5): 6, (2, 6): 4, (3, 6): 6, (4, 6): 8, (4, 7): 7, (5, 7): 9}
     for modulus in (DEFAULT_MODULUS, ALTERNATE_MODULUS):
         cfg = PrimeFieldConfig(modulus=modulus)
         for (d, n), want in expected.items():
@@ -135,12 +138,12 @@ def test_criterion_07_euler_identity():
 def test_criterion_08_truncated_hilbert():
     t0 = time.monotonic()
     for modulus in (DEFAULT_MODULUS, ALTERNATE_MODULUS):
-        for d, n in [(2, 3), (2, 4), (2, 5), (3, 5), (3, 6)]:
-            report = truncated_hilbert_check(d, n, 6, PrimeFieldConfig(modulus=modulus))
+        for d, n, max_degree in [(2, 3, 6), (2, 4, 6), (2, 5, 6), (3, 5, 6), (3, 6, 6), (4, 6, 8), (4, 7, 7)]:
+            report = truncated_hilbert_check(d, n, max_degree, PrimeFieldConfig(modulus=modulus))
             assert report.passed, (d, n, modulus, report.details)
     elapsed = time.monotonic() - t0
     assert elapsed < 300, f"budget exceeded: {elapsed:.1f}s"
-    print(f"[criterion 08] truncated Hilbert functions to degree 6, two primes: PASS ({elapsed:.1f}s)")
+    print(f"[criterion 08] truncated Hilbert functions to degree 6, (4, 6) to 8, (4, 7) to 7, two primes: PASS ({elapsed:.1f}s)")
 
 
 def test_criterion_09_pd_and_regularity():

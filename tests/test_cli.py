@@ -23,6 +23,7 @@ from kalvar.bott import MAX_EXHAUSTIVE_WORK
 from kalvar.polysym import MAX_MINOR_PRODUCTS, MILLER_RABIN_LIMIT, trace_identity_products
 from kalvar.report import CheckReport
 from kalvar.resolution import MAX_NORMALIZATION_PAIRS
+from kalvar.verify import MAX_GRADED_WORK
 from record_corpus import CALLS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -294,19 +295,24 @@ class TestChecks:
         assert code == 0
         assert "result: pass" in out
 
-    def test_minimality_over_monomial_limit_exits_2(self, capsys, monkeypatch):
-        # degree 9 in the 18 variables of k[alpha, gamma] has
-        # C(26, 9) = 3,124,550 monomials; no minor is built
+    def test_minimality_over_work_limit_exits_2(self, capsys, monkeypatch):
+        # (4, 7) to degree 12 bounds at 4.9e10 steps, about 500 times
+        # the limit, where (4, 6) to degree 10 (5.3e7) took 43 s; it is
+        # refused before any minor is built
         def no_minors(*args):
-            raise AssertionError("minors built before the cap check")
+            raise AssertionError("minors built before the work check")
 
-        monkeypatch.setattr(verify, "all_top_minors", no_minors)
-        argv = ["check-minimality", "--d", "3", "--n", "6", "--max-degree", "9"]
+        monkeypatch.setattr(verify, "top_minors", no_minors)
+        argv = ["check-minimality", "--d", "4", "--n", "7", "--max-degree", "12"]
+        t0 = time.monotonic()
         assert cli.main(argv) == 2
+        assert time.monotonic() - t0 < 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert "3124550" in captured.err and "1000000" in captured.err
+        assert captured.err == (
+            "error: the graded ranks of the minors at d=4, n=7 to degree 12 take up to 48909613248 steps, "
+            f"more than the limit of {MAX_GRADED_WORK} (MAX_GRADED_WORK)\n"
+        )
 
     @pytest.mark.parametrize(
         "window",
@@ -681,9 +687,8 @@ class TestHelpAndErrorText:
 
 
 class TestParsersBuilt:
-    """A call in the strict form builds no parser.  Any other call that
-    names its subcommand first builds the main parser and that
-    subcommand's; every other call builds all ten."""
+    """A call in the strict form builds no parser.  Every other call
+    builds all ten: the main parser and one per subcommand."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -706,9 +711,9 @@ class TestParsersBuilt:
         assert cli.main(argv) == 0
         assert built[0] == 0
 
-    def test_subcommand_first_builds_two(self, built, capsys):
+    def test_subcommand_first_builds_all_ten(self, built, capsys):
         assert cli.main(["check-trace", "--max-d=1"]) == 0
-        assert built[0] == 2
+        assert built[0] == 10
 
     @pytest.mark.parametrize(
         "argv",

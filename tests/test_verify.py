@@ -5,15 +5,18 @@ import itertools
 import random
 import re
 import sys
+import time
 from functools import lru_cache
-from math import comb, prod
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
+from test_polysym import brute_determinant
 
 from kalvar import verify
 from kalvar.polysym import (
     PolyRing,
+    _count_products,
     all_top_minors,
     evaluate_many,
     grevlex_key,
@@ -23,6 +26,7 @@ from kalvar.resolution import chain_resolution, hilbert_numerator
 from kalvar.verify import (
     ALTERNATE_MODULUS,
     DEFAULT_MODULUS,
+    MAX_GRADED_WORK,
     KalmanPoint,
     MonomialCapExceeded,
     PrimeFieldConfig,
@@ -31,12 +35,14 @@ from kalvar.verify import (
     _graded_ranks,
     _lift,
     _mod_p,
+    det_mod_p,
     hypersurface_check,
     minimality_report,
     minors_vanishing_check,
     monomial_count,
     monomials_of_degree,
     random_kalman_point,
+    stacked_matrix_mod_p,
     truncated_hilbert,
     truncated_hilbert_check,
     vanishing_test,
@@ -275,13 +281,17 @@ class TestGeneratorsVanishingModP:
 
     @pytest.fixture
     def last_minor_tripled(self, monkeypatch):
-        real = verify.all_top_minors
+        # check-minors builds every minor (all_top_minors), and the
+        # graded checks those they read (top_minors)
+        def tripled(real):
+            def build(*args):
+                minors = real(*args)
+                return minors[:-1] + [(minors[-1][0], 3 * minors[-1][1])]
 
-        def tripled(*args):
-            minors = real(*args)
-            return minors[:-1] + [(minors[-1][0], 3 * minors[-1][1])]
+            return build
 
-        monkeypatch.setattr(verify, "all_top_minors", tripled)
+        monkeypatch.setattr(verify, "all_top_minors", tripled(verify.all_top_minors))
+        monkeypatch.setattr(verify, "top_minors", tripled(verify.top_minors))
 
     def test_vanishing_test_drops_it(self):
         quad, tripled = self.quad_and_tripled()
@@ -302,7 +312,8 @@ class TestGeneratorsVanishingModP:
         assert report.data["generator_count"] == 5
 
     def test_minimality_report_drops_it(self, last_minor_tripled):
-        # the top-degree minor is redundant, so the report still passes
+        # the top-degree minor is redundant, so the report still passes;
+        # at degree 4 every minor is read
         report = minimality_report(2, 4, 4, self.P3)
         assert report.passed
         assert report.data["generator_count"] == 5
@@ -386,31 +397,31 @@ class TestGradedRanks:
         def no_minors(*args):
             raise AssertionError("minors built before the degree check")
 
-        monkeypatch.setattr(verify, "all_top_minors", no_minors)
+        monkeypatch.setattr(verify, "top_minors", no_minors)
         with pytest.raises(ValueError, match="256.*255"):
             check(1, 3, 256)
 
     def test_cap_checks_the_target_degree_piece(self):
-        # a cubic in one of the 18 variables, at degree 9: its
-        # multipliers number C(23, 6) = 100,947, but the target piece
-        # has C(26, 9) monomials
+        # given generators are bounded by their own rows: a one-term
+        # cubic in 18 variables takes C(18 + 13, 13) rows to degree 16,
+        # one term each, and C(30, 12) to degree 15, which fits
         ring = reduced_kalman_matrix(3, 6)[0][0].ring
-        with pytest.raises(MonomialCapExceeded) as exc:
-            minimality_report(3, 6, 9, generators=[ring.var(0) ** 3])
-        assert exc.value.required == comb(26, 9) == 3_124_550
-        assert exc.value.cap == 10**6
-        assert "3124550" in str(exc.value) and "1000000" in str(exc.value)
-        assert isinstance(exc.value, ValueError)
+        message = f"^the graded ranks to degree 16 take up to 206253075 steps, more than the limit of {MAX_GRADED_WORK} "
+        with pytest.raises(ValueError, match=message):
+            minimality_report(3, 6, 16, generators=[ring.var(0) ** 3])
+        assert comb(31, 13) == 206_253_075 > MAX_GRADED_WORK >= comb(30, 12)
 
     def test_hilbert_cap_checked_before_any_minor(self, monkeypatch):
         # check-minimality has the same test in tests/test_cli.py
         def no_minors(*args):
-            raise AssertionError("minors built before the cap check")
+            raise AssertionError("minors built before the work check")
 
-        monkeypatch.setattr(verify, "all_top_minors", no_minors)
-        with pytest.raises(MonomialCapExceeded) as exc:
-            truncated_hilbert_check(3, 6, 9)
-        assert exc.value.required == 3_124_550
+        monkeypatch.setattr(verify, "top_minors", no_minors)
+        t0 = time.monotonic()
+        message = f"up to 48909613248 steps, more than the limit of {MAX_GRADED_WORK} (MAX_GRADED_WORK)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            truncated_hilbert_check(4, 7, 12)
+        assert time.monotonic() - t0 < 1
 
 
 class TestIntake:
@@ -423,12 +434,12 @@ class TestIntake:
     @pytest.mark.parametrize("check", [minimality_report, truncated_hilbert_check])
     def test_integer_minors_freed_before_the_ranks(self, check, monkeypatch):
         # at the first rank, nothing but `minors` holds an integer minor
-        # of all_top_minors
-        real_minors, real_ranks = verify.all_top_minors, verify._graded_ranks
+        # of top_minors: the 14 of the 20 of (3, 5) of degree at most 6
+        real_minors, real_ranks = verify.top_minors, verify._graded_ranks
         minors, alive = [], []
 
-        def recording(d, n):
-            pairs = real_minors(d, n)
+        def recording(*args):
+            pairs = real_minors(*args)
             minors.extend(g for _, g in pairs)
             return pairs
 
@@ -437,10 +448,10 @@ class TestIntake:
                 alive.append([k for k in range(len(minors)) if sys.getrefcount(minors[k]) > 2])
             return real_ranks(*args)
 
-        monkeypatch.setattr(verify, "all_top_minors", recording)
+        monkeypatch.setattr(verify, "top_minors", recording)
         monkeypatch.setattr(verify, "_graded_ranks", ranks)
-        assert check(3, 5, 4).passed
-        assert len(minors) == 20
+        assert check(3, 5, 6).passed
+        assert len(minors) == 14
         assert alive == [[]]
 
     def test_a_given_list_is_left_as_it_was(self):
@@ -478,8 +489,10 @@ class TestIntake:
         lexicographic = [g for _, g in all_top_minors(3, 5)]
         shuffled = list(lexicographic)
         random.Random(4).shuffle(shuffled)
-        minimality_report(3, 5, 3)
-        assert seen and all(by_degree == grouped(lexicographic) for by_degree in seen)
+        # to degree 6 the minors of degrees 4 to 6 are read
+        minimality_report(3, 5, 6)
+        read = {q: gens for q, gens in grouped(lexicographic).items() if q <= 6}
+        assert seen and all(by_degree == read for by_degree in seen)
         seen.clear()
         minimality_report(3, 5, 3, generators=shuffled)
         truncated_hilbert(shuffled, 5, 3)
@@ -664,3 +677,157 @@ class TestMinimality:
         assert [e["ideal_dim"] for e in a.data["per_degree"]] == [
             e["ideal_dim"] for e in b.data["per_degree"]
         ]
+
+
+ORACLE_PRIMES = (2, 3, DEFAULT_MODULUS, ALTERNATE_MODULUS)
+
+
+class TestReadMinorsOnly:
+    """The graded checks build only the maximal minors of degree at most
+    max_degree, and certify the others nonzero mod p by numbers.  Their
+    reports equal those read off every minor built."""
+
+    @pytest.mark.parametrize(
+        "d,n,degrees",
+        [
+            (1, 2, [4]), (1, 4, [1, 4]), (2, 3, [1, 5]), (2, 4, [1, 2, 3, 4, 5]), (2, 5, [3, 5]),
+            (2, 6, [4]), (3, 4, [5, 6]), (3, 5, [3, 4, 5, 6]), (3, 6, [4, 5, 6]), (4, 5, [7]),
+            (4, 6, [5, 6]),
+        ],
+    )
+    def test_matches_the_full_build(self, d, n, degrees):
+        # the oracle builds every minor and reads its degree off its
+        # terms.  The checks are given those of degree at most e, and
+        # generator_count is the number of all that are nonzero mod p
+        every = [(g.degree(), g) for _, g in all_top_minors(d, n)]
+        for p in ORACLE_PRIMES:
+            cfg = PrimeFieldConfig(modulus=p)
+            nonzero = sum(1 for _, g in every if any(c % p for c in g.terms.values()))
+            for e in degrees:
+                read = [g for q, g in every if q <= e]
+                want = minimality_report(d, n, e, cfg, generators=read)
+                want.data["generator_count"] = nonzero
+                assert minimality_report(d, n, e, cfg) == want
+                free = _lift([monomial_count(n * d, k) for k in range(e + 1)], n, n * d)
+                measured = truncated_hilbert(read, n, e, cfg) if read else free
+                assert truncated_hilbert_check(d, n, e, cfg).data["measured"] == measured
+
+    def test_only_the_read_degrees_are_built(self, monkeypatch):
+        # (3, 5) has 2 minors of degree 4, 4 of degree 5 and 14 of
+        # degrees 6 to 8: to degree 5 six are built and 14 certified
+        built = []
+        real = verify.top_minors
+
+        def recording(matrix, row_sets):
+            pairs = real(matrix, row_sets)
+            built.extend(rows for rows, _ in pairs)
+            return pairs
+
+        monkeypatch.setattr(verify, "top_minors", recording)
+        report = minimality_report(3, 5, 5)
+        assert report.passed and report.data["generator_count"] == 20
+        assert sorted(sum(r // 2 + 1 for r in rows) for rows in built) == [4, 4, 5, 5, 5, 5]
+
+    def test_unproven_minors_are_built_and_counted(self, monkeypatch):
+        # with every unread minor left unproven, each is built, reduced
+        # and counted as the full build counts it
+        monkeypatch.setattr(verify, "_uncertified", lambda d, n, row_sets, cfg: row_sets)
+        every = [g for _, g in all_top_minors(3, 5)]
+        for p in ORACLE_PRIMES:
+            cfg = PrimeFieldConfig(modulus=p)
+            assert minimality_report(3, 5, 4, cfg) == minimality_report(3, 5, 4, cfg, generators=every)
+
+    def test_certificate_leaves_only_minors_that_read_zero(self):
+        # a repeated row makes a determinant zero at every point
+        cfg = PrimeFieldConfig()
+        assert verify._uncertified(3, 5, [(0, 1, 2), (2, 2, 5), (3, 4, 5)], cfg) == [(2, 2, 5)]
+        for d, n in [(3, 5), (4, 6), (4, 7)]:
+            for p in ORACLE_PRIMES:
+                every = list(itertools.combinations(range(d * (n - d)), d))
+                assert verify._uncertified(d, n, every, PrimeFieldConfig(modulus=p)) == []
+
+
+class TestDetModP:
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_matches_leibniz(self, p):
+        # random and singular integer matrices, against the Leibniz
+        # expansion of tests/test_polysym.py reduced mod p
+        ring = PolyRing(0)
+        rng = random.Random(p)
+        for size in range(1, 6):
+            for _ in range(10):
+                m = [[rng.randrange(-60, 60) for _ in range(size)] for _ in range(size)]
+                cases = [m, [[p * v for v in row] for row in m]]
+                if size > 1:
+                    cases.append(m[:-1] + [m[0]])
+                    cases.append([row[:-1] + [0] for row in m])
+                    cases.append(m[:-1] + [[a + 2 * b for a, b in zip(m[0], m[1])]])
+                for rows in cases:
+                    det = brute_determinant([[ring.const(v) for v in row] for row in rows])
+                    assert det_mod_p(rows, p) == det.terms.get(0, 0) % p, rows
+
+    def test_row_swaps_change_the_sign(self):
+        assert det_mod_p([[0, 1], [1, 0]], 7) == 6
+        assert det_mod_p([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 7) == 6
+        assert det_mod_p([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 7) == 1
+
+
+class TestNumericMatrix:
+    @pytest.mark.parametrize("p", [DEFAULT_MODULUS, ALTERNATE_MODULUS])
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 5), (3, 6), (4, 5)])
+    def test_symbolic_minors_match_the_numeric_matrix(self, d, n, p):
+        # the stacked matrix evaluated entry by entry, and every minor's
+        # value against the determinant of its rows, at 3 uniform points
+        rng = random.Random(d * n + p)
+        points = [[rng.randrange(p) for _ in range(n * d)] for _ in range(3)]
+        numeric = [stacked_matrix_mod_p(d, n, x, p) for x in points]
+        entries = [e for row in reduced_kalman_matrix(d, n) for e in row]
+        assert evaluate_many(entries, points, p) == [[v for row in m for v in row] for m in numeric]
+        minors = all_top_minors(d, n)
+        want = [[det_mod_p([m[r] for r in rows], p) for rows, _ in minors] for m in numeric]
+        assert evaluate_many([g for _, g in minors], points, p) == want
+
+
+class TestGradedWork:
+    @pytest.mark.parametrize("d,n", [(1, 3), (2, 4), (3, 5), (3, 6), (4, 6), (5, 7)])
+    def test_minor_work_against_every_pick(self, d, n):
+        # each pick listed, its terms bounded by `_count_products` with
+        # the d^b terms of an entry of block b
+        m = n - d
+        sizes = [[d ** (r // m)] * d for r in range(d * m)]
+        for max_degree in range(1, 12):
+            want = comb(d * m, d) * d**3
+            for rows in itertools.combinations(range(d * m), d):
+                q = sum(r // m + 1 for r in rows)
+                if q <= max_degree:
+                    terms = _count_products(sizes, [(rows, tuple(range(d)))])[0]
+                    want += terms * comb(n * d + max_degree - q, max_degree - q)
+            assert verify._minor_work(d, n, max_degree) == want
+
+    def test_term_bound_holds(self):
+        for d, n in [(2, 4), (3, 5), (3, 6), (4, 5)]:
+            for rows, g in all_top_minors(d, n):
+                assert len(g.terms) <= factorial(d) * d ** sum(r // (n - d) for r in rows)
+
+    @pytest.mark.parametrize(
+        "d,n,max_degree", [(4, 7, 12), (3, 6, 10), (8, 16, 8), (2, 2000, 5), (12, 13, 100)]
+    )
+    def test_refused_at_once(self, monkeypatch, d, n, max_degree):
+        # (4, 7) to degree 12 bounds at 4.9e10 steps; (8, 16) has 4.4e9
+        # picks to certify; none of them lists a pick or builds a minor
+        def nothing(*args):
+            raise AssertionError("work done before the work check")
+
+        monkeypatch.setattr(verify, "top_minors", nothing)
+        monkeypatch.setattr(verify, "_uncertified", nothing)
+        monkeypatch.setattr(verify, "minimal_generators", nothing)
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match=r"steps, more than the limit of \d+ \(MAX_GRADED_WORK\)$"):
+            minimality_report(d, n, max_degree)
+        assert time.monotonic() - t0 < 1
+        assert verify._minor_work(d, n, max_degree) > MAX_GRADED_WORK
+
+    def test_frontier_fits(self):
+        # (4, 6) to degree 10 ran in 43 s and 1.9 GB
+        assert verify._minor_work(4, 6, 10) == 52_951_552 <= MAX_GRADED_WORK
+        assert verify._minor_work(3, 6, 10) > MAX_GRADED_WORK
